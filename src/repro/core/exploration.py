@@ -205,23 +205,37 @@ class TransitionSystem:
         return self._program_edges.keys()
 
     def _explore(self, max_states: int, workers: Optional[int] = None) -> None:
+        small = self.program.state_count() <= _SMALL_SPACE_STATES
+        # the tiny-space path is interpreted: no arrays for it to set up
+        layout = None if small else self._start_layout()
+        canon_cols = None
         if self.symmetry is not None:
             # orbit canonicalization: each state maps to the pooled
             # minimal representative of its symmetry orbit, so the BFS
-            # materializes the quotient graph directly
+            # materializes the quotient graph directly.  The array
+            # engines canonicalize whole successor blocks as rank
+            # columns (``canon_cols``) and pool the already-canonical
+            # results (``intern``); unplanned actions and the
+            # interpreted engines go state by state
             canonicalizer = self.symmetry.canonicalizer(self.program)
             canonical = canonicalizer.canonical
             canonical_many = canonicalizer.canonical_many
+            intern = canonicalizer.pool
+            if layout is not None:
+                canon_cols = self.symmetry._compile_columns(layout)
+            self.start_states = self._canonical_starts(
+                canonicalizer, layout, canon_cols
+            )
         else:
             # canonicalization is one C-level dict op: setdefault(s, s)
             # returns the pooled representative (inserting s if unseen),
             # exactly StateInterner.canonical without the method frames
             interner = StateInterner()
-            canonical = interner._pool.setdefault
+            canonical = intern = interner._pool.setdefault
             canonical_many = interner.canonical_many
-        self.start_states = tuple(
-            dict.fromkeys(canonical_many(self.start_states))
-        )
+            self.start_states = tuple(
+                dict.fromkeys(canonical_many(self.start_states))
+            )
         for state in self.start_states:
             self._program_edges[state] = _EMPTY_EDGES
         # Three engines, one transition graph: sharded (process pool),
@@ -250,19 +264,71 @@ class TransitionSystem:
                     max_states, canonical_many, workers
                 ):
                     return
-            if self.program.state_count() <= _SMALL_SPACE_STATES:
+            if small:
                 self._explore_small(max_states, canonical)
                 return
             if _kernels.get_backend() != "interpreted":
-                if self._explore_columnar(max_states):
+                if self._explore_columnar(max_states, layout, canon_cols):
                     return
-                if self._explore_batched(max_states, canonical):
+                if self._explore_batched(
+                    max_states, canonical, intern, layout, canon_cols
+                ):
                     return
             self._labeled_rows = None
             self._explore_scalar(max_states, canonical)
         finally:
             if gc_was_enabled:
                 gc.enable()
+
+    def _start_layout(self):
+        """The packing layout the array engines expand the start set
+        with: numpy backend, one start schema, every variable with a
+        declared domain; ``None`` otherwise."""
+        starts = self.start_states
+        if not starts or _kernels.resolved_backend() != "numpy":
+            return None
+        schema = starts[0]._schema
+        for state in starts:
+            if state._schema is not schema:
+                return None
+        return _kernels.layout_for(schema, self.program._domains)
+
+    def _canonical_starts(self, canonicalizer, layout, canon_cols):
+        """The orbit representatives of the (value-deduplicated) start
+        states, in order of first occurrence.
+
+        With a column canonicalizer this is one array pass: a start
+        state that is already canonical represents its own orbit, and a
+        State is built only for orbits no start state represents.
+        Every representative is pooled in ``canonicalizer``, so the
+        per-state paths of the BFS return the same objects."""
+        starts = self.start_states
+        cols = None
+        if canon_cols is not None:
+            try:
+                cols = layout.columns_from_states(starts)
+            except KeyError:
+                pass  # a value outside its domain: only plans handle it
+        if cols is None:
+            return tuple(dict.fromkeys(canonicalizer.canonical_many(starts)))
+        np = _kernels._np
+        canon = canon_cols(cols)
+        canon_codes = layout.pack_columns(canon)
+        codes, first = np.unique(canon_codes, return_index=True)
+        own = np.full(codes.shape[0], -1, dtype=np.int64)
+        fixed = np.flatnonzero(layout.pack_columns(cols) == canon_codes)
+        own[np.searchsorted(codes, canon_codes[fixed])] = fixed
+        order = np.argsort(first)
+        schema = layout.schema
+        values_of = layout.values_from_column
+        pool = canonicalizer.pool
+        return tuple(
+            pool(
+                starts[i] if i >= 0
+                else _state_of(schema, values_of(canon, j))
+            )
+            for i, j in zip(own[order].tolist(), first[order].tolist())
+        )
 
     def _explore_scalar(self, max_states: int, canonical) -> None:
         """The reference engine: interpreted FIFO BFS, one
@@ -408,35 +474,30 @@ class TransitionSystem:
             )
         return next_frontier
 
-    def _explore_columnar(self, max_states: int) -> bool:
+    def _explore_columnar(self, max_states: int, layout, canon_cols) -> bool:
         """The all-array engine: levels expand, dedup, and id-assign as
         numpy arrays; Python touches each edge only once, to build the
         final row tuples.
 
         Engages only when the whole system is kernel-expressible with a
-        dense code space: numpy backend, no symmetry quotient (orbit
-        canonicalization is per-state by nature), one start schema,
-        every program *and* fault action compiled, and a state space
-        small enough for a code-indexed id table.  Successor codes map
-        to dense ids through that table, so interning, dedup, and
+        dense code space: a start ``layout`` (numpy backend, one start
+        schema), every program *and* fault action compiled, and a state
+        space small enough for a code-indexed id table.  Successor codes
+        map to dense ids through that table, so interning, dedup, and
         discovery-order id assignment are all vectorized; the scalar
         engine's FIFO order is reproduced by a stable sort on
-        (source, program-before-fault, action position).  Returns
-        ``False`` to hand off to the per-bucket engines otherwise."""
+        (source, program-before-fault, action position).  On a symmetry
+        quotient each kernel's successor columns pass through the
+        column canonicalizer ``canon_cols`` before they are packed, so
+        codes, ids and states are orbit representatives throughout.
+        Returns ``False`` to hand off to the per-bucket engines
+        otherwise."""
         starts = self.start_states
         if not starts:
             return True
-        if self.symmetry is not None:
-            return False
-        if _kernels.resolved_backend() != "numpy":
-            return False
-        schema = starts[0]._schema
-        for state in starts:
-            if state._schema is not schema:
-                return False
-        layout = _kernels.layout_for(schema, self.program._domains)
         if layout is None or layout.space > _DENSE_ID_SPACE_LIMIT:
             return False
+        schema = layout.schema
         program_actions = self.program.actions
         fault_actions = self.fault_actions
         kernels_p = [
@@ -480,6 +541,8 @@ class TransitionSystem:
                     idx, out = kernel(cols)
                     if out is None:
                         continue
+                    if canon_cols is not None:
+                        out = canon_cols(out)
                     srcs.append(idx)
                     dsts.append(layout.pack_columns(out))
                     acts.append(np.full(idx.shape[0], pos, dtype=np.int64))
@@ -564,15 +627,20 @@ class TransitionSystem:
             col_acc.append(new_cols)
             cols = new_cols
 
-    def _explore_batched(self, max_states: int, canonical) -> bool:
+    def _explore_batched(
+        self, max_states: int, canonical, intern, layout, canon_cols
+    ) -> bool:
         """Level-synchronous BFS through compiled batch kernels.
 
         Planned actions expand a whole frontier level per kernel call
-        (vectorized over rank columns on the numpy backend, compiled
-        row closures on the pure backend); unplanned actions fall back
-        to interpreted ``successors`` per state.  Returns ``False``
-        when no action compiles, handing the exploration back to the
-        scalar engine."""
+        (vectorized over rank columns when there is a start ``layout``,
+        compiled row closures on the pure backend); unplanned actions
+        fall back to interpreted ``successors`` per state, through
+        ``canonical``.  On a symmetry quotient each kernel's successor
+        columns pass through ``canon_cols`` first, so the codes are
+        canonical and a new one becomes a State through ``intern``
+        alone.  Returns ``False`` when no action compiles, handing the
+        exploration back to the scalar engine."""
         starts = self.start_states
         if not starts:
             return True
@@ -581,10 +649,6 @@ class TransitionSystem:
             if state._schema is not schema:
                 return False
         domains = self.program._domains
-        backend = _kernels.resolved_backend()
-        layout = None
-        if backend == "numpy":
-            layout = _kernels.layout_for(schema, domains)
         use_numpy = layout is not None
         program_actions = self.program.actions
         fault_actions = self.fault_actions
@@ -602,10 +666,10 @@ class TransitionSystem:
         if not compiled:
             return False
 
-        # raw successor (code or values-tuple) -> canonical state; the
-        # authoritative canonicalizer still sees every genuinely new
-        # state, so this memo composes with symmetry quotients and with
-        # the scalar fallback interning identically
+        # successor code (canonical on quotients) or raw values-tuple ->
+        # pooled state; every genuinely new state is pooled with the
+        # same canonicalizer the interpreted fallback uses, so the two
+        # paths hand out the same objects
         by_code: Dict[int, State] = {}
         by_values: Dict[Tuple, State] = {}
         frontier: List[State] = list(starts)
@@ -649,6 +713,8 @@ class TransitionSystem:
                         idx, out = kernel(cols)
                         if out is None:
                             continue
+                        if canon_cols is not None:
+                            out = canon_cols(out)
                         codes = layout.pack_columns(out).tolist()
                         get = by_code.get
                         # resolve first (list comp + C-level membership
@@ -669,7 +735,7 @@ class TransitionSystem:
                                         raw = _state_of(
                                             schema, values_of(out, j)
                                         )
-                                        rep = canonical(raw, raw)
+                                        rep = intern(raw, raw)
                                         by_code[code] = rep
                                     reps[j] = rep
                         for i, rep in zip(idx.tolist(), reps):

@@ -29,6 +29,10 @@ This module provides:
   :class:`~repro.core.exploration.TransitionSystem` threads its BFS
   through: every state maps to the minimal representative of its orbit
   (minimal in block-major rank order), memoized, pointer-unique;
+- column canonicalizers (:meth:`Symmetry._compile_columns`) — the same
+  canonical forms computed over a ``(vars, N)`` rank-column matrix, so
+  the array exploration engines canonicalize whole successor blocks in
+  a few numpy calls; the per-state plans remain their oracle;
 - predicate/spec invariance checks that *refuse* symmetric mode when a
   consulted predicate is not a union of orbits
   (:meth:`Symmetry.require_predicate_invariant`).
@@ -60,6 +64,11 @@ from typing import (
 )
 
 from .state import State, Variable, _state_of, state_space
+
+try:  # numpy is only needed by the column canonicalizers
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised on numpy-less installs
+    _np = None
 
 __all__ = [
     "SymmetryError",
@@ -167,7 +176,8 @@ class Symmetry:
 
     Subclasses describe a group by (a) a *canonicalization plan*
     compiler (:meth:`_compile`) mapping any values-tuple to its orbit's
-    minimal representative without enumerating the group, and (b) a
+    minimal representative without enumerating the group, with its
+    column twin (:meth:`_compile_columns`) for rank matrices, and (b) a
     finite generating set (:meth:`generators`) used by the validation
     machinery (lint rule ``DC106``, predicate-invariance refusal, parity
     tests).  Instances are immutable and hashable by identity — they
@@ -179,12 +189,16 @@ class Symmetry:
     def __init__(
         self, action_orbits: Sequence[Iterable[str]] = ()
     ) -> None:
-        #: per-(kind, id) record of objects already validated as
-        #: group-invariant, so repeated certificates over one model
-        #: pay for each spec/predicate check once
-        self._validated: set = set()
-        #: validation sample memo, keyed by the variables tuple identity
-        self._samples: Dict[int, Tuple[State, ...]] = {}
+        #: (kind, id) -> object already validated as group-invariant, so
+        #: repeated certificates over one model pay for each
+        #: spec/predicate check once.  An id alone is not enough: a dead
+        #: object's id passes to the next allocation.  Holding the
+        #: object keeps its id from passing on, and a hit also requires
+        #: identity with it
+        self._validated: Dict[Tuple[str, int], object] = {}
+        #: id(variables) -> (variables, validation sample), held and
+        #: hit on identity for the same reason
+        self._samples: Dict[int, Tuple[object, Tuple[State, ...]]] = {}
         #: declared orbits of *action names* under the group.  A group
         #: element that permutes replica blocks also permutes the
         #: per-replica actions, so on the quotient graph the weak-
@@ -236,6 +250,14 @@ class Symmetry:
         on)."""
         raise NotImplementedError
 
+    def _compile_columns(self, layout) -> Callable:
+        """The column twin of :meth:`_compile`: a function mapping a
+        ``(vars, N)`` int64 rank matrix over ``layout`` (a
+        :class:`~repro.core.kernels.Layout`) to a new matrix whose
+        column ``j`` is the canonical form of column ``j`` — equal, rank
+        for rank, to what the per-state plan returns.  Needs numpy."""
+        raise NotImplementedError
+
     # -- binding -----------------------------------------------------------
     def canonicalizer(self, program) -> "Canonicalizer":
         """An orbit-canonicalizing interner bound to ``program``'s
@@ -247,11 +269,11 @@ class Symmetry:
     def _validation_states(
         self, variables: Sequence[Variable]
     ) -> Tuple[State, ...]:
-        key = id(variables)
-        states = self._samples.get(key)
-        if states is None:
-            states = _sample_states(variables)
-            self._samples[key] = states
+        found = self._samples.get(id(variables))
+        if found is not None and found[0] is variables:
+            return found[1]
+        states = _sample_states(variables)
+        self._samples[id(variables)] = (variables, states)
         return states
 
     def find_asymmetric_state(
@@ -278,7 +300,7 @@ class Symmetry:
         Results are memoized per predicate object.
         """
         key = ("pred", id(predicate))
-        if key in self._validated:
+        if self._validated.get(key) is predicate:
             return
         witness = self.find_asymmetric_state(
             predicate.fn, self._validation_states(variables)
@@ -291,7 +313,7 @@ class Symmetry:
                 f"distinguishes {state!r} from its image); symmetric "
                 f"mode refused"
             )
-        self._validated.add(key)
+        self._validated[key] = predicate
 
     def require_spec_invariant(
         self, spec, variables: Sequence[Variable], what: str
@@ -301,7 +323,7 @@ class Symmetry:
         orbits; transition invariants must judge ``(g·s, g·t)`` exactly
         as ``(s, t)`` (checked over sampled state pairs)."""
         key = ("spec", id(spec))
-        if key in self._validated:
+        if self._validated.get(key) is spec:
             return
         # local import: specification imports exploration which imports
         # this module, so the class lookup happens lazily
@@ -327,7 +349,7 @@ class Symmetry:
                     f"{what}: cannot establish {self.name}-invariance of "
                     f"spec component {component!r}; symmetric mode refused"
                 )
-        self._validated.add(key)
+        self._validated[key] = spec
 
     def _require_relation_invariant(
         self, component, states: Sequence[State], what: str
@@ -398,6 +420,43 @@ def _block_plan(blocks, schema, domains):
         for domain in slot_domains
     )
     return block_positions, slot_rank, slot_domains
+
+
+def _block_columns(blocks, layout):
+    """Key packing for column-wise block canonicalization.
+
+    Returns ``(keys_of, write)``: ``keys_of(cols)`` packs each block's
+    slot ranks into one mixed-radix key per (block, column), a
+    ``(blocks, N)`` matrix whose key order is the blocks' rank-tuple
+    order (the order the per-state plans sort and compare by), and
+    ``write(cols, keys)`` returns a copy of ``cols`` with the keys
+    unpacked back into the block positions."""
+    positions = [[layout.index[name] for name in block] for block in blocks]
+    slot_rows = tuple(
+        _np.array(slot, dtype=_np.intp) for slot in zip(*positions)
+    )
+    sizes = tuple(layout.sizes[rows[0]] for rows in slot_rows)
+    weights = []
+    acc = 1
+    for size in reversed(sizes):
+        weights.append(acc)
+        acc *= size
+    weights = tuple(reversed(weights))
+    slots = tuple(zip(slot_rows, weights, sizes))
+
+    def keys_of(cols, slots=slots):
+        keys = 0
+        for rows, weight, _ in slots:
+            keys = keys + cols[rows] * weight
+        return keys
+
+    def write(cols, keys, slots=slots):
+        out = cols.copy()
+        for rows, weight, size in slots:
+            out[rows] = keys // weight % size
+        return out
+
+    return keys_of, write
 
 
 def _swap_moves(source_block, target_block):
@@ -521,6 +580,18 @@ class ReplicaSymmetry(Symmetry):
 
         return canon
 
+    def _compile_columns(self, layout):
+        # sorting the packed block keys of every column at once is the
+        # per-state sort of rank tuples
+        keys_of, write = _block_columns(self.blocks, layout)
+
+        def canon(cols, keys_of=keys_of, write=write):
+            keys = keys_of(cols)
+            keys.sort(axis=0)
+            return write(cols, keys)
+
+        return canon
+
 
 class RingRotation(Symmetry):
     """The cyclic group rotating replica blocks around a ring.
@@ -603,6 +674,30 @@ class RingRotation(Symmetry):
 
         return canon
 
+    def _compile_columns(self, layout):
+        # the per-state scan over rotations, run on every column at
+        # once: a rotation replaces the best so far in the columns where
+        # it is lexicographically smaller, decided at the first block
+        # the two differ in (ties keep the earlier rotation, as there)
+        keys_of, write = _block_columns(self.blocks, layout)
+        n = len(self.blocks)
+
+        def canon(cols, keys_of=keys_of, write=write, n=n):
+            keys = keys_of(cols)
+            best = keys
+            columns = _np.arange(keys.shape[1])
+            for r in range(1, n):
+                candidate = _np.roll(keys, -r, axis=0)
+                differs = candidate != best
+                first = differs.argmax(axis=0)
+                smaller = differs[first, columns] & (
+                    candidate[first, columns] < best[first, columns]
+                )
+                best = _np.where(smaller, candidate, best)
+            return write(cols, best)
+
+        return canon
+
 
 class ValueRotation(Symmetry):
     """Simultaneous value translation ``v ↦ (v + 1) mod m`` on counters.
@@ -612,7 +707,8 @@ class ValueRotation(Symmetry):
     the symmetry of Dijkstra's K-state token ring, whose token
     predicates ``x_i = x_{i-1}`` / ``x_i ≠ x_{i-1}`` and increment
     action are all translation-invariant.  Canonicalization takes the
-    minimum of the ``m`` translated counter tuples.
+    minimum of the ``m`` translated counter tuples: the translation that
+    maps the first named counter to 0.
     """
 
     def __init__(self, names: Sequence[str], modulus: int, name: str = None):
@@ -678,6 +774,23 @@ class ValueRotation(Symmetry):
             for p, v in zip(positions, best):
                 out[p] = v
             return tuple(out)
+
+        return canon
+
+    def _compile_columns(self, layout):
+        # exactly one translation maps the first named counter to 0, the
+        # smallest possible leading value, so that translation gives the
+        # lexicographic minimum the per-state plan searches for (domains
+        # are 0..m-1, so ranks are the values themselves)
+        rows = _np.array(
+            [layout.index[name] for name in self.names], dtype=_np.intp
+        )
+        m = self.modulus
+
+        def canon(cols, rows=rows, lead=int(rows[0]), m=m):
+            out = cols.copy()
+            out[rows] = (cols[rows] - cols[lead]) % m
+            return out
 
         return canon
 
@@ -772,6 +885,14 @@ class Canonicalizer:
             memo[state] = pooled
             append(pooled)
         return out
+
+    def pool(self, state: State, _default: State = None) -> State:
+        """The pooled representative of ``state``, which the caller
+        guarantees is already canonical (the column canonicalizers
+        produce such states a whole block at a time), pooling ``state``
+        itself when its orbit has none yet.  No plan runs.  Like
+        :meth:`canonical`, it accepts and ignores a second argument."""
+        return self._memo.setdefault(state, state)
 
     def __len__(self) -> int:
         return len(self._memo)

@@ -55,7 +55,8 @@ def _graph(ts: TransitionSystem):
 def _scenarios():
     """(name, program, starts, faults, symmetric) over the bundled
     families: planned actions, unplanned actions (byzantine lies),
-    fault builders, and a symmetry quotient are all represented."""
+    fault builders, and symmetry quotients on both array engines are
+    all represented."""
     ring = token_ring.build(4)
     yield (
         "token_ring",
@@ -80,6 +81,26 @@ def _scenarios():
         byzantine.initial_states(),
         tuple(byz.faults.actions),
         False,
+    )
+    # S_3 quotient with unplanned lies plus faults: the batched engine,
+    # from the fault span (starts in every orbit, many revisited)
+    yield (
+        "byzantine_masking_sym",
+        byz.masking,
+        [s for s in state_space(byz.masking.variables) if byz.span.fn(s)],
+        tuple(byz.faults.actions),
+        True,
+    )
+    # S_5 quotient, every action planned, a 7,558,272-code space: the
+    # columnar engine
+    ngs5 = (1, 2, 3, 4, 5)
+    family5 = byzantine.build_family(ngs5)
+    yield (
+        "byzantine_family5_ib_sym",
+        family5.ib,
+        byzantine.initial_states(ngs5),
+        tuple(family5.faults.actions),
+        True,
     )
     t = tmr.build()
     yield (
@@ -294,3 +315,41 @@ def test_columnar_engine_stashes_edge_arrays():
             id_of[v] for _, v in ts.program_edges_from(states[u])
         ))
         assert list(targets) == expected
+
+
+@pytest.mark.parametrize("name, columnar", [
+    ("token_ring_sym", True),
+    ("byzantine_family5_ib_sym", True),
+    ("byzantine_masking_sym", False),
+])
+def test_quotients_take_the_array_engines(name, columnar):
+    """Symmetric runs take the columnar engine under the same conditions
+    as unreduced ones (here: every action planned, a dense code space);
+    the unplanned Byzantine lies keep that quotient on the batched
+    engine, which still accumulates the dense-id rows."""
+    program, starts, faults, symmetric = SCENARIOS[name]
+    kernels.set_backend("numpy")
+    ts = TransitionSystem(program, starts, faults, symmetric=symmetric)
+    assert (ts._edge_arrays is not None) is columnar
+    assert ts._labeled_rows is not None
+    # representatives are pointer-unique: the array start pass, the
+    # column path and the per-state path share one pool
+    registered = {id(state) for state in ts.states}
+    assert all(
+        id(target) in registered
+        for state in ts.states for _, target in ts.edges_from(state)
+    )
+
+
+def test_interpreted_backend_never_calls_column_canonicalizers(monkeypatch):
+    """The interpreted oracle canonicalizes state by state only."""
+    from repro.core.symmetry import ReplicaSymmetry, RingRotation, ValueRotation
+
+    def refuse(self, layout):
+        raise AssertionError("column canonicalizer called")
+
+    for cls in (ReplicaSymmetry, RingRotation, ValueRotation):
+        monkeypatch.setattr(cls, "_compile_columns", refuse)
+    for name, (_, _, _, symmetric) in sorted(SCENARIOS.items()):
+        if symmetric:
+            _explored(name, "interpreted")

@@ -19,9 +19,11 @@ from repro.core import (
     Predicate,
     ReplicaSymmetry,
     RingRotation,
+    State,
     SymmetryError,
     TRUE,
     TransitionSystem,
+    Variable,
     explored_system,
     is_failsafe_tolerant,
     is_masking_tolerant,
@@ -60,20 +62,39 @@ class TestCanonicalizer:
                 for generator in program.symmetry.generators():
                     assert canon(generator.apply(state)) is canon(state)
 
-    def test_minimality_against_brute_force(self, tmr_model):
-        """The representative is the minimum over all |G| images."""
-        program = tmr_model.tmr
-        symmetry = program.symmetry
-        canon = symmetry.canonicalizer(program).canonical
-        elements = [
-            symmetry.element(perm)
-            for perm in itertools.permutations(range(3))
-        ]
-        for state in state_space(program.variables):
-            orbit = {g.apply(state) for g in elements}
-            assert canon(state) in orbit
-            # every orbit member canonicalizes to the same representative
-            assert len({canon(member) for member in orbit}) == 1
+    def test_minimality_against_brute_force(self, tmr_model, ring):
+        """The representative is the minimum over all |G| images, in
+        the rank order of the variables the group moves (block-major
+        for TMR's S_3, declaration order for the ring's Z_K)."""
+        tmr_symmetry = tmr_model.tmr.symmetry
+        ring_symmetry = ring.ring.symmetry
+        for program, elements, moved in (
+            (
+                tmr_model.tmr,
+                [tmr_symmetry.element(perm)
+                 for perm in itertools.permutations(range(3))],
+                [name for block in tmr_symmetry.blocks for name in block],
+            ),
+            (
+                ring.ring,
+                [ring_symmetry.element(t)
+                 for t in range(ring_symmetry.modulus)],
+                list(ring_symmetry.names),
+            ),
+        ):
+            canon = program.symmetry.canonicalizer(program).canonical
+            domains = program._domains
+
+            def rank_key(state):
+                return tuple(domains[n].index(state[n]) for n in moved)
+
+            for state in state_space(program.variables):
+                orbit = {g.apply(state) for g in elements}
+                assert canon(state) in orbit
+                # every orbit member canonicalizes to the same
+                # representative, and it is the orbit's minimum
+                assert len({canon(member) for member in orbit}) == 1
+                assert rank_key(canon(state)) == min(map(rank_key, orbit))
 
     def test_interner_round_trip(self, tmr_model):
         program = tmr_model.tmr
@@ -93,6 +114,115 @@ class TestCanonicalizer:
         assert len(reps) * ring.k == len(states)
 
 
+# -- column canonicalizers vs. the per-state plans ---------------------------
+
+def _ring_rotation_case():
+    """A 4-block ring declared here: each block pairs a ⊥/0/1 value
+    with a flag, so block keys mix domain types and widths."""
+    variables = []
+    for i in range(4):
+        variables.append(Variable(f"v{i}", (BOTTOM, 0, 1)))
+        variables.append(Variable(f"f{i}", (False, True)))
+    symmetry = RingRotation(tuple((f"v{i}", f"f{i}") for i in range(4)))
+    elements = [symmetry.element(r) for r in range(4)]
+    return symmetry, variables, list(state_space(variables)), elements
+
+
+def _value_rotation_case(size, k):
+    program = token_ring.build(size, k).ring
+    symmetry = program.symmetry
+    elements = [symmetry.element(t) for t in range(k)]
+    return (symmetry, program.variables,
+            list(state_space(program.variables)), elements)
+
+
+def _replica_case(program, states=None):
+    """``program``'s S_k with all k! elements, over ``states`` (default:
+    the whole space)."""
+    if states is None:
+        states = list(state_space(program.variables))
+    symmetry = program.symmetry
+    elements = [
+        symmetry.element(perm)
+        for perm in itertools.permutations(range(len(symmetry.blocks)))
+    ]
+    return symmetry, program.variables, states, elements
+
+
+def _byzantine_span_case():
+    b = byzantine.build()
+    return _replica_case(b.masking, _span_states(b.masking, b.span))
+
+
+def _family5_case():
+    """The k=5 family (7,558,272 codes): the unreduced reachable states
+    of its protocol plus a seeded sample of the whole space."""
+    from repro.core.symmetry import _sample_states
+
+    ngs = (1, 2, 3, 4, 5)
+    model = byzantine.build_family(ngs)
+    reached = explored_system(model.ib, byzantine.initial_states(ngs)).states
+    states = list(dict.fromkeys(
+        list(reached) + list(_sample_states(model.masking.variables, 300))
+    ))
+    return _replica_case(model.masking, states)
+
+
+COLUMN_CASES = {
+    "value_rotation_ring_n5_k4": lambda: _value_rotation_case(5, 4),
+    "value_rotation_ring_n4_k7": lambda: _value_rotation_case(4, 7),
+    "replica_tmr": lambda: _replica_case(tmr.build().tmr),
+    "replica_byzantine_span": _byzantine_span_case,
+    "replica_family_k5": _family5_case,
+    "ring_rotation_4_blocks": _ring_rotation_case,
+}
+
+
+def _rank_columns(symmetry, variables, states):
+    from repro.core.kernels import layout_for
+
+    domains = {v.name: v.domain for v in variables}
+    layout = layout_for(states[0].schema, domains)
+    return layout, domains, layout.columns_from_states(states)
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+class TestColumnCanonicalizers:
+    """Each group's column canonicalizer is pinned to its per-state
+    plan (the oracle the interpreted engine runs) on whole state sets."""
+
+    def test_matches_per_state_plan(self, case):
+        symmetry, variables, states, _ = COLUMN_CASES[case]()
+        layout, domains, cols = _rank_columns(symmetry, variables, states)
+        before = cols.copy()
+        canon = symmetry._compile_columns(layout)(cols)
+        plan = symmetry._compile(layout.schema, domains)
+        expected = layout.columns_from_states([
+            State(dict(zip(layout.schema.names, plan(s.values_tuple))))
+            for s in states
+        ])
+        assert (canon == expected).all()
+        assert (cols == before).all()  # the input block is not written
+
+    def test_idempotent(self, case):
+        symmetry, variables, states, _ = COLUMN_CASES[case]()
+        layout, _, cols = _rank_columns(symmetry, variables, states)
+        canon_cols = symmetry._compile_columns(layout)
+        canon = canon_cols(cols)
+        assert (canon_cols(canon) == canon).all()
+
+    def test_constant_on_orbits(self, case):
+        symmetry, variables, states, elements = COLUMN_CASES[case]()
+        layout, _, cols = _rank_columns(symmetry, variables, states)
+        canon_cols = symmetry._compile_columns(layout)
+        canon = canon_cols(cols)
+        for element in elements:
+            images = layout.columns_from_states(
+                [element.apply(s) for s in states]
+            )
+            assert (canon_cols(images) == canon).all(), element
+
+
 class TestRefusals:
     def test_symmetric_mode_needs_declaration(self, memory):
         with pytest.raises(SymmetryError):
@@ -108,6 +238,41 @@ class TestRefusals:
             program.symmetry.require_predicate_invariant(
                 x_good, program.variables, "test"
             )
+
+    def test_validation_memo_ignores_reused_ids(self):
+        """Once a validated predicate dies its id is free for a new
+        object.  A lopsided predicate that receives that id must still
+        be checked, and refused, not waved through by the memo."""
+        program = tmr.build().tmr
+        symmetry = program.symmetry
+        for _ in range(50):  # until CPython hands out the dead id
+            accepted = Predicate(lambda s: True, name="true")
+            symmetry.require_predicate_invariant(
+                accepted, program.variables, "test"
+            )
+            dead = id(accepted)
+            del accepted
+            lopsided = Predicate(lambda s: s["x"] == 0, name="x=0")
+            if id(lopsided) == dead:
+                break
+        with pytest.raises(SymmetryError):
+            symmetry.require_predicate_invariant(
+                lopsided, program.variables, "test"
+            )
+
+    def test_sample_memo_ignores_reused_ids(self):
+        """The validation sample of a dead variables list is not served
+        for a new list that receives its id."""
+        symmetry = ReplicaSymmetry((("a",), ("b",)))
+        for _ in range(50):
+            first = [Variable("a", (0, 1)), Variable("b", (0, 1))]
+            symmetry._validation_states(first)
+            dead = id(first)
+            del first
+            second = [Variable("a", (0, 1, 2)), Variable("b", (0, 1, 2))]
+            if id(second) == dead:
+                break
+        assert len(symmetry._validation_states(second)) == 9
 
     def test_asymmetric_tolerance_check_refused(self, tmr_model):
         m = tmr_model
