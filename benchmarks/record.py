@@ -588,7 +588,7 @@ def main(argv: List[str] = None) -> int:
         "the finished graphs are bit-identical for any worker count)",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "numpy", "pure", "interpreted"),
+        "--backend", choices=("auto", "numpy", "interpreted"),
         default=None,
         help="kernel backend for every suite (default: leave the "
         "library's auto selection in place)",

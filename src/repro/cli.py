@@ -791,7 +791,7 @@ def main(argv: List[str] = None, out=sys.stdout) -> int:
         help="process count for sharded exploration (default: in-process)",
     )
     bench_parser.add_argument(
-        "--backend", choices=("auto", "numpy", "pure", "interpreted"),
+        "--backend", choices=("auto", "numpy", "interpreted"),
         default=None,
         help="kernel backend for every suite (default: auto selection)",
     )

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict, deque
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -51,6 +52,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from . import kernels as _kernels
 from .action import Action
@@ -77,12 +80,13 @@ Edge = Tuple[State, str, State]
 DEFAULT_MAX_STATES = 2_000_000
 
 #: Largest code space the columnar engine will allocate a dense
-#: code -> id table for (int32 entries: 64 MiB at the limit).
+#: code -> id table for (int32 entries: 64 MiB at the limit); larger
+#: spaces map codes to ids through a sorted code array.
 _DENSE_ID_SPACE_LIMIT = 1 << 24
 
 #: Largest declared state space (Cartesian product of domains) the
-#: tiny-space interpreted fast path handles; above this the batch
-#: engines' per-level vectorization wins over their setup cost.
+#: interpreted engine handles outright; above this the columnar
+#: engine's per-level vectorization wins over its setup cost.
 _SMALL_SPACE_STATES = 128
 
 _EMPTY_EDGES: Tuple[Tuple[str, State], ...] = ()
@@ -174,10 +178,10 @@ class TransitionSystem:
         #: integer adjacency built alongside level-synchronous assembly:
         #: (program rows, fault rows, state -> dense id) with rows[i] the
         #: ``(action name, target id)`` tuple of the state with id ``i``.
-        #: ``SystemIndex`` adopts these instead of re-deriving ids from
-        #: the State-level edge tables; ``None`` when the scalar engine
-        #: ran (it has no level structure to hook)
-        self._labeled_rows: Optional[Tuple[List, List, Dict[State, int]]] = None
+        #: Every engine fills it (store-loaded graphs carry it too), and
+        #: ``SystemIndex`` and the certificate store adopt it instead of
+        #: re-deriving ids from the State-level edge tables
+        self._labeled_rows: Tuple[List, List, Dict[State, int]] = ([], [], {})
         #: columnar edge arrays, set only by the all-array engine:
         #: ((src ids, dst ids, action positions) for program and fault
         #: edges, program names, fault names), each group sorted by
@@ -205,22 +209,21 @@ class TransitionSystem:
         return self._program_edges.keys()
 
     def _explore(self, max_states: int, workers: Optional[int] = None) -> None:
-        small = self.program.state_count() <= _SMALL_SPACE_STATES
         # the tiny-space path is interpreted: no arrays for it to set up
-        layout = None if small else self._start_layout()
+        layout = None
+        if self.program.state_count() > _SMALL_SPACE_STATES:
+            layout = self._start_layout()
         canon_cols = None
         if self.symmetry is not None:
             # orbit canonicalization: each state maps to the pooled
             # minimal representative of its symmetry orbit, so the BFS
             # materializes the quotient graph directly.  The array
-            # engines canonicalize whole successor blocks as rank
-            # columns (``canon_cols``) and pool the already-canonical
-            # results (``intern``); unplanned actions and the
-            # interpreted engines go state by state
+            # engine canonicalizes whole successor blocks as rank
+            # columns (``canon_cols``); the interpreted and sharded
+            # engines go state by state
             canonicalizer = self.symmetry.canonicalizer(self.program)
             canonical = canonicalizer.canonical
             canonical_many = canonicalizer.canonical_many
-            intern = canonicalizer.pool
             if layout is not None:
                 canon_cols = self.symmetry._compile_columns(layout)
             self.start_states = self._canonical_starts(
@@ -231,23 +234,18 @@ class TransitionSystem:
             # returns the pooled representative (inserting s if unseen),
             # exactly StateInterner.canonical without the method frames
             interner = StateInterner()
-            canonical = intern = interner._pool.setdefault
+            canonical = interner._pool.setdefault
             canonical_many = interner.canonical_many
             self.start_states = tuple(
                 dict.fromkeys(canonical_many(self.start_states))
             )
-        for state in self.start_states:
-            self._program_edges[state] = _EMPTY_EDGES
-        # Three engines, one transition graph: sharded (process pool),
-        # batched (compiled kernels over whole frontier levels), and
-        # scalar (the original interpreted FIFO).  All three register
-        # states and edges in the exact same order, so which engine ran
-        # is unobservable from the finished system (pinned by tests).
-        # The level-synchronous engines additionally accumulate the
-        # dense-id adjacency rows as they assemble each level.
-        self._labeled_rows = (
-            [], [], {s: i for i, s in enumerate(self._program_edges)}
-        )
+        # Three engines, one transition graph: sharded (process pool,
+        # opt-in), columnar (whole frontier levels as rank-column
+        # arrays), and interpreted (the oracle).  All three register
+        # states and edges in the exact same order and accumulate the
+        # dense-id adjacency rows as they go, so which engine ran is
+        # unobservable from the finished system (pinned by tests).
+        self._register_starts()
         # Pause generational GC for the build: edge tuples hold State
         # references, so unlike (str, int) pairs they stay gc-tracked,
         # and letting collections rescan the growing graph costs more
@@ -264,24 +262,24 @@ class TransitionSystem:
                     max_states, canonical_many, workers
                 ):
                     return
-            if small:
-                self._explore_small(max_states, canonical)
+            if layout is not None and self._explore_columnar(
+                max_states, layout, canon_cols
+            ):
                 return
-            if _kernels.get_backend() != "interpreted":
-                if self._explore_columnar(max_states, layout, canon_cols):
-                    return
-                if self._explore_batched(
-                    max_states, canonical, intern, layout, canon_cols
-                ):
-                    return
-            self._labeled_rows = None
-            self._explore_scalar(max_states, canonical)
+            self._explore_interpreted(max_states, canonical)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
+    def _register_starts(self) -> None:
+        """Reset the state registry to the start states alone, each with
+        no edges yet and ids in start order."""
+        starts = self.start_states
+        self._program_edges = dict.fromkeys(starts, _EMPTY_EDGES)
+        self._labeled_rows = ([], [], {s: i for i, s in enumerate(starts)})
+
     def _start_layout(self):
-        """The packing layout the array engines expand the start set
+        """The packing layout the array engine expands the start set
         with: numpy backend, one start schema, every variable with a
         declared domain; ``None`` otherwise."""
         starts = self.start_states
@@ -311,7 +309,6 @@ class TransitionSystem:
                 pass  # a value outside its domain: only plans handle it
         if cols is None:
             return tuple(dict.fromkeys(canonicalizer.canonical_many(starts)))
-        np = _kernels._np
         canon = canon_cols(cols)
         canon_codes = layout.pack_columns(canon)
         codes, first = np.unique(canon_codes, return_index=True)
@@ -330,59 +327,18 @@ class TransitionSystem:
             for i, j in zip(own[order].tolist(), first[order].tolist())
         )
 
-    def _explore_scalar(self, max_states: int, canonical) -> None:
-        """The reference engine: interpreted FIFO BFS, one
-        ``Action.successors`` call per (state, action) pair."""
-        frontier = deque(self.start_states)
-        program_actions = self.program.actions
-        fault_actions = self.fault_actions
-        program_edges_of = self._program_edges
-        fault_edges_of = self._fault_edges
-        while frontier:
-            state = frontier.popleft()
-            program_edges: List[Tuple[str, State]] = []
-            for action in program_actions:
-                name = action.name
-                for nxt in action.successors(state):
-                    program_edges.append((name, canonical(nxt, nxt)))
-            fault_edges: List[Tuple[str, State]] = []
-            for action in fault_actions:
-                name = action.name
-                for nxt in action.successors(state):
-                    fault_edges.append((name, canonical(nxt, nxt)))
-            # drop duplicate successor edges (nondeterministic statements
-            # may offer the same alternative more than once)
-            if len(program_edges) > 1:
-                program_edges = list(dict.fromkeys(program_edges))
-            if len(fault_edges) > 1:
-                fault_edges = list(dict.fromkeys(fault_edges))
-            program_edges_of[state] = tuple(program_edges)
-            if fault_edges:
-                fault_edges_of[state] = tuple(fault_edges)
-            for edges in (program_edges, fault_edges):
-                for _, nxt in edges:
-                    if nxt not in program_edges_of:
-                        # register before expansion so duplicates are
-                        # filtered; overwritten when nxt is expanded
-                        program_edges_of[nxt] = _EMPTY_EDGES
-                        frontier.append(nxt)
-                        if len(program_edges_of) > max_states:
-                            raise RuntimeError(
-                                f"state-space exceeds max_states={max_states} "
-                                f"for {self.program.name!r}"
-                            )
+    def _explore_interpreted(self, max_states: int, canonical) -> None:
+        """The interpreted engine, and the oracle every other engine is
+        tested against: level-synchronous BFS, one ``Action.successors``
+        call per (state, action) pair, each level folded by
+        :meth:`_assemble_level`.
 
-    def _explore_small(self, max_states: int, canonical) -> None:
-        """Tiny-space fast path: interpreted, level-synchronous BFS.
-
-        For state spaces of at most :data:`_SMALL_SPACE_STATES` codes
-        the batch engines' setup — layout construction and one
-        compilation attempt per action — costs more than the whole
-        interpreted expansion, so this path expands each level through
-        plain ``Action.successors`` calls and folds it with
-        :meth:`_assemble_level`.  Unlike the scalar engine it keeps the
-        dense-id row accumulator populated, so downstream region
-        indexing skips the State-level reassembly too."""
+        It runs under ``set_backend("interpreted")``, for state spaces
+        of at most :data:`_SMALL_SPACE_STATES` codes (where the array
+        engine's setup — layout construction and one compilation attempt
+        per action — costs more than the whole expansion), for programs
+        with no planned action, and for start sets or successors no
+        layout can hold."""
         frontier: List[State] = list(self.start_states)
         program_actions = self.program.actions
         fault_actions = self.fault_actions
@@ -410,25 +366,19 @@ class TransitionSystem:
         program_buckets: List[List[Tuple[str, State]]],
         fault_buckets: List[List[Tuple[str, State]]],
         max_states: int,
-        program_dirty: Optional[bytearray] = None,
-        fault_dirty: Optional[bytearray] = None,
     ) -> List[State]:
         """Fold one expanded frontier level into the edge tables.
 
         Buckets hold each frontier state's edges in program-then-fault,
-        action-major order — exactly what the scalar loop produces — and
-        states are registered per source state in edge order, so the
-        discovery order (and the ``max_states`` raise point) of the
-        scalar engine is reproduced bit for bit.
+        action-major order, and new states are registered per source
+        state in edge order: the discovery order (and the
+        ``max_states`` raise point) of a FIFO BFS, which every engine
+        reproduces bit for bit.
 
         Duplicate edges can only come from one action offering the same
         successor twice (action names are unique, so edges from distinct
-        actions never collide) — planned actions are deterministic and
-        cannot do that.  The optional dirty flags mark the buckets where
-        some interpreted action yielded more than one successor; when
-        given, dedup runs only there (``dict.fromkeys`` on a
-        duplicate-free list is the identity, so skipping it is
-        unobservable).
+        actions never collide); ``dict.fromkeys`` drops the repeats and
+        keeps the first.
 
         Because frontier levels are expanded in registration order, the
         expansion order over the whole run *is* the dense-id order —
@@ -443,15 +393,9 @@ class TransitionSystem:
         for i, state in enumerate(frontier):
             program_edges = program_buckets[i]
             fault_edges = fault_buckets[i]
-            if (
-                len(program_edges) > 1
-                and (program_dirty is None or program_dirty[i])
-            ):
+            if len(program_edges) > 1:
                 program_edges = list(dict.fromkeys(program_edges))
-            if (
-                len(fault_edges) > 1
-                and (fault_dirty is None or fault_dirty[i])
-            ):
+            if len(fault_edges) > 1:
                 fault_edges = list(dict.fromkeys(fault_edges))
             program_edges_of[state] = tuple(program_edges)
             if fault_edges:
@@ -475,57 +419,55 @@ class TransitionSystem:
         return next_frontier
 
     def _explore_columnar(self, max_states: int, layout, canon_cols) -> bool:
-        """The all-array engine: levels expand, dedup, and id-assign as
+        """The array engine: levels expand, dedup, and id-assign as
         numpy arrays; Python touches each edge only once, to build the
         final row tuples.
 
-        Engages only when the whole system is kernel-expressible with a
-        dense code space: a start ``layout`` (numpy backend, one start
-        schema), every program *and* fault action compiled, and a state
-        space small enough for a code-indexed id table.  Successor codes
-        map to dense ids through that table, so interning, dedup, and
-        discovery-order id assignment are all vectorized; the scalar
-        engine's FIFO order is reproduced by a stable sort on
-        (source, program-before-fault, action position).  On a symmetry
-        quotient each kernel's successor columns pass through the
-        column canonicalizer ``canon_cols`` before they are packed, so
-        codes, ids and states are orbit representatives throughout.
-        Returns ``False`` to hand off to the per-bucket engines
-        otherwise."""
-        starts = self.start_states
-        if not starts:
-            return True
-        if layout is None or layout.space > _DENSE_ID_SPACE_LIMIT:
-            return False
-        schema = layout.schema
+        Planned actions expand a whole level per kernel call.  Unplanned
+        ones (nondeterministic statements such as the Byzantine lies)
+        run their interpreted ``successors`` over the level's states,
+        and all of a level's unplanned successors become rank columns in
+        one conversion.  On a symmetry quotient every successor block
+        passes through the column canonicalizer ``canon_cols`` before it
+        is packed, so codes, ids and states are orbit representatives
+        throughout.  Codes map to dense ids through :class:`_CodeIds`,
+        so interning, dedup, and discovery-order id assignment are all
+        vectorized; the interpreted engine's FIFO order is reproduced by
+        a stable sort on (source, program-before-fault, action
+        position), which keeps an unplanned action's statement order.
+
+        Returns ``False``, with the registry reset to the start states,
+        when no action has a kernel for ``layout`` or a start state or
+        successor escapes it (a value outside its declared domain, a
+        state of another schema); the interpreted engine then runs."""
         program_actions = self.program.actions
         fault_actions = self.fault_actions
-        kernels_p = [
-            _kernels.batch_kernel(a, layout) for a in program_actions
-        ]
-        kernels_f = [_kernels.batch_kernel(a, layout) for a in fault_actions]
-        if any(k is None for k in kernels_p) or any(
-            k is None for k in kernels_f
-        ):
+        # per group (program, fault): (position, kernel) of the planned
+        # actions and (position, action) of the unplanned ones
+        planned: Tuple[List, List] = ([], [])
+        unplanned: Tuple[List, List] = ([], [])
+        for group, actions in enumerate((program_actions, fault_actions)):
+            for pos, action in enumerate(actions):
+                kernel = _kernels.batch_kernel(action, layout)
+                if kernel is None:
+                    unplanned[group].append((pos, action))
+                else:
+                    planned[group].append((pos, kernel))
+        if not (planned[0] or planned[1]):
             return False
+        starts = self.start_states
         try:
             cols = layout.columns_from_states(starts)
         except KeyError:
-            # a start value escaped its declared domain; codes cannot
-            # represent it, so the bucket engines take over
-            return False
-        np = _kernels._np
-
+            return False  # a start value escaped its declared domain
+        schema = layout.schema
         names_p = np.array([a.name for a in program_actions], dtype=object)
         names_f = np.array([a.name for a in fault_actions], dtype=object)
-        #: dense code -> id table; -1 marks never-seen codes
-        code_ids = np.full(layout.space, -1, dtype=np.int32)
-        code_ids[layout.pack_columns(cols)] = np.arange(
-            len(starts), dtype=np.int32
-        )
+        code_ids = _CodeIds(layout.space, layout.pack_columns(cols))
         states_list: List[State] = list(starts)
         program_edges_of = self._program_edges
         prows, frows, id_of = self._labeled_rows
+        values_of = layout.values_from_column
         empty = np.empty(0, dtype=np.int64)
         acc_p: List = []
         acc_f: List = []
@@ -533,69 +475,111 @@ class TransitionSystem:
         frontier_lo = 0
         while True:
             n = cols.shape[1]
-            # expand: one kernel call per action over the whole level
-            group_arrays = []
-            for kernels_g in (kernels_p, kernels_f):
-                srcs, dsts, acts = [empty], [empty], [empty]
-                for pos, kernel in enumerate(kernels_g):
+            # edges as (key, code, action position) arrays, with key =
+            # 2 * source + group (program 0, fault 1)
+            keys, dsts, acts = [empty], [empty], [empty]
+            for group, kernels_g in enumerate(planned):
+                for pos, kernel in kernels_g:
                     idx, out = kernel(cols)
                     if out is None:
                         continue
                     if canon_cols is not None:
                         out = canon_cols(out)
-                    srcs.append(idx)
+                    keys.append(idx * 2 + group)
                     dsts.append(layout.pack_columns(out))
                     acts.append(np.full(idx.shape[0], pos, dtype=np.int64))
-                group_arrays.append(
-                    tuple(np.concatenate(part) for part in (srcs, dsts, acts))
+            level = states_list[frontier_lo:frontier_lo + n]
+            found: List[State] = []
+            repeats = False
+            for group, actions_g in enumerate(unplanned):
+                for pos, action in actions_g:
+                    successors = list(map(action.successors, level))
+                    counts = np.fromiter(
+                        map(len, successors), dtype=np.int64, count=n
+                    )
+                    total = int(counts.sum())
+                    if not total:
+                        continue
+                    repeats = repeats or int(counts.max()) > 1
+                    found.extend(chain.from_iterable(successors))
+                    keys.append(np.repeat(
+                        np.arange(group, 2 * n, 2, dtype=np.int64), counts
+                    ))
+                    acts.append(np.full(total, pos, dtype=np.int64))
+            if found:
+                out = None
+                if all(state._schema is schema for state in found):
+                    try:
+                        out = layout.columns_from_states(found)
+                    except KeyError:
+                        pass
+                if out is None:
+                    # a successor the layout cannot hold: start over
+                    self._register_starts()
+                    return False
+                if canon_cols is not None:
+                    out = canon_cols(out)
+                dsts.append(layout.pack_columns(out))
+            key = np.concatenate(keys)
+            dst = np.concatenate(dsts)
+            act = np.concatenate(acts)
+            # FIFO order: source-major, program edges before fault
+            # edges, actions in declaration order; lexsort is stable,
+            # so an unplanned action's successors keep statement order
+            order = np.lexsort((act, key))
+            key, dst, act = key[order], dst[order], act[order]
+            if repeats:
+                # an unplanned action offered one successor (or, on a
+                # quotient, one orbit) twice: keep the first edge
+                by_code = np.lexsort((dst, act, key))
+                k, a, d = key[by_code], act[by_code], dst[by_code]
+                again = (
+                    (k[1:] == k[:-1]) & (a[1:] == a[:-1]) & (d[1:] == d[:-1])
                 )
-            (p_src, p_dst, p_act), (f_src, f_dst, f_act) = group_arrays
+                keep = np.ones(key.shape[0], dtype=bool)
+                keep[by_code[1:][again]] = False
+                key, dst, act = key[keep], dst[keep], act[keep]
 
-            # id assignment: new codes get ids in the scalar engine's
-            # discovery order — source-major, program edges before fault
-            # edges, actions in declaration order (the stable sort keeps
-            # the action-major concatenation order within equal keys)
-            key = np.concatenate((p_src * 2, f_src * 2 + 1))
-            s_dst = np.concatenate((p_dst, f_dst))[
-                np.argsort(key, kind="stable")
-            ]
-            new_mask = code_ids[s_dst] < 0
+            # id assignment: new codes get ids in discovery order
+            ids = code_ids.lookup(dst)
+            new_mask = ids < 0
+            new_cols = None
             if new_mask.any():
-                uniq, first = np.unique(s_dst[new_mask], return_index=True)
-                new_codes = uniq[np.argsort(first)]
+                uniq, first, inverse = np.unique(
+                    dst[new_mask], return_index=True, return_inverse=True
+                )
                 next_id = len(states_list)
-                if next_id + new_codes.shape[0] > max_states:
+                count = uniq.shape[0]
+                if next_id + count > max_states:
                     raise RuntimeError(
                         f"state-space exceeds max_states={max_states} "
                         f"for {self.program.name!r}"
                     )
-                code_ids[new_codes] = np.arange(
-                    next_id, next_id + new_codes.shape[0], dtype=np.int32
-                )
-                new_cols = layout.columns_from_codes(new_codes)
-                values_of = layout.values_from_column
-                for j in range(new_codes.shape[0]):
+                discovered = np.argsort(first)
+                uniq_ids = np.empty(count, dtype=np.int64)
+                uniq_ids[discovered] = np.arange(next_id, next_id + count)
+                code_ids.add(uniq, uniq_ids)
+                ids[new_mask] = uniq_ids[inverse]
+                new_cols = layout.columns_from_codes(uniq[discovered])
+                for j in range(count):
                     state = _state_of(schema, values_of(new_cols, j))
                     states_list.append(state)
                     program_edges_of[state] = _EMPTY_EDGES
                     id_of[state] = next_id + j
-            else:
-                new_cols = None
 
             # rows: per-state slices of the source-major edge arrays
+            fault = (key & 1).astype(bool)
             views = []
-            for acc, (src, dst, act, names_g) in (
-                (acc_p, (p_src, p_dst, p_act, names_p)),
-                (acc_f, (f_src, f_dst, f_act, names_f)),
+            for acc, names_g, mask in (
+                (acc_p, names_p, ~fault), (acc_f, names_f, fault)
             ):
-                order = np.argsort(src, kind="stable")
-                src = src[order]
-                ids_arr = code_ids[dst[order]]
-                act_arr = act[order]
-                acc.append((src + frontier_lo, ids_arr, act_arr))
+                src = key[mask] >> 1
+                ids_g = ids[mask]
+                act_g = act[mask]
+                acc.append((src + frontier_lo, ids_g, act_g))
                 views.append((
-                    names_g[act_arr].tolist(),
-                    ids_arr.tolist(),
+                    names_g[act_g].tolist(),
+                    ids_g.tolist(),
                     np.searchsorted(
                         src, np.arange(n + 1, dtype=np.int64)
                     ).tolist(),
@@ -626,145 +610,6 @@ class TransitionSystem:
                 return True
             col_acc.append(new_cols)
             cols = new_cols
-
-    def _explore_batched(
-        self, max_states: int, canonical, intern, layout, canon_cols
-    ) -> bool:
-        """Level-synchronous BFS through compiled batch kernels.
-
-        Planned actions expand a whole frontier level per kernel call
-        (vectorized over rank columns when there is a start ``layout``,
-        compiled row closures on the pure backend); unplanned actions
-        fall back to interpreted ``successors`` per state, through
-        ``canonical``.  On a symmetry quotient each kernel's successor
-        columns pass through ``canon_cols`` first, so the codes are
-        canonical and a new one becomes a State through ``intern``
-        alone.  Returns ``False`` when no action compiles, handing the
-        exploration back to the scalar engine."""
-        starts = self.start_states
-        if not starts:
-            return True
-        schema = starts[0]._schema
-        for state in starts:
-            if state._schema is not schema:
-                return False
-        domains = self.program._domains
-        use_numpy = layout is not None
-        program_actions = self.program.actions
-        fault_actions = self.fault_actions
-        compiled = 0
-        action_kernels: Dict[int, object] = {}
-        for group, actions in enumerate((program_actions, fault_actions)):
-            for pos, action in enumerate(actions):
-                if use_numpy:
-                    kernel = _kernels.batch_kernel(action, layout)
-                else:
-                    kernel = _kernels.row_kernel(action, schema, domains)
-                action_kernels[(group, pos)] = kernel
-                if kernel is not None:
-                    compiled += 1
-        if not compiled:
-            return False
-
-        # successor code (canonical on quotients) or raw values-tuple ->
-        # pooled state; every genuinely new state is pooled with the
-        # same canonicalizer the interpreted fallback uses, so the two
-        # paths hand out the same objects
-        by_code: Dict[int, State] = {}
-        by_values: Dict[Tuple, State] = {}
-        frontier: List[State] = list(starts)
-        batch_ok = True
-        while frontier:
-            n = len(frontier)
-            program_buckets: List[List] = [[] for _ in range(n)]
-            fault_buckets: List[List] = [[] for _ in range(n)]
-            program_dirty = bytearray(n)
-            fault_dirty = bytearray(n)
-            cols = None
-            if use_numpy and batch_ok:
-                if all(state._schema is schema for state in frontier):
-                    try:
-                        cols = layout.columns_from_states(frontier)
-                    except KeyError:
-                        # a value escaped its declared domain (start
-                        # states are caller-supplied); ranks cannot
-                        # represent it, so finish interpreted
-                        batch_ok = False
-                else:
-                    batch_ok = False
-            for group, (actions, buckets, dirty) in enumerate((
-                (program_actions, program_buckets, program_dirty),
-                (fault_actions, fault_buckets, fault_dirty),
-            )):
-                for pos, action in enumerate(actions):
-                    kernel = action_kernels[(group, pos)]
-                    name = action.name
-                    if kernel is None or (use_numpy and cols is None):
-                        for i, state in enumerate(frontier):
-                            successors = action.successors(state)
-                            if not successors:
-                                continue
-                            if len(successors) > 1:
-                                dirty[i] = 1
-                            bucket = buckets[i]
-                            for nxt in successors:
-                                bucket.append((name, canonical(nxt, nxt)))
-                    elif use_numpy:
-                        idx, out = kernel(cols)
-                        if out is None:
-                            continue
-                        if canon_cols is not None:
-                            out = canon_cols(out)
-                        codes = layout.pack_columns(out).tolist()
-                        get = by_code.get
-                        # resolve first (list comp + C-level membership
-                        # scan), materialize the rare misses second —
-                        # after the opening levels nearly every code is
-                        # already interned and the miss pass never runs
-                        reps = [get(code) for code in codes]
-                        # identity scan, not ``None in reps``: ``in``
-                        # would compare ``None == State`` element-wise,
-                        # paying State.__eq__'s Mapping instance check
-                        if any(rep is None for rep in reps):
-                            values_of = layout.values_from_column
-                            for j, rep in enumerate(reps):
-                                if rep is None:
-                                    code = codes[j]
-                                    rep = get(code)
-                                    if rep is None:
-                                        raw = _state_of(
-                                            schema, values_of(out, j)
-                                        )
-                                        rep = intern(raw, raw)
-                                        by_code[code] = rep
-                                    reps[j] = rep
-                        for i, rep in zip(idx.tolist(), reps):
-                            buckets[i].append((name, rep))
-                    else:
-                        get = by_values.get
-                        for i, state in enumerate(frontier):
-                            if state._schema is not schema:
-                                successors = action.successors(state)
-                                if len(successors) > 1:
-                                    dirty[i] = 1
-                                bucket = buckets[i]
-                                for nxt in successors:
-                                    bucket.append((name, canonical(nxt, nxt)))
-                                continue
-                            row = kernel(state._values)
-                            if row is None:
-                                continue
-                            nxt = get(row)
-                            if nxt is None:
-                                raw = _state_of(schema, row)
-                                nxt = canonical(raw, raw)
-                                by_values[row] = nxt
-                            buckets[i].append((name, nxt))
-            frontier = self._assemble_level(
-                frontier, program_buckets, fault_buckets, max_states,
-                program_dirty, fault_dirty,
-            )
-        return True
 
     def _explore_sharded(
         self, max_states: int, canonical_many, workers: int
@@ -1035,6 +880,47 @@ class TransitionSystem:
             f"TransitionSystem({self.program.name!r}, {len(self.states)} states, "
             f"{n_program} program edges, {n_fault} fault edges)"
         )
+
+
+class _CodeIds:
+    """Packed code -> dense state id map of one columnar run; codes not
+    registered map to -1.
+
+    Code spaces up to :data:`_DENSE_ID_SPACE_LIMIT` get a code-indexed
+    table, so a lookup is one gather.  Larger ones (the k=13 Byzantine
+    quotient's space has 8.3e16 codes) keep the registered codes
+    sorted, with their ids alongside, and look codes up with
+    ``np.searchsorted``."""
+
+    __slots__ = ("table", "codes", "ids")
+
+    def __init__(self, space: int, start_codes):
+        ids = np.arange(start_codes.shape[0], dtype=np.int64)
+        if space <= _DENSE_ID_SPACE_LIMIT:
+            self.table = np.full(space, -1, dtype=np.int32)
+            self.table[start_codes] = ids
+        else:
+            self.table = None
+            order = np.argsort(start_codes)
+            self.codes = start_codes[order]
+            self.ids = ids[order]
+
+    def lookup(self, codes):
+        """The ids of ``codes`` (a new array; -1 where unregistered)."""
+        if self.table is not None:
+            return self.table[codes]
+        pos = np.searchsorted(self.codes, codes)
+        pos[pos == self.codes.shape[0]] = 0
+        return np.where(self.codes[pos] == codes, self.ids[pos], -1)
+
+    def add(self, codes, ids) -> None:
+        """Register sorted, unregistered ``codes`` under ``ids``."""
+        if self.table is not None:
+            self.table[codes] = ids
+            return
+        at = np.searchsorted(self.codes, codes)
+        self.codes = np.insert(self.codes, at, codes)
+        self.ids = np.insert(self.ids, at, ids)
 
 
 # -- sharded-exploration worker side ------------------------------------------

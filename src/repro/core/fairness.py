@@ -273,7 +273,7 @@ def _fair_recurrent_component_ids(
 
 def _cycle_core(index: SystemIndex, region_data: bytes, n: int):
     """Boolean mask of the region nodes that can lie on a program-edge
-    cycle within the region — or ``None`` without CSR/numpy support.
+    cycle within the region — or ``None`` without columnar edge arrays.
 
     Iteratively peels nodes with no internal successor or no internal
     predecessor (the classic trim step of FW-BW SCC algorithms) in
@@ -284,7 +284,7 @@ def _cycle_core(index: SystemIndex, region_data: bytes, n: int):
     the dominant shape in stabilization certificates — trim to a small
     fraction of the region in a few passes."""
     csr = index._edge_csr(False)
-    if csr is None or _np is None:
+    if csr is None:
         return None
     indptr, dst, _act, _names = csr
     alive = _data_to_mask(region_data, n)
@@ -320,7 +320,7 @@ def _vet_components_csr(
     columnar edge arrays behind (the caller then runs the reference
     loops) — semantics are identical either way."""
     csr = index._edge_csr(False)
-    if csr is None or _np is None:
+    if csr is None:
         return None
     indptr, dst, act, names = csr
     ncomp = len(components)

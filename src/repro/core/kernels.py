@@ -7,24 +7,24 @@ compiles actions whose authors declare a :class:`Plan` — a flat
 positional description of the guard and the assignment — into *batch
 kernels* that evaluate one action over an entire BFS frontier at once:
 
-- the **numpy backend** represents a frontier as a ``(vars, N)`` matrix
-  of domain *ranks* (a value's position in its declared domain) and
-  evaluates guards/effects as vectorized column arithmetic, packing
-  each successor into a single mixed-radix ``int64`` code for O(1)
-  interning;
-- the **pure backend** compiles the same plan into a per-row closure
-  over raw values-tuples (the ``values_builder`` protocol the region
-  engine and :class:`~repro.core.predicate.Predicate` already speak) —
-  no arrays, no numpy, same semantics;
-- actions without a plan (or whose plan does not fit a schema) simply
-  fall back to the interpreted ``successors`` path inside the batched
-  BFS, so kernels are an accelerator, never a constraint.
+- the frontier is a ``(vars, N)`` matrix of domain *ranks* (a value's
+  position in its declared domain), and guards/effects evaluate as
+  vectorized numpy column arithmetic, packing each successor into a
+  single mixed-radix ``int64`` code for O(1) interning;
+- actions without a plan (or whose plan does not fit a schema) run
+  their interpreted ``successors`` inside the same array engine, whose
+  successors are converted to rank columns alongside the kernels'
+  output, so kernels are an accelerator, never a constraint.
+
+The same plan also compiles to a per-row closure over raw values-tuples
+(:func:`row_kernel`), which the symbolic analyzer evaluates to check a
+plan against its interpreted action (lint rule DC511).
 
 A plan is a *claim*, like an action's ``reads``/``writes`` frame: the
 kernel must implement exactly the guard and statement of the action it
 annotates.  ``tests/test_kernels.py`` pins kernel/interpreted parity
 (state sets, edges, deadlocks) across every bundled program and fault
-builder, under symmetry quotients, for both backends.
+builder, under symmetry quotients.
 
 For state spaces too large to materialize as ``State`` objects at all
 (the ROADMAP's million-state explorations), :func:`explore_codes` runs
@@ -60,12 +60,9 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .state import State, _state_of, state_space
+import numpy as _np
 
-try:  # numpy is optional: every kernel has a pure-python twin
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from .state import State, state_space
 
 __all__ = [
     "ENGINE_VERSION",
@@ -76,7 +73,6 @@ __all__ = [
     "set_backend",
     "get_backend",
     "resolved_backend",
-    "numpy_available",
     "row_kernel",
     "batch_kernel",
     "explore_codes",
@@ -155,26 +151,20 @@ class Plan:
 
 # -- backend selection ---------------------------------------------------------
 
-_BACKENDS = ("auto", "numpy", "pure", "interpreted")
+_BACKENDS = ("auto", "numpy", "interpreted")
 _backend = "auto"
 
 
-def numpy_available() -> bool:
-    return _np is not None
-
-
 def set_backend(backend: str) -> None:
-    """Select the kernel backend: ``auto`` (numpy when importable, else
-    pure), ``numpy``, ``pure``, or ``interpreted`` (disable kernels —
-    the pre-kernel scalar BFS, used by the parity tests as the oracle).
+    """Select the kernel backend: ``auto`` or ``numpy`` (compiled
+    kernels), or ``interpreted`` (disable kernels — the interpreted BFS,
+    used by the parity tests as the oracle).
     """
     global _backend
     if backend not in _BACKENDS:
         raise ValueError(
             f"unknown kernel backend {backend!r}; choose from {_BACKENDS}"
         )
-    if backend == "numpy" and _np is None:
-        raise KernelError("numpy backend requested but numpy is unavailable")
     _backend = backend
 
 
@@ -183,10 +173,8 @@ def get_backend() -> str:
 
 
 def resolved_backend() -> str:
-    """The backend batched exploration will actually run."""
-    if _backend == "auto":
-        return "numpy" if _np is not None else "pure"
-    return _backend
+    """The backend exploration will actually run."""
+    return "numpy" if _backend == "auto" else _backend
 
 
 # -- layouts: schema + domains -> positions, ranks, mixed-radix strides --------
@@ -222,9 +210,7 @@ class Layout:
             {value: rank for rank, value in enumerate(domain)}
             for domain in domains
         )
-        self._strides_arr = (
-            _np.array(strides, dtype=_np.int64) if _np is not None else None
-        )
+        self._strides_arr = _np.array(strides, dtype=_np.int64)
 
     # -- scalar paths ------------------------------------------------------
     def pack_values(self, values: Tuple[Hashable, ...]) -> int:
@@ -381,7 +367,7 @@ def _validate_guard(expr: Tuple, index) -> None:
         _validate_guard(expr[1], index)
 
 
-# -- pure backend: per-row closures over raw values-tuples ---------------------
+# -- per-row evaluators over raw values-tuples (the DC511 oracle's side) -------
 
 def _majority_counter(positions: Tuple[int, ...], k: int):
     def majority(values, positions=positions, k=k):
@@ -528,7 +514,7 @@ def row_kernel(action, schema, domains: Dict[str, Tuple]) -> Optional[Callable]:
     return fn
 
 
-# -- numpy backend: vectorized guards/effects over rank columns ----------------
+# -- batch kernels: vectorized guards/effects over rank columns ----------------
 
 def _rank_or_sentinel(layout: Layout, name: str, value) -> int:
     """The rank of ``value`` in ``name``'s domain, or ``-1`` (no column
@@ -678,14 +664,12 @@ _BATCH_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def batch_kernel(action, layout: Layout) -> Optional[Callable]:
     """A vectorized evaluator of ``action``'s plan over a ``(vars, N)``
     rank matrix: returns ``(enabled column indices, successor rank
-    matrix)`` — or ``None`` when the action has no plan, the plan does
-    not fit, or numpy is unavailable.
+    matrix)`` — or ``None`` when the action has no plan or the plan does
+    not fit.
 
     The successor matrix has one column per enabled source column, in
     source order, so callers can zip the two results directly.
     """
-    if _np is None:
-        return None
     plan = getattr(action, "plan", None)
     if plan is None:
         return None
@@ -742,8 +726,6 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
     so the per-edge cost is independent of the number of variables.
     :func:`explore_codes` prefers this over :func:`batch_kernel`.
     """
-    if _np is None:
-        return None
     plan = getattr(action, "plan", None)
     if plan is None:
         return None
@@ -940,8 +922,6 @@ def census_start_codes(program, start_states: Iterable[State]):
     the scheduler half of a sharded census (slice the codes with
     ``numpy.array_split`` and hand each slice to
     :func:`explore_code_shard`)."""
-    if _np is None:
-        raise KernelError("explore_codes requires numpy")
     if isinstance(start_states, str):
         _require(
             start_states == "all",
@@ -980,11 +960,11 @@ def explore_codes(
     packed-code space.
 
     Every action (program and fault) must carry a compilable
-    :class:`Plan` and numpy must be available — this explorer exists for
-    state spaces where materializing ``State`` objects is not an option,
-    so there is no interpreted fallback to hide behind.  Dedup uses a
-    byte bitmap over the full code space when it fits (≤ 64M codes) and
-    a sorted-merge anti-join otherwise; either way the census is exact.
+    :class:`Plan` — this explorer exists for state spaces where
+    materializing ``State`` objects is not an option, so there is no
+    interpreted fallback to hide behind.  Dedup uses a byte bitmap over
+    the full code space when it fits (≤ 64M codes) and a sorted-merge
+    anti-join otherwise; either way the census is exact.
 
     ``start_states`` is an iterable of :class:`State` objects, or the
     string ``"all"`` for the program's entire state space — the codes
@@ -995,8 +975,6 @@ def explore_codes(
     ``collect_codes=True`` additionally returns the sorted reachable
     code set on the result.
     """
-    if _np is None:
-        raise KernelError("explore_codes requires numpy")
     if isinstance(start_states, str):
         _require(
             start_states == "all",
@@ -1030,8 +1008,6 @@ def explore_code_shard(
     recover the exact census.  Per-shard ``levels``/``edges`` are local
     diagnostics only.
     """
-    if _np is None:
-        raise KernelError("explore_codes requires numpy")
     first = next(iter(state_space(program.variables)), None)
     _require(first is not None, f"{program.name!r} has an empty space")
     layout = _census_layout(program, first._schema)
@@ -1055,8 +1031,6 @@ def merge_code_reaches(reaches) -> CodeReach:
     shard partition.  ``levels`` (max) and ``edges`` (sum) are
     shard-local diagnostics, *not* the unsharded BFS figures.
     """
-    if _np is None:
-        raise KernelError("merge_code_reaches requires numpy")
     reaches = list(reaches)
     arrays = []
     for reach in reaches:
@@ -1086,14 +1060,3 @@ def clear_kernel_caches() -> None:
     _ROW_KERNELS.clear()
     _BATCH_KERNELS.clear()
     _CODE_KERNELS.clear()
-
-
-def decode_states(layout: Layout, cols, positions) -> List[State]:
-    """Materialize :class:`State` objects for selected columns of a rank
-    matrix (the slow path of batch exploration: only codes never seen
-    before reach it)."""
-    schema = layout.schema
-    return [
-        _state_of(schema, layout.values_from_column(cols, j))
-        for j in positions
-    ]

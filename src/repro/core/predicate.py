@@ -20,12 +20,9 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Iterable, Iterator, Sequence, Set
 
-from .state import Schema, State, _state_of
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
+from .state import Schema, State, _state_of
 
 __all__ = ["Predicate", "EvaluatorMemo", "TRUE", "FALSE",
            "var_eq", "var_ne", "var_in"]
@@ -315,5 +312,5 @@ def var_in(name: str, values: Iterable[object]) -> Predicate:
         values_builder=lambda index, n=name, a=allowed: (
             lambda values, i=index[n]: values[i] in a
         ),
-        columns_builder=None if _np is None else _in_columns(name, allowed),
+        columns_builder=_in_columns(name, allowed),
     )

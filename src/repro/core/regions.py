@@ -53,13 +53,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as _np
+
 from .predicate import Predicate, TRUE
 from .state import State, Variable, state_space
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
 
 __all__ = [
     "Region",
@@ -298,9 +295,9 @@ class StateIndex:
 
     def _columns(self):
         """The rank-column matrix of the indexed states (lazy), or
-        ``None`` when no layout was supplied or numpy is absent."""
+        ``None`` when no layout was supplied."""
         layout = self._layout
-        if layout is None or _np is None:
+        if layout is None:
             return None
         cols = self._cols
         if cols is None:
@@ -605,7 +602,7 @@ class SystemIndex:
 
     __slots__ = (
         "ts", "states", "id_of", "n", "full_bits",
-        "_plabeled", "_flabeled", "_psucc", "_apred", "_deadlock_bits",
+        "plabeled", "flabeled", "_psucc", "_apred", "_deadlock_bits",
         "_satisfying", "_region_bits", "_region_data", "_enabled_data",
         "_shared_schema", "_csr", "_enabled_by_name",
     )
@@ -613,19 +610,14 @@ class SystemIndex:
     def __init__(self, ts):
         self.ts = ts
         self.states: Tuple[State, ...] = tuple(ts.states)
-        # level-synchronous exploration accumulates the dense-id
-        # adjacency (and the id map) as it assembles each frontier
-        # level; adopt it rather than re-deriving ids per edge
-        rows = getattr(ts, "_labeled_rows", None)
-        if rows is not None:
-            prows, frows, id_of = rows
-            self._plabeled = tuple(prows)
-            self._flabeled = tuple(frows)
-            self.id_of: Dict[State, int] = id_of
-        else:
-            self._plabeled = None
-            self._flabeled = None
-            self.id_of = {s: i for i, s in enumerate(self.states)}
+        # every exploration engine (and the store's graph loader)
+        # accumulates the dense-id adjacency and the id map as it
+        # assembles each frontier level; adopt them verbatim
+        prows, frows, id_of = ts._labeled_rows
+        #: per-state ``(action name, target id)`` program / fault rows
+        self.plabeled: Tuple[Tuple[Tuple[str, int], ...], ...] = tuple(prows)
+        self.flabeled: Tuple[Tuple[Tuple[str, int], ...], ...] = tuple(frows)
+        self.id_of: Dict[State, int] = id_of
         self.n = len(self.states)
         self.full_bits = (1 << self.n) - 1
         #: per-state deduplicated program successor ids
@@ -648,28 +640,6 @@ class SystemIndex:
         self._enabled_by_name: Optional[Dict[str, bytearray]] = None
 
     # -- adjacency (lazy) --------------------------------------------------
-    @property
-    def plabeled(self) -> Tuple[Tuple[Tuple[str, int], ...], ...]:
-        if self._plabeled is None:
-            id_of = self.id_of
-            ts = self.ts
-            self._plabeled = tuple(
-                tuple((a, id_of[t]) for a, t in ts.program_edges_from(s))
-                for s in self.states
-            )
-        return self._plabeled
-
-    @property
-    def flabeled(self) -> Tuple[Tuple[Tuple[str, int], ...], ...]:
-        if self._flabeled is None:
-            id_of = self.id_of
-            ts = self.ts
-            self._flabeled = tuple(
-                tuple((a, id_of[t]) for a, t in ts.fault_edges_from(s))
-                for s in self.states
-            )
-        return self._flabeled
-
     @property
     def psucc(self) -> Tuple[Tuple[int, ...], ...]:
         """Deduplicated program-successor ids per state (SCC fodder).
@@ -740,7 +710,7 @@ class SystemIndex:
         exploration engine left on the system, or ``None`` (absent for
         interpreted/bucket explorations and store-reassembled graphs)."""
         state_cols = getattr(self.ts, "_state_cols", None)
-        if state_cols is None or _np is None:
+        if state_cols is None:
             return None
         if state_cols[1].shape[1] != self.n:  # pragma: no cover - defensive
             return None
@@ -878,7 +848,7 @@ class SystemIndex:
         if cached is None and include_faults not in self._csr:
             cached = None
             arrays = getattr(self.ts, "_edge_arrays", None)
-            if arrays is not None and _np is not None:
+            if arrays is not None:
                 (p_src, p_dst, p_act), (f_src, f_dst, f_act), names_p, \
                     names_f = arrays
                 if include_faults and f_src.shape[0]:
@@ -1002,7 +972,7 @@ def universe_index(program) -> Optional[StateIndex]:
             # everything already explored
             states = tuple(state_space(program.variables))
             layout = None
-            if states and _np is not None:
+            if states:
                 from . import kernels as _kernels
                 layout = _kernels.layout_for(
                     states[0].schema, program._domains

@@ -63,12 +63,9 @@ from typing import (
     Tuple,
 )
 
-from .state import State, Variable, _state_of, state_space
+import numpy as _np
 
-try:  # numpy is only needed by the column canonicalizers
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from .state import State, Variable, _state_of, state_space
 
 __all__ = [
     "SymmetryError",
@@ -255,7 +252,7 @@ class Symmetry:
         ``(vars, N)`` int64 rank matrix over ``layout`` (a
         :class:`~repro.core.kernels.Layout`) to a new matrix whose
         column ``j`` is the canonical form of column ``j`` — equal, rank
-        for rank, to what the per-state plan returns.  Needs numpy."""
+        for rank, to what the per-state plan returns."""
         raise NotImplementedError
 
     # -- binding -----------------------------------------------------------

@@ -77,25 +77,8 @@ def _vars_material(program):
 
 # -- whole-graph payloads ------------------------------------------------------
 
-def _labeled_rows_of(ts):
-    """(prows, frows, id_of) for any engine's output, deriving them from
-    State-level edges when the scalar engine ran."""
-    if ts._labeled_rows is not None:
-        return ts._labeled_rows
-    id_of = {state: i for i, state in enumerate(ts.states)}
-    prows = [
-        tuple((name, id_of[target]) for name, target in ts.program_edges_from(s))
-        for s in ts.states
-    ]
-    frows = [
-        tuple((name, id_of[target]) for name, target in ts.fault_edges_from(s))
-        for s in ts.states
-    ]
-    return prows, frows, id_of
-
-
 def _encode_system(ts) -> bytes:
-    prows, frows, _ = _labeled_rows_of(ts)
+    prows, frows, _ = ts._labeled_rows
     schemas: List[Tuple[str, ...]] = []
     schema_idx: Dict[object, int] = {}
     states_out = []
@@ -240,7 +223,7 @@ def _record_action_rows(store, ts) -> None:
     states = list(ts.states)
     if len(states) != len(ts.start_states) or len(states) > ROWS_STATE_LIMIT:
         return
-    prows, frows, _ = _labeled_rows_of(ts)
+    prows, frows, _ = ts._labeled_rows
     starts_digest = _keys.states_digest(states)
     vars_material = _vars_material(ts.program)
     for actions, rows_table in (
@@ -264,8 +247,8 @@ def assemble_system(store, program, starts, fault_actions, symmetric: bool):
     does not hold.  Returns ``None`` whenever the preconditions of the
     closed-system argument do not hold — or when the store holds *no*
     rows for this table at all (a fully cold exploration belongs to the
-    batch engines, which then record the rows as a byproduct; sweeping
-    every action interpretedly here would be strictly slower)."""
+    exploration engines, which then record the rows as a byproduct;
+    sweeping every action interpretedly here would be strictly slower)."""
     if symmetric or not starts or len(starts) > ROWS_STATE_LIMIT:
         return None
     fault_names = {a.name for a in fault_actions}

@@ -5,6 +5,8 @@ import io
 import pytest
 
 from repro.cli import CATALOGUE, main
+from repro.core import kernels
+from repro.core.exploration import clear_all_caches
 
 
 class TestList:
@@ -44,6 +46,22 @@ class TestVerify:
         for name, entry in CATALOGUE.items():
             description, checks = entry()
             assert description and checks, name
+
+    def test_catalogue_verdicts_match_the_interpreted_oracle(self):
+        """The whole catalogue prints the same report when every graph is
+        built by the interpreted oracle instead of the array engine."""
+        reports = []
+        try:
+            for backend in ("auto", "interpreted"):
+                kernels.set_backend(backend)
+                clear_all_caches()
+                out = io.StringIO()
+                assert main(["verify", "--all"], out=out) == 0
+                reports.append(out.getvalue())
+        finally:
+            kernels.set_backend("auto")
+            clear_all_caches()
+        assert reports[0] == reports[1]
 
 
 class TestCampaign:

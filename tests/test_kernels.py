@@ -1,14 +1,14 @@
 """Kernel/interpreted parity and code-space census pins.
 
-The exploration core runs the same BFS through four engines —
-interpreted scalar, compiled batch kernels (pure-python rows or numpy
-columns), the all-array columnar engine, and the sharded fork pool —
-with one contract: which engine ran must be unobservable from the
-finished :class:`~repro.core.exploration.TransitionSystem`.  These
-tests pin that contract over the bundled program families (programs
-*and* their fault builders), under symmetry quotients, and for every
-worker count, by comparing full graph fingerprints (state order, edge
-tuples, deadlocks) against the interpreted reference.
+The exploration core runs the same BFS through three engines — the
+interpreted oracle, the columnar array engine (compiled kernels for
+planned actions, interpreted successors for the rest), and the sharded
+fork pool — with one contract: which engine ran must be unobservable
+from the finished :class:`~repro.core.exploration.TransitionSystem`.
+These tests pin that contract over the bundled program families
+(programs *and* their fault builders), under symmetry quotients, and
+for every worker count, by comparing full graph fingerprints (state
+order, edge tuples, deadlocks) against the interpreted reference.
 
 :func:`~repro.core.kernels.explore_codes` has no interpreted twin (it
 exists for spaces where ``State`` objects are not an option), so it is
@@ -21,13 +21,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import kernels
+from repro.core.action import Action
 from repro.core.exploration import (
+    _SMALL_SPACE_STATES,
     TransitionSystem,
     clear_all_caches,
     set_default_workers,
 )
 from repro.core.kernels import KernelError, Plan, explore_codes
-from repro.core.state import StateInterner, state_space
+from repro.core.predicate import TRUE, var_eq, var_ne
+from repro.core.program import Program
+from repro.core.state import State, StateInterner, Variable, state_space
 from repro.programs import byzantine, memory_access, tmr, token_ring
 
 
@@ -52,11 +56,25 @@ def _graph(ts: TransitionSystem):
     )
 
 
+def _counter_variables():
+    """A 160-state space: above the interpreted engine's tiny-space limit."""
+    return [Variable("c", range(8)), Variable("x", range(20))]
+
+
+def _tick():
+    """The planned action ``c != 7 --> c := c + 1``."""
+    return Action(
+        "tick", var_ne("c", 7), lambda s: s.assign(c=s["c"] + 1),
+        plan=Plan(("ne_const", "c", 7), [("inc_mod", "c", "c", 8)]),
+    )
+
+
 def _scenarios():
     """(name, program, starts, faults, symmetric) over the bundled
-    families: planned actions, unplanned actions (byzantine lies),
-    fault builders, and symmetry quotients on both array engines are
-    all represented."""
+    families plus one synthetic edge-order case: planned actions,
+    unplanned actions (byzantine lies), fault builders, symmetry
+    quotients, and dense and sorted code -> id maps are all
+    represented."""
     ring = token_ring.build(4)
     yield (
         "token_ring",
@@ -82,8 +100,8 @@ def _scenarios():
         tuple(byz.faults.actions),
         False,
     )
-    # S_3 quotient with unplanned lies plus faults: the batched engine,
-    # from the fault span (starts in every orbit, many revisited)
+    # S_3 quotient with unplanned lies plus faults, from the fault span
+    # (starts in every orbit, many revisited)
     yield (
         "byzantine_masking_sym",
         byz.masking,
@@ -91,8 +109,8 @@ def _scenarios():
         tuple(byz.faults.actions),
         True,
     )
-    # S_5 quotient, every action planned, a 7,558,272-code space: the
-    # columnar engine
+    # S_5 quotient, every action planned, a 7,558,272-code space: a
+    # dense code -> id table
     ngs5 = (1, 2, 3, 4, 5)
     family5 = byzantine.build_family(ngs5)
     yield (
@@ -100,6 +118,18 @@ def _scenarios():
         family5.ib,
         byzantine.initial_states(ngs5),
         tuple(family5.faults.actions),
+        True,
+    )
+    # S_7 quotient, 15 of 44 actions unplanned lies, a 2,448,880,128-code
+    # space: the sorted code -> id map, one column conversion of the
+    # lies' successors per level, and their column canonicalization
+    ngs7 = (1, 2, 3, 4, 5, 6, 7)
+    family7 = byzantine.build_family(ngs7)
+    yield (
+        "byzantine_family7_masking_sym",
+        family7.masking,
+        byzantine.initial_states(ngs7),
+        tuple(family7.faults.actions),
         True,
     )
     t = tmr.build()
@@ -118,6 +148,20 @@ def _scenarios():
         tuple(mem.fault_anytime.actions),
         False,
     )
+    # an unplanned action declared before a planned one, whose statement
+    # offers one successor twice: edges must keep declaration order,
+    # statement order, and only the first of the repeated pair
+    hop = Action("hop", TRUE, lambda s: (
+        s.assign(x=(s["x"] + 1) % 20), s.assign(x=0),
+        s.assign(x=(s["x"] + 1) % 20),
+    ))
+    yield (
+        "hop_tick",
+        Program(_counter_variables(), [hop, _tick()], name="hop_tick"),
+        [State({"c": 0, "x": 0})],
+        (),
+        False,
+    )
 
 
 SCENARIOS = {name: rest for name, *rest in _scenarios()}
@@ -127,22 +171,28 @@ def _explored(name: str, backend: str, workers=None):
     program, starts, faults, symmetric = SCENARIOS[name]
     kernels.set_backend(backend)
     try:
-        return _graph(
-            TransitionSystem(
-                program, starts, faults,
-                symmetric=symmetric, workers=workers,
-            )
+        ts = TransitionSystem(
+            program, starts, faults, symmetric=symmetric, workers=workers,
         )
     finally:
         kernels.set_backend("auto")
+    # every engine leaves the dense-id rows SystemIndex and the store adopt
+    assert ts._labeled_rows is not None
+    return _graph(ts)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-@pytest.mark.parametrize("backend", ["auto", "numpy", "pure"])
+@pytest.mark.parametrize("backend", ["auto", "numpy"])
 def test_kernel_backends_match_interpreted(name, backend):
     """Every compiled engine produces the interpreted engine's graph,
     bit for bit, on every bundled scenario."""
     assert _explored(name, backend) == _explored(name, "interpreted")
+
+
+def test_unknown_backend_names_the_choices():
+    with pytest.raises(ValueError, match="'auto', 'numpy', 'interpreted'"):
+        kernels.set_backend("pure")
+    assert kernels.get_backend() == "auto"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -320,25 +370,52 @@ def test_columnar_engine_stashes_edge_arrays():
 @pytest.mark.parametrize("name, columnar", [
     ("token_ring_sym", True),
     ("byzantine_family5_ib_sym", True),
-    ("byzantine_masking_sym", False),
+    ("byzantine_masking_sym", True),
+    ("byzantine_family7_masking_sym", True),
 ])
 def test_quotients_take_the_array_engines(name, columnar):
     """Symmetric runs take the columnar engine under the same conditions
-    as unreduced ones (here: every action planned, a dense code space);
-    the unplanned Byzantine lies keep that quotient on the batched
-    engine, which still accumulates the dense-id rows."""
+    as unreduced ones, with or without unplanned actions (the Byzantine
+    lies) and with a dense or a sorted code -> id map."""
     program, starts, faults, symmetric = SCENARIOS[name]
     kernels.set_backend("numpy")
     ts = TransitionSystem(program, starts, faults, symmetric=symmetric)
     assert (ts._edge_arrays is not None) is columnar
     assert ts._labeled_rows is not None
-    # representatives are pointer-unique: the array start pass, the
-    # column path and the per-state path share one pool
+    # representatives are pointer-unique: every edge target is the
+    # registered state itself, whether the start pass or a code built it
     registered = {id(state) for state in ts.states}
     assert all(
         id(target) in registered
         for state in ts.states for _, target in ts.edges_from(state)
     )
+
+
+def test_escaping_successor_restarts_interpreted(monkeypatch):
+    """A successor the layout cannot hold abandons the array run: here an
+    unplanned action writes ``x := 99`` outside ``x``'s domain, enabled
+    only once the planned counter reaches level 3.  The registry resets
+    and the interpreted engine rebuilds the oracle's graph."""
+    spill = Action("spill", var_eq("c", 3), lambda s: s.assign(x=99))
+    program = Program(_counter_variables(), [_tick(), spill], name="spill")
+    assert program.state_count() > _SMALL_SPACE_STATES
+    starts = [State({"c": 0, "x": 0})]
+    kernels.set_backend("interpreted")
+    reference = _graph(TransitionSystem(program, starts))
+    resets = []
+    register = TransitionSystem._register_starts
+    monkeypatch.setattr(
+        TransitionSystem, "_register_starts",
+        lambda self: resets.append(len(self.states)) or register(self),
+    )
+    kernels.set_backend("numpy")
+    ts = TransitionSystem(program, starts)
+    assert ts._edge_arrays is None
+    # registered once up front, then reset from the four states (c = 0..3)
+    # the array run had registered when the spill escaped
+    assert resets == [0, 4]
+    assert _graph(ts) == reference
+    assert State({"c": 3, "x": 99}) in ts.states
 
 
 def test_interpreted_backend_never_calls_column_canonicalizers(monkeypatch):
