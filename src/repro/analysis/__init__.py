@@ -30,11 +30,10 @@ Rules and code ranges:
   assumes.
 - ``DC5xx`` — symbolic findings over the Plan IR
   (:mod:`repro.analysis.symbolic`): dead/tautological guard
-  sub-expressions (``DC501``/``DC502``) and translation-validation
-  failures — a plan that disagrees with its action's interpreted
-  guard/statement (``DC511``) or does not compile (``DC512``).
+  sub-expressions (``DC501``/``DC502``) and plans that do not compile
+  for the program's schema (``DC512``).
 
-Actions that carry a Plan IR are analyzed *symbolically*: their frame
+Actions built from a Plan IR are analyzed *symbolically*: their frame
 (``DC1xx``) and guard (``DC3xx``) verdicts are proofs over the full
 space regardless of its size, recorded as
 :class:`~repro.analysis.diagnostics.Proof` values on the report.  With

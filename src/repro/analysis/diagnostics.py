@@ -16,7 +16,7 @@ Code blocks (the "DC" is for detector/corrector):
 - ``DC3xx`` — guard satisfiability / enabledness;
 - ``DC4xx`` — specification and invariant well-formedness;
 - ``DC5xx`` — symbolic findings over the Plan IR (dead/tautological
-  guard sub-expressions, translation-validation failures).
+  guard sub-expressions, plans that do not compile).
 
 Alongside findings, rules that *prove* a property (rather than sampling
 evidence for it) record a :class:`Proof` — which rule, for which
@@ -153,8 +153,7 @@ class Proof:
     ----------
     rule:
         The rule family the proof belongs to (``frame-soundness``,
-        ``guard-satisfiability``, ``translation-validation``,
-        ``interference``).
+        ``guard-satisfiability``, ``interference``).
     method:
         How it was established: ``ir-exact`` (exhaustive enumeration
         over the plan's support variables), ``exhaustive`` (full

@@ -23,7 +23,7 @@ Two complementary rules over two classes of composed actions:
 - ``DC201`` / ``DC202`` (warning / info): **frame races** — a composed
   action's write set intersects a base action's write set (write-write,
   DC201) or read set (write-read, DC202).  Computed from the symbolic
-  analyzer's **exact IR frames** when the action's plan was validated,
+  analyzer's **exact IR frames** when the action's plan compiled,
   else from declared frames, else inferred by probing.  A shared
   variable is how correctors do their job (they fix the base program's
   variables), so overlap alone is not a bug — which is why these are
@@ -32,7 +32,7 @@ Two complementary rules over two classes of composed actions:
   has then been verified directly, and the syntactic overlap adds no
   information.
 
-When both actions of a racing pair carry validated plans, the guard
+When both actions of a racing pair carry compiled plans, the guard
 solver additionally checks **pair disjointness**: if the two guards can
 never hold in the same state, the actions are never simultaneously
 enabled, the race cannot happen, and the pair is dropped from the

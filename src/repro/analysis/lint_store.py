@@ -88,8 +88,7 @@ def _analysis_key(action, variables, kind: str, config) -> str:
         store_keys.action_material(action),
         tuple(store_keys._variable_material(v) for v in variables),
         kind,
-        (config.solver_budget, config.translation_limit,
-         config.translation_samples, config.seed),
+        config.solver_budget,
         ANALYZER_VERSION,
     ))
 

@@ -8,9 +8,9 @@ rule over a shared probe set and applies the target's suppressions.
 
 Nothing here explores a transition system: every rule evaluates guards,
 statements, and predicates pointwise on the probe states — except the
-symbolic pass (:mod:`repro.analysis.symbolic`), which *proves* frame,
-guard, and translation properties of actions that carry a Plan IR by
-exact enumeration over the plan's few support variables.  Planned
+symbolic pass (:mod:`repro.analysis.symbolic`), which *proves* frame
+and guard properties of actions built from a Plan IR by exact
+enumeration over the plan's few support variables.  Planned
 actions therefore get proofs regardless of space size, while unplanned
 actions keep the differential probe.  That split is what makes ``repro
 lint`` cheap enough to run on every catalogue entry in CI while
@@ -61,11 +61,8 @@ class LintConfig:
     The symbolic pass has its own budgets: ``solver_budget`` caps the
     support-product size the guard solver and frame-table enumerate
     exactly (beyond it the solver falls back to value-set abstraction
-    and frames fall back to probing); translation validation sweeps the
-    full space up to ``translation_limit`` states and decomposes
-    per-variable with ``translation_samples`` random base contexts
-    above it.  ``symbolic=False`` disables the pass entirely (every
-    action takes the differential-probe path, as before PR 10).
+    and frames fall back to probing).  ``symbolic=False`` disables the
+    pass entirely (every action takes the differential-probe path).
     """
 
     probe_limit: int = 4096
@@ -78,8 +75,6 @@ class LintConfig:
     suggest_frames: bool = False
     symbolic: bool = True
     solver_budget: int = 1 << 16
-    translation_limit: int = 1 << 16
-    translation_samples: int = 4
 
 
 @dataclass(frozen=True)
@@ -189,23 +184,23 @@ def lint(target: LintTarget, config: Optional[LintConfig] = None) -> LintReport:
         tuple(target.faults.actions) if target.faults is not None else ()
     )
 
-    # symbolic pass over the Plan IR: translation validation first, then
-    # exact frames and guard verdicts for every action it validated
+    # symbolic pass over the Plan IR: exact frames and guard verdicts
+    # for every action whose plan compiles
     analyses: Dict[str, ActionAnalysis] = {}
     if config.symbolic:
         analyses = _symbolic_pass(target, config, report, fault_actions)
 
     # frame soundness — program actions and fault actions alike (fault
     # actions run through the same successor machinery when explored).
-    # Actions whose plan survived translation validation were already
-    # judged exactly by the symbolic pass; the probe adds nothing.
+    # Actions whose plan compiled were already judged exactly by the
+    # symbolic pass; the probe adds nothing.
     for action in program.actions + fault_actions:
         if action._base is not None:
             # a restricted action ``Z ∧ ac`` delegates to its base
             # action's memo; it carries no frame of its own to validate
             continue
         analysis = analyses.get(action.name)
-        if analysis is not None and analysis.validated and analysis.covers_frames:
+        if analysis is not None and analysis.compiled and analysis.covers_frames:
             continue
         report.extend(check_frames(
             action, program.variables, probe,
@@ -220,7 +215,7 @@ def lint(target: LintTarget, config: Optional[LintConfig] = None) -> LintReport:
     facts = {
         name: analysis.guard_facts()
         for name, analysis in analyses.items()
-        if analysis.validated
+        if analysis.compiled
     }
     start = target.start if target.start is not None else target.invariant
     report.extend(check_guards(
@@ -271,13 +266,13 @@ def lint(target: LintTarget, config: Optional[LintConfig] = None) -> LintReport:
         exact_frames = {
             name: (analysis.reads, analysis.writes)
             for name, analysis in analyses.items()
-            if analysis.validated and analysis.reads is not None
+            if analysis.compiled and analysis.reads is not None
         }
         guards = {
             action.name: action.plan.guard
             for action in program.actions
             if analyses.get(action.name) is not None
-            and analyses[action.name].validated
+            and analyses[action.name].compiled
         }
         solver = None
         if guards:

@@ -23,11 +23,12 @@ verdicts into diagnostics and :class:`~.diagnostics.Proof` records:
   support, from which the **exact** reads/writes frame of the plan
   falls out (the same carried/masked contract the differential probe
   checks, decided rather than sampled).
-- :func:`analyze_action` — the per-action driver: **translation
-  validation** first (the plan must agree with the interpreted
-  guard+statement: exhaustive sweep on small spaces, per-variable
-  decomposition on large ones; ``DC511``/``DC512``), then frame and
-  guard verdicts from the validated IR.
+- :func:`analyze_action` — the per-action driver: the plan must
+  compile for the program's schema (``DC512`` otherwise), then frame
+  and guard verdicts come from the IR.  A planned action's guard,
+  statement and frame are derived from its plan, so there is no second
+  description to validate the plan against; the frame verdict checks
+  the derivation itself (the derived frame must cover the exact one).
 
 Every verdict is deterministic in the action's content, which is what
 lets :mod:`repro.analysis.lint_store` cache analyses in the
@@ -37,93 +38,39 @@ content-addressed certificate store and replay them across processes.
 from __future__ import annotations
 
 import itertools
-import random
 import weakref
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.action import Action
 from ..core.kernels import (
     Plan,
-    _compile_effects_pure,
-    _compile_guard_pure,
+    guard_support,
+    plan_support,
+    plan_targets,
+    row_effects,
+    row_guard,
     row_kernel,
 )
-from ..core.state import State, Variable, _state_of, state_space
+from ..core.state import Variable
 from .diagnostics import Diagnostic, Proof, Severity
-from .probe import raw_successors
 
 __all__ = [
     "ANALYZER_VERSION",
     "GuardSolver",
     "GuardFacts",
     "ActionAnalysis",
-    "guard_support",
-    "plan_support",
-    "plan_targets",
     "analyze_action",
     "clear_symbolic_caches",
 ]
 
 #: bumped on any behaviour change of the analyzer; folded into lint
 #: certificate keys so stored analyses never survive a rule change
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 RULE_FRAMES = "frame-soundness"
 RULE_GUARDS = "guard-satisfiability"
-RULE_TRANSLATION = "translation-validation"
-
-
-# -- syntactic support ---------------------------------------------------------
-
-def guard_support(expr: Tuple) -> FrozenSet[str]:
-    """The variables a guard expression syntactically mentions."""
-    op = expr[0]
-    if op == "true":
-        return frozenset()
-    if op in ("eq_const", "ne_const"):
-        return frozenset((expr[1],))
-    if op in ("eq_var", "ne_var"):
-        return frozenset((expr[1], expr[2]))
-    if op == "all_ne_const":
-        return frozenset(expr[1])
-    if op in ("eq_majority", "ne_majority"):
-        return frozenset((expr[1],)) | frozenset(expr[2])
-    if op == "not":
-        return guard_support(expr[1])
-    # "and" / "or"
-    support: FrozenSet[str] = frozenset()
-    for sub in expr[1:]:
-        support |= guard_support(sub)
-    return support
-
-
-def _effect_sources(effect: Tuple) -> FrozenSet[str]:
-    op = effect[0]
-    if op == "set_const":
-        return frozenset()
-    if op in ("copy", "inc_mod"):
-        return frozenset((effect[2],))
-    return frozenset(effect[2])  # set_majority
-
-
-def plan_targets(plan: Plan) -> Tuple[str, ...]:
-    """The variables the plan's effects assign, in effect order, deduped."""
-    seen: Dict[str, None] = {}
-    for effect in plan.effects:
-        seen[effect[1]] = None
-    return tuple(seen)
-
-
-def plan_support(plan: Plan) -> FrozenSet[str]:
-    """Every variable the plan mentions (guard, sources, and targets)."""
-    support = guard_support(plan.guard)
-    for effect in plan.effects:
-        support |= _effect_sources(effect)
-        support |= frozenset((effect[1],))
-    return support
+RULE_COMPILE = "plan-compilation"
 
 
 # -- the finite-domain guard solver --------------------------------------------
@@ -176,13 +123,9 @@ class GuardSolver:
             size *= len(domain)
             if size > self.budget:
                 return None
-        index = {name: i for i, name in enumerate(names)}
-        fn = _compile_guard_pure(expr, index)
+        fn = row_guard(expr, {name: i for i, name in enumerate(names)})
         assignments = tuple(itertools.product(*domains)) if names else ((),)
-        if fn is None:  # a literal/derived "true"
-            truth = (True,) * len(assignments)
-        else:
-            truth = tuple(bool(fn(values)) for values in assignments)
+        truth = tuple(bool(fn(values)) for values in assignments)
         return (names, assignments, truth)
 
     # -- verdicts ----------------------------------------------------------
@@ -331,13 +274,13 @@ def plan_frame_table(
         if size > budget:
             return None
     index = {name: i for i, name in enumerate(names)}
-    guard = _compile_guard_pure(plan.guard, index)
-    effects = _compile_effects_pure(plan, index)
+    guard = row_guard(plan.guard, index)
+    effects = row_effects(plan, index)
     assignments = tuple(itertools.product(*doms)) if names else ((),)
     enabled: List[bool] = []
     finals: List[Optional[Tuple]] = []
     for values in assignments:
-        if guard is None or guard(values):
+        if guard(values):
             enabled.append(True)
             finals.append(effects(values))
         else:
@@ -413,19 +356,16 @@ class GuardFacts:
 class ActionAnalysis:
     """Everything the symbolic analyzer established about one action.
 
-    ``translation`` is one of ``unplanned`` (no plan — nothing to
-    analyze), ``uncompilable`` (plan does not fit the schema, DC512),
-    ``failed`` (the interpreted action raised, DC001), ``refuted``
-    (plan and interpretation disagree, DC511), ``proven`` (full-space
-    sweep), or ``decomposed`` (per-variable decomposition on an
-    oversized space).  ``reads``/``writes`` are the plan's exact frame
-    when the support table fit the budget; ``covers_frames`` /
+    ``status`` is one of ``unplanned`` (no plan — nothing to analyze),
+    ``uncompilable`` (plan does not fit the schema, DC512), or
+    ``compiled``.  ``reads``/``writes`` are the plan's exact frame when
+    the support table fit the budget; ``covers_frames`` /
     ``covers_guards`` tell the linter whether the probe-based rules may
     be skipped for this action.
     """
 
     action: str
-    translation: str
+    status: str
     diagnostics: Tuple[Diagnostic, ...] = ()
     proofs: Tuple[Proof, ...] = ()
     reads: Optional[FrozenSet[str]] = None
@@ -436,8 +376,8 @@ class ActionAnalysis:
     covers_guards: bool = False
 
     @property
-    def validated(self) -> bool:
-        return self.translation in ("proven", "decomposed")
+    def compiled(self) -> bool:
+        return self.status == "compiled"
 
     def guard_facts(self) -> GuardFacts:
         return GuardFacts(
@@ -456,165 +396,6 @@ def clear_symbolic_caches() -> None:
     symbolic work like any other cache miss."""
     _TRUTH_TABLES.clear()
     _ANALYSES.clear()
-
-
-def _successor_tuple(
-    action: Action, state: State
-) -> Tuple[Tuple[Tuple, ...], Optional[Tuple]]:
-    """Interpreted successors as values-tuples, plus what a
-    deterministic plan would have to return (``None`` for disabled)."""
-    successors = tuple(
-        s.values_tuple for s in raw_successors(action, state)
-    )
-    if not successors:
-        return successors, None
-    return successors, successors[0]
-
-
-def _translation_mismatch(
-    action: Action,
-    state_values: Tuple,
-    expected: Tuple[Tuple, ...],
-    got: Optional[Tuple],
-    names: Tuple[str, ...],
-    target: str,
-    sampled: bool,
-) -> Diagnostic:
-    def render(values: Optional[Tuple]) -> str:
-        if values is None:
-            return "disabled"
-        return "{" + ", ".join(
-            f"{n}={v!r}" for n, v in zip(names, values)
-        ) + "}"
-
-    if len(expected) > 1:
-        interpreted = f"{len(expected)} successors (nondeterministic)"
-    elif expected:
-        interpreted = render(expected[0])
-    else:
-        interpreted = "disabled"
-    return Diagnostic(
-        code="DC511",
-        severity=Severity.ERROR,
-        rule=RULE_TRANSLATION,
-        message=(
-            f"plan of action {action.name!r} disagrees with its "
-            f"interpreted guard/statement at {render(state_values)}: "
-            f"plan yields {render(got)}, interpretation yields "
-            f"{interpreted}"
-        ),
-        target=target,
-        action=action.name,
-        evidence=f"{render(state_values)}: plan {render(got)} vs "
-                 f"interpreted {interpreted}",
-        hint="the plan is a claim about the action; regenerate it from "
-             "the guard/statement or fix whichever drifted",
-        sampled=sampled,
-    )
-
-
-def _validate_translation(
-    action: Action,
-    kernel: Callable,
-    variables: Sequence[Variable],
-    schema,
-    space_size: int,
-    target: str,
-    config,
-) -> Tuple[str, List[Diagnostic]]:
-    """Prove (or refute) plan ≡ interpreted action.
-
-    Small spaces get the full sweep — a proof.  Oversized spaces get a
-    sound-for-the-plan decomposition: the full product over the plan's
-    support variables is swept in a handful of base contexts, and every
-    non-support variable is swept one at a time — exactly the
-    single-variable-chain argument the frame rule relies on, so a plan
-    that consults or clobbers an undeclared variable is still caught.
-    """
-    names = schema.names
-    limit = getattr(config, "translation_limit", 1 << 16)
-    failure: Optional[Diagnostic] = None
-
-    def check(state: State, sampled: bool) -> Optional[Diagnostic]:
-        nonlocal failure
-        try:
-            expected, single = _successor_tuple(action, state)
-        except Exception as exc:
-            failure = Diagnostic(
-                code="DC001",
-                severity=Severity.ERROR,
-                rule=RULE_TRANSLATION,
-                message=(
-                    f"guard or statement of {action.name!r} raised "
-                    f"{type(exc).__name__}: {exc}"
-                ),
-                target=target,
-                action=action.name,
-                evidence=repr(state),
-                hint="guards and statements must be total on the full "
-                     "Cartesian state space",
-            )
-            return failure
-        got = kernel(state.values_tuple)
-        if got != single or len(expected) > 1:
-            return _translation_mismatch(
-                action, state.values_tuple, expected, got,
-                names, target, sampled,
-            )
-        return None
-
-    if space_size <= limit:
-        for state in state_space(variables):
-            found = check(state, sampled=False)
-            if found is not None:
-                status = "failed" if found is failure else "refuted"
-                return status, [found]
-        return "proven", []
-
-    # -- decomposition on an oversized space -------------------------------
-    domains = [tuple(v.domain) for v in variables]
-    positions = {name: i for i, name in enumerate(names)}
-    support = sorted(
-        plan_support(action.plan) & set(names), key=positions.__getitem__
-    )
-    support_positions = [positions[n] for n in support]
-    support_product = 1
-    for p in support_positions:
-        support_product *= len(domains[p])
-    rng = random.Random(config.seed)
-    contexts = [
-        tuple(d[0] for d in domains),
-        tuple(d[-1] for d in domains),
-    ]
-    for _ in range(getattr(config, "translation_samples", 4)):
-        contexts.append(tuple(rng.choice(d) for d in domains))
-
-    budget = getattr(config, "solver_budget", 1 << 16)
-    for context in contexts:
-        if support_product <= budget:
-            for combo in itertools.product(
-                *(domains[p] for p in support_positions)
-            ):
-                values = list(context)
-                for p, v in zip(support_positions, combo):
-                    values[p] = v
-                found = check(_state_of(schema, tuple(values)), sampled=True)
-                if found is not None:
-                    status = "failed" if found is failure else "refuted"
-                    return status, [found]
-        # sweep every non-support variable one at a time: a plan that
-        # ignores a variable the interpretation consults shows up here
-        for p, domain in enumerate(domains):
-            if p in support_positions:
-                continue
-            for value in domain:
-                values = list(context)
-                values[p] = value
-                found = check(_state_of(schema, tuple(values)), sampled=True)
-                if found is not None:
-                    status = "failed" if found is failure else "refuted"
-                    return status, [found]
-    return "decomposed", []
 
 
 def _subexpression_diagnostics(
@@ -690,11 +471,11 @@ def _subexpression_diagnostics(
 def _frame_diagnostics(
     action: Action,
     table: PlanTable,
-    variable_names: FrozenSet[str],
     satisfiable: bool,
     target: str,
 ) -> Tuple[List[Diagnostic], List[Proof], FrozenSet[str], FrozenSet[str]]:
-    """Exact DC101/DC102/DC103/DC104/DC105 from the plan table."""
+    """DC101/DC102 from the plan table: the action's frame (derived
+    from its plan) must cover the exact frame the table exhibits."""
     diagnostics: List[Diagnostic] = []
     proofs: List[Proof] = []
     write_rows = _exact_writes(table)
@@ -705,56 +486,6 @@ def _frame_diagnostics(
 
     def row_evidence(row: int) -> str:
         return _render_assignment(table.names, table.assignments[row])
-
-    if action.reads is None and action.writes is None:
-        diagnostics.append(Diagnostic(
-            code="DC103",
-            severity=Severity.INFO,
-            rule=RULE_FRAMES,
-            message=(
-                f"action {action.name!r} declares no reads/writes frame; "
-                "the successor memo stays off"
-            ),
-            target=target,
-            action=action.name,
-            hint="declare reads={%s}, writes={%s} (exact, from the plan)"
-                 % (", ".join(repr(n) for n in sorted(exact_reads)),
-                    ", ".join(repr(n) for n in sorted(exact_writes))),
-        ))
-        return diagnostics, proofs, exact_reads, exact_writes
-
-    if action.reads is None or action.writes is None:
-        missing = "reads" if action.reads is None else "writes"
-        diagnostics.append(Diagnostic(
-            code="DC104",
-            severity=Severity.WARNING,
-            rule=RULE_FRAMES,
-            message=(
-                f"action {action.name!r} declares "
-                f"{'writes' if missing == 'reads' else 'reads'} but not "
-                f"{missing}; the successor memo needs both and is disabled"
-            ),
-            target=target,
-            action=action.name,
-            hint=f"declare {missing} as well (or drop the frame entirely)",
-        ))
-        return diagnostics, proofs, exact_reads, exact_writes
-
-    unknown = (action.reads | action.writes) - variable_names
-    if unknown:
-        diagnostics.append(Diagnostic(
-            code="DC105",
-            severity=Severity.ERROR,
-            rule=RULE_FRAMES,
-            message=(
-                f"frame of {action.name!r} names unknown variable(s) "
-                f"{sorted(unknown)}"
-            ),
-            target=target,
-            action=action.name,
-            variables=tuple(sorted(unknown)),
-            hint="frames may only name the program's variables",
-        ))
 
     for name in sorted(exact_writes - action.writes):
         diagnostics.append(Diagnostic(
@@ -803,8 +534,6 @@ def _frame_diagnostics(
         for name in sorted(
             (action.writes - action.reads) - targets - exact_reads
         ):
-            if name not in variable_names:
-                continue
             diagnostics.append(Diagnostic(
                 code="DC101",
                 severity=Severity.ERROR,
@@ -847,24 +576,21 @@ def analyze_action(
 ) -> ActionAnalysis:
     """The full symbolic verdict for one action (memoized).
 
-    Actions without a plan (or whose plan fails translation validation)
-    come back with ``covers_frames``/``covers_guards`` False and the
-    linter falls back to the differential probe for them.
+    Actions without a plan (or whose plan does not compile) come back
+    with ``covers_frames``/``covers_guards`` False and the linter falls
+    back to the differential probe for them.
     """
     from .linter import LintConfig
 
     config = config or LintConfig()
     plan = getattr(action, "plan", None)
     if plan is None or getattr(action, "_base", None) is not None:
-        return ActionAnalysis(action=action.name, translation="unplanned")
+        return ActionAnalysis(action=action.name, status="unplanned")
 
-    config_key = (
-        config.solver_budget, config.translation_limit,
-        config.translation_samples, config.seed,
-    )
     domains = {v.name: tuple(v.domain) for v in variables}
     memo_key = (
-        schema, tuple(sorted(domains.items())), target, kind, config_key,
+        schema, tuple(sorted(domains.items())), target, kind,
+        config.solver_budget,
     )
     per_action = _ANALYSES.get(action)
     if per_action is None:
@@ -893,12 +619,11 @@ def _analyze_uncached(
     diagnostics: List[Diagnostic] = []
     proofs: List[Proof] = []
 
-    kernel = row_kernel(action, schema, domains)
-    if kernel is None:
+    if row_kernel(action, schema, domains) is None:
         diagnostics.append(Diagnostic(
             code="DC512",
             severity=Severity.WARNING,
-            rule=RULE_TRANSLATION,
+            rule=RULE_COMPILE,
             message=(
                 f"plan of {kind} {action.name!r} does not compile for "
                 f"this schema; kernels fall back to interpretation and "
@@ -910,39 +635,12 @@ def _analyze_uncached(
                  "its domain; fix the plan or the declared domains",
         ))
         return ActionAnalysis(
-            action=action.name, translation="uncompilable",
+            action=action.name, status="uncompilable",
             diagnostics=tuple(diagnostics),
         )
-
-    space_size = 1
-    for variable in variables:
-        space_size *= len(variable.domain)
-    status, translation_diags = _validate_translation(
-        action, kernel, variables, schema, space_size, target, config
-    )
-    diagnostics.extend(translation_diags)
-    if status in ("refuted", "failed"):
-        return ActionAnalysis(
-            action=action.name, translation=status,
-            diagnostics=tuple(diagnostics),
-        )
-    proofs.append(Proof(
-        rule=RULE_TRANSLATION,
-        method="exhaustive" if status == "proven" else "decomposed",
-        detail=(
-            f"plan agrees with the interpreted guard/statement on "
-            + (f"all {space_size} states"
-               if status == "proven" else
-               f"the support product and single-variable sweeps of a "
-               f"{space_size}-state space")
-        ),
-        target=target,
-        action=action.name,
-    ))
 
     solver = GuardSolver(domains, budget=config.solver_budget)
     satisfiable = solver.satisfiable(plan.guard)
-    variable_names = frozenset(domains)
 
     if satisfiable is False:
         diagnostics.append(Diagnostic(
@@ -1003,7 +701,7 @@ def _analyze_uncached(
                      "self-loop is intentional",
             ))
         frame_diags, frame_proofs, reads, writes = _frame_diagnostics(
-            action, table, variable_names, bool(satisfiable), target
+            action, table, bool(satisfiable), target
         )
         diagnostics.extend(frame_diags)
         proofs.extend(frame_proofs)
@@ -1011,7 +709,7 @@ def _analyze_uncached(
 
     return ActionAnalysis(
         action=action.name,
-        translation=status,
+        status="compiled",
         diagnostics=tuple(diagnostics),
         proofs=tuple(proofs),
         reads=reads,

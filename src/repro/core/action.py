@@ -22,6 +22,14 @@ Helper constructors:
 - :func:`choose` builds a nondeterministic statement from alternatives.
 - :meth:`Action.restrict` implements the paper's ``Z ∧ ac`` notation:
   strengthening the guard of an action by a state predicate.
+
+A deterministic action is best written as data: ``Action(name,
+plan=Plan(guard, effects))`` (see :mod:`repro.core.kernels`).  The
+plan is then the action's only description — its guard, statement and
+``reads``/``writes`` frame are all derived from it, and the batch
+kernels compile it to whole-frontier evaluators.  Lambda guards and
+statements stay for what the plan grammar cannot say (nondeterministic
+statements, count guards).
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ from typing import (
     Union,
 )
 
-from .predicate import Predicate, TRUE
-from .state import State
+from .kernels import Plan, plan_reads, plan_targets, render_guard, row_effects
+from .predicate import EvaluatorMemo, Predicate
+from .state import State, _state_of
 
 __all__ = ["Statement", "Action", "assign", "choose", "skip"]
 
@@ -105,6 +114,21 @@ def skip() -> Statement:
     return lambda state: state
 
 
+def _plan_statement(plan: Plan) -> Statement:
+    """The deterministic statement a plan's effects describe, compiled
+    once per schema."""
+    compiled = EvaluatorMemo()
+
+    def statement(state: State) -> State:
+        schema = state._schema
+        apply = compiled.get(schema)
+        if apply is None:
+            apply = compiled[schema] = row_effects(plan, schema.index)
+        return _state_of(schema, apply(state._values))
+
+    return statement
+
+
 class Action:
     """A named guarded command.
 
@@ -116,6 +140,13 @@ class Action:
         Predicate enabling the action (Section 2.1 *Enabled*).
     statement:
         Deterministic or nondeterministic statement (see module docs).
+    reads, writes:
+        Optional frame of a guard/statement action (see ``__init__``).
+    plan:
+        A :class:`~repro.core.kernels.Plan`: the whole description of a
+        deterministic action.  The guard, statement and frame are
+        derived from it, so passing any of them as well raises
+        :class:`TypeError`.
     """
 
     __slots__ = ("name", "guard", "statement", "reads", "writes", "plan",
@@ -133,33 +164,45 @@ class Action:
     def __init__(
         self,
         name: str,
-        guard: Predicate,
-        statement: Statement,
+        guard: Predicate = None,
+        statement: Statement = None,
         reads: Optional[Iterable[str]] = None,
         writes: Optional[Iterable[str]] = None,
-        plan=None,
+        plan: Plan = None,
     ):
+        if plan is not None:
+            if any(x is not None for x in (guard, statement, reads, writes)):
+                raise TypeError(
+                    f"action {name!r}: a plan derives the guard, statement "
+                    f"and reads/writes frame; pass plan= alone"
+                )
+            guard = Predicate(expr=plan.guard, name=render_guard(plan.guard))
+            statement = _plan_statement(plan)
+            reads, writes = plan_reads(plan), plan_targets(plan)
+        elif guard is None or statement is None:
+            raise TypeError(
+                f"action {name!r} needs plan=, or a guard and a statement"
+            )
         self.name = name
         self.guard = guard
         self.statement = statement
-        #: Optional :class:`repro.core.kernels.Plan` — a flat positional
-        #: description of the guard and assignment that batch kernels
-        #: compile into whole-frontier evaluators.  Like ``reads`` and
-        #: ``writes``, the plan is a *claim*: it must implement exactly
-        #: the guard/statement semantics (kernel/interpreted parity is
-        #: pinned by tests).  Actions without a plan simply take the
-        #: interpreted ``successors`` path everywhere.
+        #: the :class:`repro.core.kernels.Plan` the action was built
+        #: from, or ``None`` for guard/statement actions, which take the
+        #: interpreted ``successors`` path everywhere
         self.plan = plan
-        #: Optional frame declaration.  ``reads`` must cover every
-        #: variable the guard or the statement's right-hand sides
-        #: consult; ``writes`` every variable the statement may change.
-        #: When both are declared, two states that agree outside
+        #: The frame: ``reads`` covers every variable the guard or the
+        #: statement's right-hand sides consult; ``writes`` every
+        #: variable the statement may change.  Derived from the plan
+        #: (guard support plus effect sources; effect targets) for
+        #: planned actions, optionally declared for the others.
+        #: When both are known, two states that agree outside
         #: ``writes - reads`` provably have identical successor sets, so
         #: the successor memo collapses them to one statement evaluation
         #: (a big win for actions that overwrite a large-domain variable
-        #: they never read, e.g. nondeterministic domain sweeps).  An
-        #: incorrect declaration silently corrupts the transition
-        #: relation — declare only what the action text makes obvious.
+        #: they never read, e.g. nondeterministic domain sweeps).  A
+        #: declaration is trusted, not checked on the exploration path:
+        #: a wrong one silently corrupts the transition relation —
+        #: declare only what the action text makes obvious.
         self.reads = frozenset(reads) if reads is not None else None
         self.writes = frozenset(writes) if writes is not None else None
         #: state -> tuple of successors.  Guards and statements are pure
@@ -267,9 +310,11 @@ class Action:
 
     def renamed(self, name: str) -> "Action":
         """A copy of this action under a different name."""
+        if self.plan is not None:
+            return Action(name, plan=self.plan)
         return Action(
             name=name, guard=self.guard, statement=self.statement,
-            reads=self.reads, writes=self.writes, plan=self.plan,
+            reads=self.reads, writes=self.writes,
         )
 
     def preserves(self, predicate: Predicate, states: Iterable[State]) -> bool:

@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 from .action import Action, assign
 from .exploration import TransitionSystem, explored_system
 from .kernels import Plan
-from .predicate import Predicate, TRUE
+from .predicate import Predicate, TRUE, var_ne
 from .program import Program
 from .results import CheckResult
 from .state import State, Variable
@@ -113,37 +113,29 @@ def perturb_variable(
     empty class: the only candidate action (``v ≠ x --> v := x`` with
     ``x`` the sole value) would be dead code.
 
-    With the default ``TRUE`` guard the actions carry their exact
-    ``reads``/``writes`` frame and a batch-kernel :class:`Plan`; a
-    caller-supplied guard may consult other variables the factory
-    cannot see, so neither is declared.
+    With the default ``TRUE`` guard the actions are plans (frame and
+    kernels derived); a caller-supplied guard may be any predicate, so
+    those actions are interpreted and declare no frame.
     """
     actions: List[Action] = []
-    exact = guard is TRUE
-    frame = (
-        dict(reads={variable.name}, writes={variable.name})
-        if exact else {}
-    )
     if len(variable.domain) < 2:
         return FaultClass(
             actions, name=name or f"perturb({variable.name})"
         )
     for value in variable.domain:
-        actions.append(
-            Action(
-                name=f"fault_{variable.name}_to_{value!r}",
-                guard=guard & Predicate(
-                    lambda s, v=variable.name, x=value: s[v] != x,
-                    name=f"{variable.name}≠{value!r}",
-                ),
-                statement=assign(**{variable.name: value}),
-                plan=Plan(
-                    ("ne_const", variable.name, value),
-                    [("set_const", variable.name, value)],
-                ) if exact else None,
-                **frame,
+        action_name = f"fault_{variable.name}_to_{value!r}"
+        if guard is TRUE:
+            action = Action(action_name, plan=Plan(
+                ("ne_const", variable.name, value),
+                [("set_const", variable.name, value)],
+            ))
+        else:
+            action = Action(
+                action_name,
+                guard & var_ne(variable.name, value),
+                assign(**{variable.name: value}),
             )
-        )
+        actions.append(action)
     return FaultClass(actions, name=name or f"perturb({variable.name})")
 
 
@@ -156,28 +148,22 @@ def set_variable(
     """Fault that sets one variable to one specific value (e.g. a page
     fault removing an entry, a stuck-at fault).
 
-    With the default ``TRUE`` guard the action reads nothing and
-    unconditionally overwrites its target, the ideal frame shape for
-    the successor memo; a caller-supplied guard disables the frame.
+    With the default ``TRUE`` guard the action is a plan that reads
+    nothing and unconditionally overwrites its target, the ideal frame
+    shape for the successor memo; a caller-supplied guard makes it an
+    interpreted action without a frame.
     """
-    exact = guard is TRUE
-    frame = (
-        dict(reads=frozenset(), writes={variable_name})
-        if exact else {}
-    )
+    action_name = f"fault_set_{variable_name}_{value!r}"
+    if guard is TRUE:
+        action = Action(action_name, plan=Plan(
+            ("true",), [("set_const", variable_name, value)]
+        ))
+    else:
+        action = Action(
+            action_name, guard, assign(**{variable_name: value})
+        )
     return FaultClass(
-        [
-            Action(
-                name=f"fault_set_{variable_name}_{value!r}",
-                guard=guard,
-                statement=assign(**{variable_name: value}),
-                plan=Plan(
-                    ("true",), [("set_const", variable_name, value)]
-                ) if exact else None,
-                **frame,
-            )
-        ],
-        name=name or f"set({variable_name}:={value!r})",
+        [action], name=name or f"set({variable_name}:={value!r})"
     )
 
 
@@ -186,20 +172,14 @@ def crash_variable(flag_name: str, name: Optional[str] = None) -> FaultClass:
     marking a process as down (the process's actions should be guarded by
     ``¬flag``).
 
-    The attached plan encodes the guard as ``flag == False`` — exactly
-    ``not flag`` over the boolean (or 0/1) domains crash flags use."""
+    The plan's guard is ``flag == False`` — exactly ``not flag`` over
+    the boolean (or 0/1) domains crash flags use."""
     return FaultClass(
         [
-            Action(
-                name=f"crash_{flag_name}",
-                guard=Predicate(lambda s, f=flag_name: not s[f], name=f"¬{flag_name}"),
-                statement=assign(**{flag_name: True}),
-                reads={flag_name}, writes={flag_name},
-                plan=Plan(
-                    ("eq_const", flag_name, False),
-                    [("set_const", flag_name, True)],
-                ),
-            )
+            Action(f"crash_{flag_name}", plan=Plan(
+                ("eq_const", flag_name, False),
+                [("set_const", flag_name, True)],
+            ))
         ],
         name=name or f"crash({flag_name})",
     )

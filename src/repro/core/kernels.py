@@ -1,30 +1,34 @@
-"""Compiled batch successor kernels: whole-frontier action evaluation.
+"""The Plan IR and its compilers: one description per guarded command.
 
-Exploration cost in this library is dominated by ``Action.successors``
-— an interpreted Python round trip (guard predicate, statement closure,
-``State`` allocation, hash) per *(state, action)* pair.  This module
-compiles actions whose authors declare a :class:`Plan` — a flat
-positional description of the guard and the assignment — into *batch
-kernels* that evaluate one action over an entire BFS frontier at once:
+A :class:`Plan` is the whole description of a deterministic guarded
+command — a guard expression and a list of effects over named
+variables (grammar below).  Everything else about the action is
+compiled from it here:
 
-- the frontier is a ``(vars, N)`` matrix of domain *ranks* (a value's
-  position in its declared domain), and guards/effects evaluate as
-  vectorized numpy column arithmetic, packing each successor into a
-  single mixed-radix ``int64`` code for O(1) interning;
-- actions without a plan (or whose plan does not fit a schema) run
-  their interpreted ``successors`` inside the same array engine, whose
-  successors are converted to rank columns alongside the kernels'
-  output, so kernels are an accelerator, never a constraint.
+- the interpreted guard and statement (:func:`row_guard`,
+  :func:`row_effects`) and the ``reads``/``writes`` frame
+  (:func:`plan_reads`, :func:`plan_targets`), which
+  :class:`~repro.core.action.Action` derives from ``plan=``;
+- *batch kernels* that evaluate one action over an entire BFS frontier
+  at once: the frontier is a ``(vars, N)`` matrix of domain *ranks* (a
+  value's position in its declared domain), guards and effects evaluate
+  as vectorized numpy column arithmetic, and each successor packs into
+  a single mixed-radix ``int64`` code for O(1) interning;
+- a per-row successor closure over raw values-tuples
+  (:func:`row_kernel`), which the symbolic analyzer tabulates.
 
-The same plan also compiles to a per-row closure over raw values-tuples
-(:func:`row_kernel`), which the symbolic analyzer evaluates to check a
-plan against its interpreted action (lint rule DC511).
+The guard grammar is also the state-predicate language: a
+:class:`~repro.core.predicate.Predicate` built with ``expr=`` gets its
+``fn``, its values-tuple evaluator (:func:`row_guard`) and its
+rank-column evaluator (:func:`column_guard`) from the same compilers.
 
-A plan is a *claim*, like an action's ``reads``/``writes`` frame: the
-kernel must implement exactly the guard and statement of the action it
-annotates.  ``tests/test_kernels.py`` pins kernel/interpreted parity
-(state sets, edges, deadlocks) across every bundled program and fault
-builder, under symmetry quotients.
+Actions without a plan (nondeterministic statements such as the
+Byzantine lies) run their interpreted ``successors`` inside the same
+array engine, whose successors are converted to rank columns alongside
+the kernels' output, so kernels are an accelerator, never a constraint.
+``tests/test_kernels.py`` pins kernel/interpreted parity (state sets,
+edges, deadlocks) across every bundled program and fault builder, under
+symmetry quotients.
 
 For state spaces too large to materialize as ``State`` objects at all
 (the ROADMAP's million-state explorations), :func:`explore_codes` runs
@@ -34,7 +38,8 @@ object ever exists.  The ``token_ring_large`` and
 ``byzantine_k13_unreduced`` benchmark suites are gated on its exact
 reachable-state counts.
 
-Plan grammar (nested tuples; ``name`` is a variable name):
+Plan grammar (nested tuples; ``name`` is a variable name; every op
+takes exactly the operands shown, checked at construction):
 
 Guards::
 
@@ -45,6 +50,8 @@ Guards::
     ("eq_majority", name, names, k)            # name == majority(names)
     ("ne_majority", name, names, k)            # (strict 0/1 majority)
     ("and", *exprs)  ("or", *exprs)  ("not", expr)
+
+``("and",)`` is true and ``("or",)`` is false.
 
 Effects (applied atomically — every right-hand side reads the
 pre-state)::
@@ -58,7 +65,9 @@ pre-state)::
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
+)
 
 import numpy as _np
 
@@ -73,6 +82,15 @@ __all__ = [
     "set_backend",
     "get_backend",
     "resolved_backend",
+    "check_guard",
+    "guard_support",
+    "plan_reads",
+    "plan_support",
+    "plan_targets",
+    "render_guard",
+    "row_guard",
+    "row_effects",
+    "column_guard",
     "row_kernel",
     "batch_kernel",
     "explore_codes",
@@ -105,8 +123,38 @@ _FRONTIER_CHUNK = 1 << 20
 
 
 class KernelError(ValueError):
-    """A plan cannot be compiled for a schema (unknown variable,
-    incompatible domains, or a value a domain cannot represent)."""
+    """A plan is malformed, or cannot be compiled for a schema (unknown
+    variable, incompatible domains, or a value a domain cannot
+    represent)."""
+
+
+#: op -> number of operands (``None``: any number of sub-expressions)
+_GUARD_ARITY = {
+    "true": 0, "eq_const": 2, "ne_const": 2, "eq_var": 2, "ne_var": 2,
+    "all_ne_const": 2, "eq_majority": 3, "ne_majority": 3,
+    "and": None, "or": None, "not": 1,
+}
+_EFFECT_ARITY = {"set_const": 2, "copy": 2, "inc_mod": 3, "set_majority": 3}
+
+
+def _check_op(kind: str, term: Tuple, arities: Dict[str, Optional[int]]) -> None:
+    if not term or term[0] not in arities:
+        raise KernelError(f"unknown {kind} op: {term!r}")
+    arity = arities[term[0]]
+    if arity is not None and len(term) != arity + 1:
+        raise KernelError(
+            f"{kind} op {term[0]!r} takes {arity} operand(s), got "
+            f"{len(term) - 1}: {term!r}"
+        )
+
+
+def check_guard(expr: Tuple) -> None:
+    """Raise :class:`KernelError` unless ``expr`` is a well-formed guard
+    expression: known ops, each with exactly its operands."""
+    _check_op("guard", expr, _GUARD_ARITY)
+    if expr[0] in ("and", "or", "not"):
+        for sub in expr[1:]:
+            check_guard(sub)
 
 
 class Plan:
@@ -119,34 +167,93 @@ class Plan:
 
     __slots__ = ("guard", "effects")
 
-    _GUARD_OPS = frozenset({
-        "true", "eq_const", "ne_const", "eq_var", "ne_var",
-        "all_ne_const", "eq_majority", "ne_majority", "and", "or", "not",
-    })
-    _EFFECT_OPS = frozenset({"set_const", "copy", "inc_mod", "set_majority"})
-
     def __init__(self, guard: Tuple, effects: Iterable[Tuple]):
         self.guard = tuple(guard)
         self.effects = tuple(tuple(effect) for effect in effects)
-        self._check_guard(self.guard)
+        check_guard(self.guard)
         if not self.effects:
             raise KernelError("a plan needs at least one effect")
         for effect in self.effects:
-            if not effect or effect[0] not in self._EFFECT_OPS:
-                raise KernelError(f"unknown effect op: {effect!r}")
-
-    @classmethod
-    def _check_guard(cls, expr: Tuple) -> None:
-        if not expr or expr[0] not in cls._GUARD_OPS:
-            raise KernelError(f"unknown guard op: {expr!r}")
-        if expr[0] in ("and", "or"):
-            for sub in expr[1:]:
-                cls._check_guard(sub)
-        elif expr[0] == "not":
-            cls._check_guard(expr[1])
+            _check_op("effect", effect, _EFFECT_ARITY)
 
     def __repr__(self) -> str:
         return f"Plan(guard={self.guard!r}, effects={self.effects!r})"
+
+
+# -- syntactic support: the frames an action derives from its plan -------------
+
+def guard_support(expr: Tuple) -> FrozenSet[str]:
+    """The variables a guard expression syntactically mentions."""
+    op = expr[0]
+    if op in ("eq_const", "ne_const"):
+        return frozenset((expr[1],))
+    if op in ("eq_var", "ne_var"):
+        return frozenset((expr[1], expr[2]))
+    if op == "all_ne_const":
+        return frozenset(expr[1])
+    if op in ("eq_majority", "ne_majority"):
+        return frozenset((expr[1],)) | frozenset(expr[2])
+    # "true" / "and" / "or" / "not"
+    support: FrozenSet[str] = frozenset()
+    for sub in expr[1:]:
+        support |= guard_support(sub)
+    return support
+
+
+def _effect_sources(effect: Tuple) -> FrozenSet[str]:
+    op = effect[0]
+    if op == "set_const":
+        return frozenset()
+    if op in ("copy", "inc_mod"):
+        return frozenset((effect[2],))
+    return frozenset(effect[2])  # set_majority
+
+
+def plan_targets(plan: Plan) -> Tuple[str, ...]:
+    """The variables the plan's effects assign, in effect order, deduped
+    — the derived ``writes`` frame."""
+    return tuple(dict.fromkeys(effect[1] for effect in plan.effects))
+
+
+def plan_reads(plan: Plan) -> FrozenSet[str]:
+    """The guard's support plus every effect's sources — the derived
+    ``reads`` frame."""
+    reads = guard_support(plan.guard)
+    for effect in plan.effects:
+        reads |= _effect_sources(effect)
+    return reads
+
+
+def plan_support(plan: Plan) -> FrozenSet[str]:
+    """Every variable the plan mentions (guard, sources, and targets)."""
+    return plan_reads(plan) | frozenset(plan_targets(plan))
+
+
+def render_guard(expr: Tuple) -> str:
+    """A readable rendering of a guard expression (the display name of
+    a plan-derived guard)."""
+    op = expr[0]
+    if op == "true":
+        return "true"
+    if op in ("eq_const", "ne_const"):
+        rel = "=" if op == "eq_const" else "≠"
+        return f"{expr[1]}{rel}{expr[2]!r}"
+    if op in ("eq_var", "ne_var"):
+        rel = "=" if op == "eq_var" else "≠"
+        return f"{expr[1]}{rel}{expr[2]}"
+    if op == "all_ne_const":
+        return f"∀({', '.join(expr[1])})≠{expr[2]!r}"
+    if op in ("eq_majority", "ne_majority"):
+        rel = "=" if op == "eq_majority" else "≠"
+        return f"{expr[1]}{rel}maj({', '.join(expr[2])})"
+    if op == "not":
+        return "¬" + render_guard(expr[1])
+    if len(expr) == 1:
+        return "true" if op == "and" else "false"
+    if len(expr) == 2:
+        return render_guard(expr[1])
+    joiner = " ∧ " if op == "and" else " ∨ "
+    return "(" + joiner.join(render_guard(sub) for sub in expr[1:]) + ")"
 
 
 # -- backend selection ---------------------------------------------------------
@@ -304,20 +411,25 @@ def _domain_of(domains: Dict[str, Tuple], name: str) -> Tuple:
     return domain
 
 
-def _validate_effects(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
+def _validate_names(names: Iterable[str], index) -> None:
+    for name in sorted(names):
+        _position(index, name)
+
+
+def _validate_plan(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
+    """Every plan variable is in ``index`` and every effect fits the
+    declared domains (a kernel packs ranks, so a value must have one)."""
+    _validate_names(plan_support(plan), index)
     for effect in plan.effects:
         op = effect[0]
         if op == "set_const":
             _, name, value = effect
-            _position(index, name)
             _require(
                 value in _domain_of(domains, name),
                 f"set_const value {value!r} outside domain of {name!r}",
             )
         elif op == "copy":
             _, dst, src = effect
-            _position(index, dst)
-            _position(index, src)
             dst_domain = set(_domain_of(domains, dst))
             _require(
                 all(v in dst_domain for v in _domain_of(domains, src)),
@@ -326,48 +438,21 @@ def _validate_effects(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
             )
         elif op == "inc_mod":
             _, dst, src, m = effect
-            _position(index, dst)
-            _position(index, src)
             expected = tuple(range(m))
             _require(
                 _domain_of(domains, dst) == expected
                 and _domain_of(domains, src) == expected,
                 f"inc_mod needs 0..{m - 1} domains on {dst!r} and {src!r}",
             )
-        elif op == "set_majority":
-            _, dst, names, _k = effect
-            _position(index, dst)
-            for n in names:
-                _position(index, n)
-            dst_domain = _domain_of(domains, dst)
+        else:  # set_majority
+            dst_domain = _domain_of(domains, effect[1])
             _require(
                 0 in dst_domain and 1 in dst_domain,
-                f"set_majority target {dst!r} cannot hold 0/1",
+                f"set_majority target {effect[1]!r} cannot hold 0/1",
             )
 
 
-def _validate_guard(expr: Tuple, index) -> None:
-    op = expr[0]
-    if op in ("eq_const", "ne_const"):
-        _position(index, expr[1])
-    elif op in ("eq_var", "ne_var"):
-        _position(index, expr[1])
-        _position(index, expr[2])
-    elif op == "all_ne_const":
-        for n in expr[1]:
-            _position(index, n)
-    elif op in ("eq_majority", "ne_majority"):
-        _position(index, expr[1])
-        for n in expr[2]:
-            _position(index, n)
-    elif op in ("and", "or"):
-        for sub in expr[1:]:
-            _validate_guard(sub, index)
-    elif op == "not":
-        _validate_guard(expr[1], index)
-
-
-# -- per-row evaluators over raw values-tuples (the DC511 oracle's side) -------
+# -- per-row evaluators over raw values-tuples -----------------------------------
 
 def _majority_counter(positions: Tuple[int, ...], k: int):
     def majority(values, positions=positions, k=k):
@@ -380,6 +465,8 @@ def _majority_counter(positions: Tuple[int, ...], k: int):
 
 
 def _compile_guard_pure(expr: Tuple, index) -> Optional[Callable]:
+    """Guard evaluator over values sequences, or ``None`` for a guard
+    that is syntactically always true (positions already validated)."""
     op = expr[0]
     if op == "true":
         return None
@@ -420,6 +507,8 @@ def _compile_guard_pure(expr: Tuple, index) -> Optional[Callable]:
         subs = [f for f in subs if f is not None]
         if not subs:
             return None
+        if len(subs) == 1:
+            return subs[0]
         def conj(values, fns=tuple(subs)):
             for fn in fns:
                 if not fn(values):
@@ -429,6 +518,8 @@ def _compile_guard_pure(expr: Tuple, index) -> Optional[Callable]:
     # "or": a "true" operand makes the whole disjunction trivially true
     if any(f is None for f in subs):
         return None
+    if len(subs) == 1:
+        return subs[0]
     def disj(values, fns=tuple(subs)):
         for fn in fns:
             if fn(values):
@@ -437,39 +528,47 @@ def _compile_guard_pure(expr: Tuple, index) -> Optional[Callable]:
     return disj
 
 
-def _compile_effects_pure(plan: Plan, index) -> Callable:
+def _always_true(values) -> bool:
+    return True
+
+
+def row_guard(expr: Tuple, index: Dict[str, int]) -> Callable:
+    """The evaluator of a guard expression over raw values sequences in
+    ``index`` order (a schema's name -> position map).  Raises
+    :class:`KernelError` when the expression names a variable outside
+    ``index``."""
+    _validate_names(guard_support(expr), index)
+    fn = _compile_guard_pure(expr, index)
+    return _always_true if fn is None else fn
+
+
+def row_effects(plan: Plan, index: Dict[str, int]) -> Callable:
+    """The plan's assignment over raw values sequences in ``index``
+    order: values in, successor values-tuple out (the guard is not
+    consulted).  Raises :class:`KernelError` on an unknown variable."""
     steps = []
     for effect in plan.effects:
         op = effect[0]
+        target = _position(index, effect[1])
         if op == "set_const":
-            p, v = index[effect[1]], effect[2]
-            steps.append(lambda values, out, p=p, v=v: out.__setitem__(p, v))
+            value = lambda values, v=effect[2]: v
         elif op == "copy":
-            d, s = index[effect[1]], index[effect[2]]
-            steps.append(
-                lambda values, out, d=d, s=s: out.__setitem__(d, values[s])
-            )
+            value = lambda values, s=_position(index, effect[2]): values[s]
         elif op == "inc_mod":
-            d, s, m = index[effect[1]], index[effect[2]], effect[3]
-            steps.append(
-                lambda values, out, d=d, s=s, m=m:
-                out.__setitem__(d, (values[s] + 1) % m)
+            value = (
+                lambda values, s=_position(index, effect[2]), m=effect[3]:
+                (values[s] + 1) % m
             )
         else:  # set_majority
-            d = index[effect[1]]
-            majority = _majority_counter(
-                tuple(index[n] for n in effect[2]), effect[3]
+            value = _majority_counter(
+                tuple(_position(index, n) for n in effect[2]), effect[3]
             )
-            steps.append(
-                lambda values, out, d=d, m=majority:
-                out.__setitem__(d, m(values))
-            )
-    steps = tuple(steps)
+        steps.append((target, value))
 
-    def apply(values, steps=steps):
+    def apply(values, steps=tuple(steps)):
         out = list(values)
-        for step in steps:
-            step(values, out)
+        for target, value in steps:
+            out[target] = value(values)
         return tuple(out)
 
     return apply
@@ -497,10 +596,9 @@ def row_kernel(action, schema, domains: Dict[str, Tuple]) -> Optional[Callable]:
     fn: Optional[Callable] = None
     try:
         index = schema.index
-        _validate_guard(plan.guard, index)
-        _validate_effects(plan, index, domains)
+        _validate_plan(plan, index, domains)
         guard = _compile_guard_pure(plan.guard, index)
-        effects = _compile_effects_pure(plan, index)
+        effects = row_effects(plan, index)
         if guard is None:
             fn = effects
         else:
@@ -605,12 +703,26 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
         return conj
     if any(f is None for f in subs):
         return None
+    if not subs:  # the empty disjunction is false
+        return lambda cols: _np.zeros(cols.shape[1], dtype=bool)
     def disj(cols, fns=tuple(subs)):
         acc = fns[0](cols)
         for fn in fns[1:]:
             acc |= fn(cols)
         return acc
     return disj
+
+
+def column_guard(expr: Tuple, layout: Layout) -> Callable:
+    """The evaluator of a guard expression over a ``(vars, N)``
+    rank-column matrix of ``layout``: a length-``N`` boolean mask.
+    Raises :class:`KernelError` when the expression names a variable
+    outside the layout's schema."""
+    _validate_names(guard_support(expr), layout.index)
+    fn = _compile_guard_numpy(expr, layout)
+    if fn is None:
+        return lambda cols: _np.ones(cols.shape[1], dtype=bool)
+    return fn
 
 
 def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
@@ -685,8 +797,7 @@ def batch_kernel(action, layout: Layout) -> Optional[Callable]:
             name: layout.domains[i]
             for i, name in enumerate(layout.schema.names)
         }
-        _validate_guard(plan.guard, layout.index)
-        _validate_effects(plan, layout.index, domains)
+        _validate_plan(plan, layout.index, domains)
         guard = _compile_guard_numpy(plan.guard, layout)
         steps = _compile_effects_numpy(plan, layout)
         empty = _np.empty(0, dtype=_np.int64)
@@ -742,8 +853,7 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
             name: layout.domains[i]
             for i, name in enumerate(layout.schema.names)
         }
-        _validate_guard(plan.guard, index)
-        _validate_effects(plan, index, domains)
+        _validate_plan(plan, index, domains)
         guard = _compile_guard_numpy(plan.guard, layout)
         strides = layout.strides
         deltas: List[Callable] = []

@@ -5,7 +5,9 @@ over program variables — and identifies each predicate with the set of
 states in which it holds (Section 2.1).  :class:`Predicate` captures both
 views:
 
-- intensionally, a predicate wraps a function ``State -> bool``;
+- intensionally, a predicate is an expression in the guard grammar of
+  :mod:`repro.core.kernels` (``expr=``), a schema compiler over raw
+  values-tuples (``values_builder=``), or a function ``State -> bool``;
 - extensionally, :meth:`Predicate.from_states` builds a predicate from an
   explicit set of states, and :meth:`Predicate.states_in` evaluates a
   predicate over an iterable of states.
@@ -18,14 +20,42 @@ counterexamples remain legible.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Iterator, Sequence, Set
+from typing import Callable, FrozenSet, Iterable, Iterator, Sequence, Set, Tuple
 
-import numpy as _np
-
+from .kernels import KernelError, check_guard, column_guard, row_guard
 from .state import Schema, State, _state_of
 
 __all__ = ["Predicate", "EvaluatorMemo", "TRUE", "FALSE",
            "var_eq", "var_ne", "var_in"]
+
+
+class EvaluatorMemo(dict):
+    """A compiled-evaluator cache a predicate closure may carry.
+
+    Predicates that compile a per-schema evaluator on first use keep
+    the compiled plans in one of these instead of a plain ``dict``:
+    content fingerprinting (:mod:`repro.store.keys`) treats an
+    ``EvaluatorMemo`` closure cell as an opaque, empty marker, so the
+    cache filling up never changes the predicate's content key.  A plain
+    ``dict`` in a closure is fingerprinted by value — correct for
+    configuration, key-drifting for caches."""
+
+    __slots__ = ()
+
+
+def _per_schema(build: Callable) -> Callable[[State], bool]:
+    """``State -> bool`` through a values-tuple evaluator compiled once
+    per schema by ``build(schema.index)``."""
+    compiled = EvaluatorMemo()
+
+    def holds(state) -> bool:
+        schema = state._schema
+        fn = compiled.get(schema)
+        if fn is None:
+            fn = compiled[schema] = build(schema.index)
+        return fn(state._values)
+
+    return holds
 
 
 def _compose_values(a, b, combine: str):
@@ -42,41 +72,58 @@ def _compose_values(a, b, combine: str):
     )
 
 
-def _compose_columns(a, b, combine: str):
-    """Compose two ``columns_builder`` compilers under elementwise
-    and/or over boolean mask arrays."""
-    if a is None or b is None:
-        return None
-    if combine == "and":
-        return lambda layout, _a=a, _b=b: (
-            lambda cols, fa=_a(layout), fb=_b(layout): fa(cols) & fb(cols)
-        )
-    return lambda layout, _a=a, _b=b: (
-        lambda cols, fa=_a(layout), fb=_b(layout): fa(cols) | fb(cols)
+def _negate_values(a):
+    return None if a is None else (
+        lambda index, _a=a: (lambda values, fa=_a(index): not fa(values))
     )
 
 
 class Predicate:
     """A state predicate: a named boolean function of a :class:`State`.
 
-    Parameters
-    ----------
-    fn:
-        Function evaluating the predicate at a state.
-    name:
-        Human-readable rendering, used in reprs, certificates, and
-        counterexample explanations.
+    Give exactly one description:
+
+    ``expr``
+        A guard expression of :mod:`repro.core.kernels` (the grammar
+        plans use).  ``fn``, the values-tuple evaluator and the
+        rank-column evaluator (:meth:`columns_for`) are all compiled
+        from it, and the content key is the expression itself.
+    ``values_builder``
+        A schema compiler: ``values_builder(schema.index)`` returns an
+        evaluator over raw values-tuples.  ``fn`` compiles it once per
+        schema.  The escape hatch for predicates the grammar cannot
+        express (counts such as "exactly one token").
+    ``fn``
+        A function ``State -> bool``, optionally with a
+        ``values_builder`` equivalent to it on every schema.
+
+    ``name`` is the human-readable rendering used in reprs,
+    certificates, and counterexample explanations.
     """
 
-    __slots__ = ("fn", "name", "values_builder", "columns_builder")
+    __slots__ = ("fn", "name", "values_builder", "expr")
 
     def __init__(
         self,
-        fn: Callable[[State], bool],
+        fn: Callable[[State], bool] = None,
         name: str = "pred",
         values_builder: Callable = None,
-        columns_builder: Callable = None,
+        expr: Tuple = None,
     ):
+        if expr is not None:
+            if fn is not None or values_builder is not None:
+                raise TypeError(
+                    f"predicate {name!r}: expr= is the whole description; "
+                    f"fn and values_builder are compiled from it"
+                )
+            check_guard(expr)
+            values_builder = lambda index, expr=expr: row_guard(expr, index)
+        if fn is None:
+            if values_builder is None:
+                raise TypeError(
+                    f"predicate {name!r} needs expr=, values_builder= or fn"
+                )
+            fn = _per_schema(values_builder)
         self.fn = fn
         self.name = name
         #: Optional schema compiler: ``values_builder(schema.index)``
@@ -85,15 +132,9 @@ class Predicate:
         #: (:meth:`repro.core.regions.StateIndex.region_bits`) use it to
         #: skip the per-state schema dispatch the ``fn`` wrapper needs.
         self.values_builder = values_builder
-        #: Optional columnar compiler: ``columns_builder(layout)`` (a
-        #: :class:`repro.core.kernels.Layout`) returns an evaluator
-        #: mapping a ``(vars, N)`` rank-column matrix — the encoding the
-        #: batch exploration engine leaves on a system as
-        #: ``_state_cols`` — to a length-``N`` boolean mask, equivalent
-        #: to mapping ``fn`` over the decoded states.  Region sweeps use
-        #: it to evaluate the predicate over every state in a handful of
-        #: numpy operations instead of N Python calls.
-        self.columns_builder = columns_builder
+        #: the guard-grammar expression this predicate was built from,
+        #: or ``None`` for function/values-builder predicates
+        self.expr = expr
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, state: State) -> bool:
@@ -112,81 +153,67 @@ class Predicate:
         return (s for s in states if self(s))
 
     # -- algebra -------------------------------------------------------------
-    # combinators close over the operand *functions*, not the Predicate
-    # objects: composed guards are evaluated once per (state, action)
-    # pair during exploration, and the extra __call__ frame per operand
-    # was measurable there.
+    # expression predicates compose into expression predicates; anything
+    # else closes over the operand *functions*, not the Predicate objects:
+    # composed guards are evaluated once per (state, action) pair during
+    # exploration, and the extra __call__ frame per operand was
+    # measurable there.
     def __and__(self, other: "Predicate") -> "Predicate":
+        name = f"({self.name} ∧ {other.name})"
+        if self.expr is not None and other.expr is not None:
+            return Predicate(expr=("and", self.expr, other.expr), name=name)
         return Predicate(
             lambda s, a=self.fn, b=other.fn: a(s) and b(s),
-            name=f"({self.name} ∧ {other.name})",
+            name=name,
             values_builder=_compose_values(
                 self.values_builder, other.values_builder, "and"
-            ),
-            columns_builder=_compose_columns(
-                self.columns_builder, other.columns_builder, "and"
             ),
         )
 
     def __or__(self, other: "Predicate") -> "Predicate":
+        name = f"({self.name} ∨ {other.name})"
+        if self.expr is not None and other.expr is not None:
+            return Predicate(expr=("or", self.expr, other.expr), name=name)
         return Predicate(
             lambda s, a=self.fn, b=other.fn: a(s) or b(s),
-            name=f"({self.name} ∨ {other.name})",
+            name=name,
             values_builder=_compose_values(
                 self.values_builder, other.values_builder, "or"
-            ),
-            columns_builder=_compose_columns(
-                self.columns_builder, other.columns_builder, "or"
             ),
         )
 
     def __invert__(self) -> "Predicate":
-        vb = self.values_builder
-        cb = self.columns_builder
+        name = f"¬{self.name}"
+        if self.expr is not None:
+            return Predicate(expr=("not", self.expr), name=name)
         return Predicate(
             lambda s, a=self.fn: not a(s),
-            name=f"¬{self.name}",
-            values_builder=None if vb is None else (
-                lambda index, _a=vb: (
-                    lambda values, fa=_a(index): not fa(values)
-                )
-            ),
-            columns_builder=None if cb is None else (
-                lambda layout, _a=cb: (
-                    lambda cols, fa=_a(layout): ~fa(cols)
-                )
-            ),
+            name=name,
+            values_builder=_negate_values(self.values_builder),
         )
 
     def implies(self, other: "Predicate") -> "Predicate":
         """The predicate ``self ⇒ other`` (pointwise implication)."""
+        name = f"({self.name} ⇒ {other.name})"
+        if self.expr is not None and other.expr is not None:
+            return Predicate(
+                expr=("or", ("not", self.expr), other.expr), name=name
+            )
         return Predicate(
             lambda s, a=self.fn, b=other.fn: (not a(s)) or b(s),
-            name=f"({self.name} ⇒ {other.name})",
+            name=name,
             values_builder=_compose_values(
-                None if self.values_builder is None else (
-                    lambda index, _a=self.values_builder: (
-                        lambda values, fa=_a(index): not fa(values)
-                    )
-                ),
-                other.values_builder, "or",
-            ),
-            columns_builder=_compose_columns(
-                None if self.columns_builder is None else (
-                    lambda layout, _a=self.columns_builder: (
-                        lambda cols, fa=_a(layout): ~fa(cols)
-                    )
-                ),
-                other.columns_builder, "or",
+                _negate_values(self.values_builder), other.values_builder,
+                "or",
             ),
         )
 
     def rename(self, name: str) -> "Predicate":
         """Return the same predicate under a new display name."""
+        if self.expr is not None:
+            return Predicate(expr=self.expr, name=name)
         return Predicate(
-            self.fn, name=name,
-            values_builder=self.values_builder,
-            columns_builder=self.columns_builder,
+            self.fn, name=name, values_builder=self.values_builder
         )
 
     def compile_for(self, schema: Schema) -> Callable[[Sequence], bool]:
@@ -205,6 +232,21 @@ class Predicate:
         def evaluate(values, _schema=schema, _fn=fn):
             return bool(_fn(_state_of(_schema, tuple(values))))
         return evaluate
+
+    def columns_for(self, layout) -> Callable:
+        """An evaluator mapping a ``(vars, N)`` rank-column matrix of
+        ``layout`` (a :class:`repro.core.kernels.Layout`) to a
+        length-``N`` boolean mask, equivalent to mapping ``fn`` over the
+        decoded states — or ``None`` when the predicate has no
+        expression or the expression names a variable the layout lacks.
+        Region sweeps over columnar-explored systems use it to evaluate
+        the predicate on every state in a handful of numpy operations."""
+        if self.expr is None:
+            return None
+        try:
+            return column_guard(self.expr, layout)
+        except KernelError:
+            return None
 
     # -- extensional view ------------------------------------------------
     @staticmethod
@@ -227,90 +269,25 @@ class Predicate:
         return f"Predicate({self.name})"
 
 
-class EvaluatorMemo(dict):
-    """A compiled-evaluator cache a predicate closure may carry.
-
-    Model predicates that compile a per-schema evaluator on first use
-    keep the compiled plans in one of these instead of a plain ``dict``:
-    content fingerprinting (:mod:`repro.store.keys`) treats an
-    ``EvaluatorMemo`` closure cell as an opaque, empty marker, so the
-    cache filling up never changes the predicate's content key.  A plain
-    ``dict`` in a closure is fingerprinted by value — correct for
-    configuration, key-drifting for caches."""
-
-    __slots__ = ()
-
-
-TRUE = Predicate(lambda s: True, name="true")
-FALSE = Predicate(lambda s: False, name="false")
-
-
-# the variable-comparison factories carry a values_builder so that
-# region sweeps and detector banks evaluate them on raw values tuples
-# without the State wrapper, and a columns_builder so that region
-# sweeps over columnar-explored systems vectorize over rank columns
-
-def _eq_columns(name: str, value: object):
-    def build(layout):
-        i = layout.index[name]
-        # a value outside the declared domain matches no rank: rank -1
-        # never occurs in a column, giving the correct all-False mask
-        r = layout.ranks[i].get(value, -1)
-        return lambda cols: cols[i] == r
-    return build
-
-
-def _ne_columns(name: str, value: object):
-    def build(layout):
-        i = layout.index[name]
-        r = layout.ranks[i].get(value, -1)
-        return lambda cols: cols[i] != r
-    return build
-
-
-def _in_columns(name: str, allowed: Set[object]):
-    def build(layout):
-        i = layout.index[name]
-        lut = _np.zeros(layout.sizes[i], dtype=bool)
-        for value, rank in layout.ranks[i].items():
-            if value in allowed:
-                lut[rank] = True
-        return lambda cols: lut[cols[i]]
-    return build
+TRUE = Predicate(expr=("true",), name="true")
+FALSE = Predicate(expr=("or",), name="false")
 
 
 def var_eq(name: str, value: object) -> Predicate:
     """Predicate ``name == value``."""
-    return Predicate(
-        lambda s: s[name] == value,
-        name=f"{name}={value!r}",
-        values_builder=lambda index, n=name, v=value: (
-            lambda values, i=index[n]: values[i] == v
-        ),
-        columns_builder=_eq_columns(name, value),
-    )
+    return Predicate(expr=("eq_const", name, value), name=f"{name}={value!r}")
 
 
 def var_ne(name: str, value: object) -> Predicate:
     """Predicate ``name != value``."""
-    return Predicate(
-        lambda s: s[name] != value,
-        name=f"{name}≠{value!r}",
-        values_builder=lambda index, n=name, v=value: (
-            lambda values, i=index[n]: values[i] != v
-        ),
-        columns_builder=_ne_columns(name, value),
-    )
+    return Predicate(expr=("ne_const", name, value), name=f"{name}≠{value!r}")
 
 
 def var_in(name: str, values: Iterable[object]) -> Predicate:
-    """Predicate ``name ∈ values``."""
+    """Predicate ``name ∈ values`` (the empty set gives the empty,
+    false, disjunction)."""
     allowed: Set[object] = set(values)
     return Predicate(
-        lambda s: s[name] in allowed,
+        expr=("or", *(("eq_const", name, v) for v in sorted(allowed, key=repr))),
         name=f"{name}∈{sorted(map(repr, allowed))}",
-        values_builder=lambda index, n=name, a=allowed: (
-            lambda values, i=index[n]: values[i] in a
-        ),
-        columns_builder=_in_columns(name, allowed),
     )

@@ -267,9 +267,10 @@ class StateIndex:
         share of index construction.
 
         ``layout`` is an optional :class:`repro.core.kernels.Layout`
-        covering every indexed state; when given, predicates carrying a
-        ``columns_builder`` sweep a lazily built rank-column matrix in a
-        few numpy operations instead of one Python call per state."""
+        covering every indexed state; when given, expression predicates
+        (:meth:`Predicate.columns_for`) sweep a lazily built rank-column
+        matrix in a few numpy operations instead of one Python call per
+        state."""
         states = tuple(states)
         if not _distinct:
             states = tuple(dict.fromkeys(states))
@@ -352,15 +353,18 @@ class StateIndex:
     def region_bits(self, predicate: Predicate) -> int:
         cached = self._region_bits.get(predicate)
         if cached is None:
-            if predicate is TRUE:
-                cached = self.full_bits
-            elif (
-                predicate.columns_builder is not None
+            columns = None
+            if (
+                predicate.expr is not None and predicate is not TRUE
                 and self._columns() is not None
             ):
+                columns = predicate.columns_for(self._layout)
+            if predicate is TRUE:
+                cached = self.full_bits
+            elif columns is not None:
                 # columnar sweep: evaluate over rank columns in a few
                 # vector operations, then derive both memos
-                mask = predicate.columns_builder(self._layout)(self._columns())
+                mask = columns(self._columns())
                 states = self.states
                 self._satisfying[predicate] = tuple(
                     states[i] for i in _np.flatnonzero(mask).tolist()
@@ -716,6 +720,17 @@ class SystemIndex:
             return None
         return state_cols
 
+    def _column_bits(self, predicate: Predicate) -> Optional[int]:
+        """The predicate's region bits from the rank columns the
+        columnar engine left on the system, or ``None`` when either the
+        columns or a column evaluator of the predicate is missing."""
+        pair = self._columns()
+        if pair is None:
+            return None
+        layout, cols = pair
+        columns = predicate.columns_for(layout)
+        return None if columns is None else _pack_bits(columns(cols))
+
     def satisfying(self, predicate: Predicate) -> Tuple[State, ...]:
         cached = self._satisfying.get(predicate)
         if cached is None:
@@ -723,12 +738,9 @@ class SystemIndex:
                 cached = self.states
             else:
                 bits = self._region_bits.get(predicate)
-                if bits is None and predicate.columns_builder is not None:
-                    pair = self._columns()
-                    if pair is not None:
-                        layout, cols = pair
-                        mask = predicate.columns_builder(layout)(cols)
-                        bits = _pack_bits(mask)
+                if bits is None and predicate.expr is not None:
+                    bits = self._column_bits(predicate)
+                    if bits is not None:
                         self._region_bits[predicate] = bits
                 if bits is not None:
                     # derive from the (columnar or previously computed)
@@ -759,20 +771,15 @@ class SystemIndex:
         if cached is None:
             if predicate is TRUE:
                 cached = self.full_bits
-            elif (
-                predicate.columns_builder is not None
-                and predicate not in self._satisfying
-                and self._columns() is not None
-            ):
-                layout, cols = self._columns()
-                cached = _pack_bits(
-                    predicate.columns_builder(layout)(cols)
-                )
             else:
-                id_of = self.id_of
-                cached = bits_of_ids(
-                    (id_of[s] for s in self.satisfying(predicate)), self.n
-                )
+                if predicate not in self._satisfying:
+                    cached = self._column_bits(predicate)
+                if cached is None:
+                    id_of = self.id_of
+                    cached = bits_of_ids(
+                        (id_of[s] for s in self.satisfying(predicate)),
+                        self.n,
+                    )
             self._region_bits[predicate] = cached
         return cached
 

@@ -38,17 +38,23 @@ program constructively:
 State variables: ``dg``/``bg`` for the general; per non-general ``j``:
 ``d{j}`` (copied decision, ``⊥`` initially), ``out{j}`` (the output,
 ``⊥`` until ``IB2.j`` fires), ``b{j}`` (Byzantine flag).
+
+:func:`build_family` generalizes the construction to any odd number
+``k`` of non-generals; :func:`build` is its paper instance, ``k = 3``.
+Every deterministic action is a :class:`~repro.core.kernels.Plan`, and
+the witness and detection predicates are expressions in the same
+grammar; only the Byzantine lies (nondeterministic writes) and the
+count predicates (spec, invariants, span) are written as code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from ..core import (
     BOTTOM,
     Action,
-    EvaluatorMemo,
     FaultClass,
     LeadsTo,
     Plan,
@@ -59,7 +65,6 @@ from ..core import (
     StateInvariant,
     TRUE,
     Variable,
-    assign,
 )
 
 __all__ = ["ByzantineModel", "build", "build_family", "majority", "corrdecn"]
@@ -79,40 +84,18 @@ def majority(values: Sequence[Hashable]) -> Hashable:
     return best
 
 
-# per-process names, computed once: the tolerance predicates below run on
-# every state of the full product space, where rebuilding f"d{j}"-style
-# keys per call dominated their cost
-_B_NAMES: Tuple[str, ...] = tuple(f"b{j}" for j in NON_GENERALS)
-_D_NAMES: Tuple[str, ...] = tuple(f"d{j}" for j in NON_GENERALS)
-_OUT_NAMES: Tuple[str, ...] = tuple(f"out{j}" for j in NON_GENERALS)
-
-
-def _majority_of_state(state) -> Hashable:
-    # specialization of majority() for the three non-general copies
-    a, b, c = state["d1"], state["d2"], state["d3"]
-    if a == b or a == c:
-        return a
-    if b == c:
-        return b
-    raise ValueError(f"no strict majority in {[a, b, c]!r}")
-
-
-def _all_copied(state) -> bool:
-    return all(state[n] is not BOTTOM for n in _D_NAMES)
-
-
-def corrdecn(state) -> Hashable:
+def corrdecn(state, non_generals: Sequence[int] = NON_GENERALS) -> Hashable:
     """The paper's *correct decision*: ``d.g`` when the general is
     honest, else the majority of the non-general copies (defined once
     every non-general holds a value)."""
     if not state["bg"]:
         return state["dg"]
-    return _majority_of_state(state)
+    return majority([state[f"d{j}"] for j in non_generals])
 
 
 @dataclass(frozen=True)
 class ByzantineModel:
-    """All artifacts of the Section 6.2 construction (n = 4, f = 1)."""
+    """All artifacts of the Section 6.2 construction (f = 1)."""
 
     ib: Program              #: fault-intolerant agreement (no BYZ components)
     ib_with_byz: Program     #: IB ‖ BYZ — the intolerant program in the fault environment
@@ -126,519 +109,6 @@ class ByzantineModel:
     witnesses: Dict[int, Predicate]   #: DB.j witness per non-general
     detections: Dict[int, Predicate]  #: d.j = corrdecn per non-general
 
-
-def _variables() -> List[Variable]:
-    variables = [Variable("dg", VALUES), Variable("bg", [False, True])]
-    for j in NON_GENERALS:
-        variables.append(Variable(f"d{j}", [BOTTOM, *VALUES]))
-        variables.append(Variable(f"out{j}", [BOTTOM, *VALUES]))
-        variables.append(Variable(f"b{j}", [False, True]))
-    return variables
-
-
-def _compiled_predicate(name: str, build: Callable) -> Predicate:
-    """A predicate compiled per state schema.
-
-    ``build(schema.index)`` returns a values-tuple evaluator with the
-    variable positions bound as defaults.  Action guards run once per
-    (state, action) pair in every exploration and the tolerance
-    predicates sweep the full product space, so the per-call cost of
-    rebuilding ``f"b{j}"``-style keys and chaining ``&`` lambdas was a
-    measurable share of the Byzantine workloads."""
-    plans: Dict[object, Callable] = EvaluatorMemo()
-
-    def holds(state) -> bool:
-        schema = state.schema
-        fn = plans.get(schema)
-        if fn is None:
-            fn = build(schema.index)
-            plans[schema] = fn
-        return fn(state.values_tuple)
-
-    return Predicate(holds, name=name, values_builder=build)
-
-
-def _honest(j: int) -> Predicate:
-    return Predicate(lambda s, j=j: not s[f"b{j}"], name=f"¬b{j}")
-
-
-def _witness(j: int) -> Predicate:
-    """DB.j / CB.j witness: every non-general has copied a value and
-    ``d.j`` equals their majority."""
-    return Predicate(
-        lambda s, j=j: _all_copied(s) and s[f"d{j}"] == _majority_of_state(s),
-        name=f"W{j}: all copied ∧ d{j}=majority",
-    )
-
-
-def _detection(j: int) -> Predicate:
-    """DB.j / CB.j detection predicate: ``d.j = corrdecn`` (false while
-    the correct decision is still undefined)."""
-
-    def holds(state, j=j):
-        if state["bg"] and not _all_copied(state):
-            return False
-        return state[f"d{j}"] == corrdecn(state)
-
-    return Predicate(holds, name=f"X{j}: d{j}=corrdecn")
-
-
-def _ib1_guard(j: int) -> Predicate:
-    bn, dn = f"b{j}", f"d{j}"
-
-    def build(index):
-        b_at, d_at = index[bn], index[dn]
-
-        def fn(values, b_at=b_at, d_at=d_at):
-            return not values[b_at] and values[d_at] is BOTTOM
-
-        return fn
-
-    return _compiled_predicate(f"(¬{bn} ∧ {dn}=⊥)", build)
-
-
-def _ib2_guard(j: int, guarded: bool) -> Predicate:
-    bn, dn, on = f"b{j}", f"d{j}", f"out{j}"
-    name = f"(¬{bn} ∧ {dn}≠⊥ ∧ {on}=⊥)"
-    if guarded:
-        name = f"({name[1:-1]} ∧ W{j})"
-
-    def build(index):
-        b_at, d_at, o_at = index[bn], index[dn], index[on]
-        if not guarded:
-            def fn(values, b_at=b_at, d_at=d_at, o_at=o_at):
-                return (
-                    not values[b_at]
-                    and values[d_at] is not BOTTOM
-                    and values[o_at] is BOTTOM
-                )
-            return fn
-        d1, d2, d3 = (index[n] for n in _D_NAMES)
-
-        def fn(values, b_at=b_at, d_at=d_at, o_at=o_at,
-               d1=d1, d2=d2, d3=d3):
-            if (
-                values[b_at]
-                or values[d_at] is BOTTOM
-                or values[o_at] is not BOTTOM
-            ):
-                return False
-            a, b, c = values[d1], values[d2], values[d3]
-            if a is BOTTOM or b is BOTTOM or c is BOTTOM:
-                return False
-            if a == b or a == c:
-                m = a
-            elif b == c:
-                m = b
-            else:
-                raise ValueError(f"no strict majority in {[a, b, c]!r}")
-            return values[d_at] == m
-
-        return fn
-
-    return _compiled_predicate(name, build)
-
-
-def _ib_actions(j: int, guarded: bool) -> List[Action]:
-    """``IB1.j`` and ``IB2.j``; with ``guarded=True`` the output action
-    carries DB.j's witness (the fail-safe restriction ``DB.j ; IB2.j``)."""
-    bn, dn, on = f"b{j}", f"d{j}", f"out{j}"
-    copy = Action(
-        f"IB1.{j}",
-        _ib1_guard(j),
-        assign(**{dn: lambda s: s["dg"]}),
-        reads={bn, dn, "dg"}, writes={dn},
-        plan=Plan(
-            ("and", ("eq_const", bn, False), ("eq_const", dn, BOTTOM)),
-            [("copy", dn, "dg")],
-        ),
-    )
-    output_reads = {bn, on, dn}
-    output_guard = [
-        ("eq_const", bn, False),
-        ("ne_const", dn, BOTTOM),
-        ("eq_const", on, BOTTOM),
-    ]
-    if guarded:
-        # DB.j's witness consults every non-general's copy
-        output_reads |= set(_D_NAMES)
-        output_guard += [
-            ("all_ne_const", _D_NAMES, BOTTOM),
-            ("eq_majority", dn, _D_NAMES, len(_D_NAMES)),
-        ]
-    output = Action(
-        f"IB2.{j}",
-        _ib2_guard(j, guarded),
-        assign(**{on: lambda s, dn=dn: s[dn]}),
-        reads=output_reads, writes={on},
-        plan=Plan(("and", *output_guard), [("copy", on, dn)]),
-    )
-    return [copy, output]
-
-
-def _cb1_guard(j: int) -> Predicate:
-    bn, dn = f"b{j}", f"d{j}"
-
-    def build(index):
-        b_at, d_at = index[bn], index[dn]
-        d1, d2, d3 = (index[n] for n in _D_NAMES)
-
-        def fn(values, b_at=b_at, d_at=d_at, d1=d1, d2=d2, d3=d3):
-            if values[b_at]:
-                return False
-            a, b, c = values[d1], values[d2], values[d3]
-            if a is BOTTOM or b is BOTTOM or c is BOTTOM:
-                return False
-            if a == b or a == c:
-                m = a
-            elif b == c:
-                m = b
-            else:
-                raise ValueError(f"no strict majority in {[a, b, c]!r}")
-            return values[d_at] != m
-
-        return fn
-
-    return _compiled_predicate(
-        f"(¬{bn} ∧ ∀k: dk≠⊥ ∧ {dn}≠majority)", build
-    )
-
-
-def _cb_action(j: int) -> Action:
-    k = len(_D_NAMES)
-    return Action(
-        f"CB1.{j}",
-        _cb1_guard(j),
-        assign(**{f"d{j}": lambda s: _majority_of_state(s)}),
-        reads={f"b{j}", *_D_NAMES}, writes={f"d{j}"},
-        plan=Plan(
-            ("and",
-             ("eq_const", f"b{j}", False),
-             ("all_ne_const", _D_NAMES, BOTTOM),
-             ("ne_majority", f"d{j}", _D_NAMES, k)),
-            [("set_majority", f"d{j}", _D_NAMES, k)],
-        ),
-    )
-
-
-def _byz_behaviour_actions() -> List[Action]:
-    """The arbitrary-behaviour halves of BYZ.g and BYZ.j — program
-    actions, enabled while the respective Byzantine flag is up.  Writes
-    are arbitrary *values*: a Byzantine process may lie but cannot
-    un-send (``⊥`` is never written)."""
-    actions: List[Action] = [
-        Action(
-            "BYZ.g.lie",
-            Predicate(lambda s: s["bg"], name="bg"),
-            lambda s: s.assign_each("dg", VALUES),
-            reads={"bg"}, writes={"dg"},
-        )
-    ]
-    for j in NON_GENERALS:
-        actions.append(
-            Action(
-                f"BYZ.{j}.lie_d",
-                Predicate(lambda s, j=j: s[f"b{j}"], name=f"b{j}"),
-                lambda s, j=j: s.assign_each(f"d{j}", VALUES),
-                reads={f"b{j}"}, writes={f"d{j}"},
-            )
-        )
-        actions.append(
-            Action(
-                f"BYZ.{j}.lie_out",
-                Predicate(lambda s, j=j: s[f"b{j}"], name=f"b{j}"),
-                lambda s, j=j: s.assign_each(f"out{j}", VALUES),
-                reads={f"b{j}"}, writes={f"out{j}"},
-            )
-        )
-    return actions
-
-
-def _fault_latches() -> FaultClass:
-    """The fault-class proper: one latch per process, guarded so that at
-    most one process ever turns Byzantine."""
-    def build(index):
-        bg_at = index["bg"]
-        b1, b2, b3 = (index[n] for n in _B_NAMES)
-
-        def fn(values, bg_at=bg_at, b1=b1, b2=b2, b3=b3):
-            return not (
-                values[bg_at] or values[b1] or values[b2] or values[b3]
-            )
-
-        return fn
-
-    nobody_byzantine = _compiled_predicate("nobody Byzantine", build)
-    flags = {"bg", *_B_NAMES}
-    quiet = ("and", ("eq_const", "bg", False),
-             *(("eq_const", n, False) for n in _B_NAMES))
-    actions = [Action("BYZ.g.enter", nobody_byzantine, assign(bg=True),
-                      reads=flags, writes={"bg"},
-                      plan=Plan(quiet, [("set_const", "bg", True)]))]
-    for j in NON_GENERALS:
-        actions.append(
-            Action(f"BYZ.{j}.enter", nobody_byzantine,
-                   assign(**{f"b{j}": True}),
-                   reads=flags, writes={f"b{j}"},
-                   plan=Plan(quiet, [("set_const", f"b{j}", True)]))
-        )
-    return FaultClass(actions, name="BYZ (≤1 process)")
-
-
-def _spec() -> Spec:
-    def build_validity(index):
-        bg_at, dg_at = index["bg"], index["dg"]
-        pairs = tuple(
-            (index[b], index[o]) for b, o in zip(_B_NAMES, _OUT_NAMES)
-        )
-
-        def fn(values, bg_at=bg_at, dg_at=dg_at, pairs=pairs):
-            if values[bg_at]:
-                return True
-            dg = values[dg_at]
-            for bi, oi in pairs:
-                if values[bi]:
-                    continue
-                out = values[oi]
-                if out is not BOTTOM and out != dg:
-                    return False
-            return True
-
-        return fn
-
-    def build_agreement(index):
-        pairs = tuple(
-            (index[b], index[o]) for b, o in zip(_B_NAMES, _OUT_NAMES)
-        )
-
-        def fn(values, pairs=pairs):
-            seen = None
-            for bi, oi in pairs:
-                if values[bi]:
-                    continue
-                out = values[oi]
-                if out is BOTTOM:
-                    continue
-                if seen is None:
-                    seen = out
-                elif out != seen:
-                    return False
-            return True
-
-        return fn
-
-    def build_all_decided(index):
-        pairs = tuple(
-            (index[b], index[o]) for b, o in zip(_B_NAMES, _OUT_NAMES)
-        )
-
-        def fn(values, pairs=pairs):
-            for bi, oi in pairs:
-                if not values[bi] and values[oi] is BOTTOM:
-                    return False
-            return True
-
-        return fn
-
-    return Spec(
-        [
-            StateInvariant(
-                _compiled_predicate("validity", build_validity),
-                name="validity",
-            ),
-            StateInvariant(
-                _compiled_predicate("agreement", build_agreement),
-                name="agreement",
-            ),
-            LeadsTo(
-                TRUE,
-                _compiled_predicate(
-                    "all honest processes decided", build_all_decided
-                ),
-                name="every honest process eventually outputs",
-            ),
-        ],
-        name="SPEC_byz",
-    )
-
-
-def _build_invariant_ib(index) -> Callable:
-    """Values-tuple evaluator for the IB invariant: nobody Byzantine,
-    every copy/output either ``⊥`` or ``d.g``."""
-    bg_at, dg_at = index["bg"], index["dg"]
-    b_at = tuple(index[n] for n in _B_NAMES)
-    do_at = tuple(
-        (index[d], index[o]) for d, o in zip(_D_NAMES, _OUT_NAMES)
-    )
-
-    def fn(values, bg_at=bg_at, dg_at=dg_at, b_at=b_at, do_at=do_at):
-        if values[bg_at]:
-            return False
-        for i in b_at:
-            if values[i]:
-                return False
-        honest = (BOTTOM, values[dg_at])
-        for di, oi in do_at:
-            if values[di] not in honest:
-                return False
-            if values[oi] not in honest:
-                return False
-        return True
-
-    return fn
-
-
-def _invariant_ib() -> Predicate:
-    # Compiled against the state schema like _span below: the invariant
-    # seeds every refinement/implication sweep over the full product
-    # space, so positions are resolved once per schema and evaluation
-    # reads the values-tuple directly.
-    return _compiled_predicate("S_ib", _build_invariant_ib)
-
-
-def _invariant() -> Predicate:
-    def build(index):
-        ib_fn = _build_invariant_ib(index)
-        out_at = tuple(index[n] for n in _OUT_NAMES)
-        d_at = tuple(index[n] for n in _D_NAMES)
-
-        def fn(values, ib_fn=ib_fn, out_at=out_at, d_at=d_at):
-            if not ib_fn(values):
-                return False
-            for i in out_at:
-                if values[i] is not BOTTOM:
-                    break
-            else:
-                return True
-            for i in d_at:
-                if values[i] is BOTTOM:
-                    return False
-            return True
-
-        return fn
-
-    return _compiled_predicate("S_byz", build)
-
-
-def _span() -> Predicate:
-    """T_byz: at most one Byzantine process; every honest output was
-    emitted under the witness — all copies present and the output equals
-    their (thereafter stable) majority; under an honest general, honest
-    copies and outputs carry only ``d.g``."""
-
-    # The span is evaluated on every state of the full product space to
-    # seed each exploration, so it is compiled against the state schema:
-    # variable positions are resolved once per schema and each evaluation
-    # reads the values-tuple directly instead of going through
-    # ``state[name]`` a dozen times.
-    def build(index):
-        bg_at, dg_at = index["bg"], index["dg"]
-        b_at = tuple(index[n] for n in _B_NAMES)
-        d_at = tuple(index[n] for n in _D_NAMES)
-        out_at = tuple(index[n] for n in _OUT_NAMES)
-        bo_at = tuple(zip(b_at, out_at))
-        bdo_at = tuple(zip(b_at, d_at, out_at))
-
-        def fn(values, bg_at=bg_at, dg_at=dg_at, b_at=b_at, d_at=d_at,
-               bo_at=bo_at, bdo_at=bdo_at):
-            count = 1 if values[bg_at] else 0
-            for i in b_at:
-                if values[i]:
-                    count += 1
-            if count > 1:
-                return False
-            witness = None  # the stable majority, computed at most once
-            for bi, oi in bo_at:
-                if values[bi]:
-                    continue
-                out = values[oi]
-                if out is BOTTOM:
-                    continue
-                if witness is None:
-                    copies = [values[i] for i in d_at]
-                    if any(c is BOTTOM for c in copies):
-                        return False
-                    a, b, c = copies
-                    if a == b or a == c:
-                        witness = a
-                    elif b == c:
-                        witness = b
-                    else:
-                        raise ValueError(f"no strict majority in {copies!r}")
-                if out != witness:
-                    return False
-            if not values[bg_at]:
-                honest = (BOTTOM, values[dg_at])
-                for bi, di, oi in bdo_at:
-                    if values[bi]:
-                        continue
-                    if values[di] not in honest:
-                        return False
-                    if values[oi] not in honest:
-                        return False
-            return True
-
-        return fn
-
-    return _compiled_predicate("T_byz", build)
-
-
-def build() -> ByzantineModel:
-    """Construct the Byzantine-agreement family for n = 4, f = 1."""
-    variables = _variables()
-
-    # the non-generals are interchangeable: permuting the (d, out, b)
-    # triples permutes every per-j action onto its sibling and fixes the
-    # majority/witness/spec predicates (all functions of the multiset of
-    # copies), so every program of the family declares S_3 over them
-    symmetry = ReplicaSymmetry.of_families(
-        "d{i}", "out{i}", "b{i}", indices=NON_GENERALS,
-        name="S_3 over non-generals",
-        action_templates=(
-            "IB1.{i}", "IB2.{i}", "CB1.{i}",
-            "BYZ.{i}.lie_d", "BYZ.{i}.lie_out",
-        ),
-    )
-
-    ib_actions = [a for j in NON_GENERALS for a in _ib_actions(j, guarded=False)]
-    ib = Program(variables, ib_actions, name="IB", symmetry=symmetry)
-
-    byz_behaviour = _byz_behaviour_actions()
-    ib_with_byz = Program(variables, ib_actions + byz_behaviour,
-                          name="IB‖BYZ", symmetry=symmetry)
-    # one shared set of guarded IB actions: actions are immutable and
-    # memoize their successors, so the masking program's exploration
-    # replays the fail-safe program's evaluations instead of redoing them
-    guarded_ib = [a for j in NON_GENERALS for a in _ib_actions(j, guarded=True)]
-    failsafe = Program(
-        variables, guarded_ib + byz_behaviour, name="IB1‖DB;IB2‖BYZ",
-        symmetry=symmetry,
-    )
-
-    masking_actions = (
-        guarded_ib
-        + [_cb_action(j) for j in NON_GENERALS]
-        + byz_behaviour
-    )
-    masking = Program(variables, masking_actions, name="IB1‖DB;IB2‖CB‖BYZ",
-                      symmetry=symmetry)
-
-    return ByzantineModel(
-        ib=ib,
-        ib_with_byz=ib_with_byz,
-        failsafe=failsafe,
-        masking=masking,
-        spec=_spec(),
-        invariant_ib=_invariant_ib(),
-        invariant=_invariant(),
-        span=_span(),
-        faults=_fault_latches(),
-        witnesses={j: _witness(j) for j in NON_GENERALS},
-        detections={j: _detection(j) for j in NON_GENERALS},
-    )
-
-
-# -- the k-non-general generalization -----------------------------------------
 
 def initial_states(non_generals: Sequence[int] = NON_GENERALS) -> List:
     """The protocol's initial states: the general holds either value,
@@ -656,20 +126,27 @@ def initial_states(non_generals: Sequence[int] = NON_GENERALS) -> List:
     return [State(dict(base, dg=value)) for value in VALUES]
 
 
+def build() -> ByzantineModel:
+    """The paper's instance: n = 4 (three non-generals), f = 1."""
+    return build_family(NON_GENERALS)
+
+
 def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
     """Byzantine agreement generalized to ``k`` non-generals (k odd).
 
-    The same Section 6.2 construction — copy, guarded output, majority
+    The Section 6.2 construction — copy, guarded output, majority
     correction, ≤1 Byzantine latch — with the majority taken over ``k``
-    copies.  ``build_family((1, 2, 3))`` is semantically identical to
-    :func:`build` (the parity tests pin this); larger instances are the
-    scaling story for symmetric exploration, since the unreduced graph
-    grows exponentially in ``k`` while the quotient grows polynomially
-    (states are determined by *counts* of non-general configurations,
-    not their assignment to processes).
+    copies.  With ``k = 3`` the artifacts carry the paper's names
+    (``IB``, ``SPEC_byz``, ``T_byz``, ...); larger instances append
+    ``(k=…)``.  They are the scaling story for symmetric exploration:
+    the unreduced graph grows exponentially in ``k`` while the quotient
+    grows polynomially (states are determined by *counts* of
+    non-general configurations, not their assignment to processes).
 
     The model's programs declare ``S_k`` over the per-process
-    ``(d, out, b)`` triples.
+    ``(d, out, b)`` triples: permuting the triples permutes every per-j
+    action onto its sibling and fixes the majority/witness/spec
+    predicates (all functions of the multiset of copies).
     """
     ngs = tuple(non_generals)
     k = len(ngs)
@@ -680,6 +157,7 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
         )
     if len(set(ngs)) != k:
         raise ValueError(f"duplicate non-general ids: {ngs}")
+    suffix = "" if k == 3 else f"(k={k})"
     b_names = tuple(f"b{j}" for j in ngs)
     d_names = tuple(f"d{j}" for j in ngs)
     out_names = tuple(f"out{j}" for j in ngs)
@@ -695,161 +173,75 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
     def majority_of(copies, k=k):
         return 1 if 2 * sum(copies) > k else 0
 
-    def ib2_guard(j: int, guarded: bool) -> Predicate:
-        bn, dn, on = f"b{j}", f"d{j}", f"out{j}"
-        name = f"(¬{bn} ∧ {dn}≠⊥ ∧ {on}=⊥)"
-        if guarded:
-            name = f"({name[1:-1]} ∧ W{j})"
-
-        def build_fn(index):
-            b_at, d_at, o_at = index[bn], index[dn], index[on]
-            if not guarded:
-                def fn(values, b_at=b_at, d_at=d_at, o_at=o_at):
-                    return (
-                        not values[b_at]
-                        and values[d_at] is not BOTTOM
-                        and values[o_at] is BOTTOM
-                    )
-                return fn
-            all_d = tuple(index[n] for n in d_names)
-
-            def fn(values, b_at=b_at, d_at=d_at, o_at=o_at, all_d=all_d):
-                if (
-                    values[b_at]
-                    or values[d_at] is BOTTOM
-                    or values[o_at] is not BOTTOM
-                ):
-                    return False
-                copies = [values[i] for i in all_d]
-                if BOTTOM in copies:
-                    return False
-                return values[d_at] == majority_of(copies)
-
-            return fn
-
-        return _compiled_predicate(name, build_fn)
+    def witness_terms(j: int) -> Tuple[Tuple, ...]:
+        """DB.j / CB.j witness: every non-general has copied a value and
+        ``d.j`` equals their majority."""
+        return (("all_ne_const", d_names, BOTTOM),
+                ("eq_majority", f"d{j}", d_names, k))
 
     def ib_actions(j: int, guarded: bool) -> List[Action]:
+        """``IB1.j`` and ``IB2.j``; with ``guarded=True`` the output
+        action carries DB.j's witness (the fail-safe restriction
+        ``DB.j ; IB2.j``)."""
         bn, dn, on = f"b{j}", f"d{j}", f"out{j}"
-        copy = Action(
-            f"IB1.{j}",
-            _ib1_guard(j),
-            assign(**{dn: lambda s: s["dg"]}),
-            reads={bn, dn, "dg"}, writes={dn},
-            plan=Plan(
+        output_guard = (("eq_const", bn, False), ("ne_const", dn, BOTTOM),
+                        ("eq_const", on, BOTTOM))
+        if guarded:
+            output_guard += witness_terms(j)
+        return [
+            Action(f"IB1.{j}", plan=Plan(
                 ("and", ("eq_const", bn, False), ("eq_const", dn, BOTTOM)),
                 [("copy", dn, "dg")],
-            ),
-        )
-        output_reads = {bn, on, dn}
-        output_guard = [
-            ("eq_const", bn, False),
-            ("ne_const", dn, BOTTOM),
-            ("eq_const", on, BOTTOM),
+            )),
+            Action(f"IB2.{j}", plan=Plan(
+                ("and", *output_guard), [("copy", on, dn)],
+            )),
         ]
-        if guarded:
-            output_reads |= set(d_names)
-            output_guard += [
-                ("all_ne_const", d_names, BOTTOM),
-                ("eq_majority", dn, d_names, k),
-            ]
-        output = Action(
-            f"IB2.{j}",
-            ib2_guard(j, guarded),
-            assign(**{on: lambda s, dn=dn: s[dn]}),
-            reads=output_reads, writes={on},
-            plan=Plan(("and", *output_guard), [("copy", on, dn)]),
-        )
-        return [copy, output]
 
     def cb_action(j: int) -> Action:
+        """``CB1.j``: overwrite a minority copy with the majority once
+        every non-general holds a value."""
         bn, dn = f"b{j}", f"d{j}"
-
-        def build_fn(index):
-            b_at, d_at = index[bn], index[dn]
-            all_d = tuple(index[n] for n in d_names)
-
-            def fn(values, b_at=b_at, d_at=d_at, all_d=all_d):
-                if values[b_at]:
-                    return False
-                copies = [values[i] for i in all_d]
-                if BOTTOM in copies:
-                    return False
-                return values[d_at] != majority_of(copies)
-
-            return fn
-
-        return Action(
-            f"CB1.{j}",
-            _compiled_predicate(f"(¬{bn} ∧ ∀k: dk≠⊥ ∧ {dn}≠majority)",
-                                build_fn),
-            assign(**{dn: lambda s, dn=dn: majority_of(
-                [s[n] for n in d_names]
-            )}),
-            reads={bn, *d_names}, writes={dn},
-            plan=Plan(
-                ("and",
-                 ("eq_const", bn, False),
-                 ("all_ne_const", d_names, BOTTOM),
-                 ("ne_majority", dn, d_names, k)),
-                [("set_majority", dn, d_names, k)],
-            ),
-        )
+        return Action(f"CB1.{j}", plan=Plan(
+            ("and",
+             ("eq_const", bn, False),
+             ("all_ne_const", d_names, BOTTOM),
+             ("ne_majority", dn, d_names, k)),
+            [("set_majority", dn, d_names, k)],
+        ))
 
     def byz_behaviour() -> List[Action]:
-        actions = [
-            Action(
-                "BYZ.g.lie",
-                Predicate(lambda s: s["bg"], name="bg"),
-                lambda s: s.assign_each("dg", VALUES),
-                reads={"bg"}, writes={"dg"},
+        """The arbitrary-behaviour halves of BYZ.g and BYZ.j — program
+        actions, enabled while the respective Byzantine flag is up.
+        Writes are arbitrary *values*: a Byzantine process may lie but
+        cannot un-send (``⊥`` is never written).  Nondeterministic, so
+        written as code rather than as plans."""
+        def lie(name: str, flag: str, target: str) -> Action:
+            return Action(
+                name,
+                Predicate(expr=("eq_const", flag, True), name=flag),
+                lambda s, target=target: s.assign_each(target, VALUES),
+                reads={flag}, writes={target},
             )
-        ]
+
+        actions = [lie("BYZ.g.lie", "bg", "dg")]
         for j in ngs:
-            actions.append(
-                Action(
-                    f"BYZ.{j}.lie_d",
-                    Predicate(lambda s, j=j: s[f"b{j}"], name=f"b{j}"),
-                    lambda s, j=j: s.assign_each(f"d{j}", VALUES),
-                    reads={f"b{j}"}, writes={f"d{j}"},
-                )
-            )
-            actions.append(
-                Action(
-                    f"BYZ.{j}.lie_out",
-                    Predicate(lambda s, j=j: s[f"b{j}"], name=f"b{j}"),
-                    lambda s, j=j: s.assign_each(f"out{j}", VALUES),
-                    reads={f"b{j}"}, writes={f"out{j}"},
-                )
-            )
+            actions.append(lie(f"BYZ.{j}.lie_d", f"b{j}", f"d{j}"))
+            actions.append(lie(f"BYZ.{j}.lie_out", f"b{j}", f"out{j}"))
         return actions
 
     def fault_latches() -> FaultClass:
-        def build_fn(index):
-            flag_at = (index["bg"],) + tuple(index[n] for n in b_names)
-
-            def fn(values, flag_at=flag_at):
-                for i in flag_at:
-                    if values[i]:
-                        return False
-                return True
-
-            return fn
-
-        nobody_byzantine = _compiled_predicate("nobody Byzantine", build_fn)
-        flags = {"bg", *b_names}
+        """The fault-class proper: one latch per process, guarded so
+        that at most one process ever turns Byzantine."""
         quiet = ("and", ("eq_const", "bg", False),
                  *(("eq_const", n, False) for n in b_names))
-        actions = [Action("BYZ.g.enter", nobody_byzantine, assign(bg=True),
-                          reads=flags, writes={"bg"},
-                          plan=Plan(quiet, [("set_const", "bg", True)]))]
+        actions = [Action("BYZ.g.enter", plan=Plan(
+            quiet, [("set_const", "bg", True)]
+        ))]
         for j in ngs:
-            actions.append(
-                Action(f"BYZ.{j}.enter", nobody_byzantine,
-                       assign(**{f"b{j}": True}),
-                       reads=flags, writes={f"b{j}"},
-                       plan=Plan(quiet, [("set_const", f"b{j}", True)]))
-            )
+            actions.append(Action(f"BYZ.{j}.enter", plan=Plan(
+                quiet, [("set_const", f"b{j}", True)]
+            )))
         return FaultClass(actions, name="BYZ (≤1 process)")
 
     bo_names = tuple(zip(b_names, out_names))
@@ -906,25 +298,26 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
         return Spec(
             [
                 StateInvariant(
-                    _compiled_predicate("validity", build_validity),
+                    Predicate(name="validity", values_builder=build_validity),
                     name="validity",
                 ),
                 StateInvariant(
-                    _compiled_predicate("agreement", build_agreement),
+                    Predicate(name="agreement",
+                              values_builder=build_agreement),
                     name="agreement",
                 ),
                 LeadsTo(
                     TRUE,
-                    _compiled_predicate(
-                        "all honest processes decided", build_all_decided
-                    ),
+                    Predicate(name="all honest processes decided",
+                              values_builder=build_all_decided),
                     name="every honest process eventually outputs",
                 ),
             ],
-            name=f"SPEC_byz(k={k})",
+            name=f"SPEC_byz{suffix}",
         )
 
     def build_invariant_ib(index):
+        """Nobody Byzantine, every copy/output either ``⊥`` or ``d.g``."""
         bg_at, dg_at = index["bg"], index["dg"]
         b_at = tuple(index[n] for n in b_names)
         do_at = tuple((index[d], index[o]) for d, o in zip(d_names, out_names))
@@ -945,94 +338,89 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
 
         return fn
 
-    def invariant() -> Predicate:
-        def build_fn(index):
-            ib_fn = build_invariant_ib(index)
-            out_at = tuple(index[n] for n in out_names)
-            d_at = tuple(index[n] for n in d_names)
+    def build_invariant(index):
+        """S_ib, and any output implies every copy is present."""
+        ib_fn = build_invariant_ib(index)
+        out_at = tuple(index[n] for n in out_names)
+        d_at = tuple(index[n] for n in d_names)
 
-            def fn(values, ib_fn=ib_fn, out_at=out_at, d_at=d_at):
-                if not ib_fn(values):
-                    return False
-                for i in out_at:
-                    if values[i] is not BOTTOM:
-                        break
-                else:
-                    return True
-                for i in d_at:
-                    if values[i] is BOTTOM:
-                        return False
+        def fn(values, ib_fn=ib_fn, out_at=out_at, d_at=d_at):
+            if not ib_fn(values):
+                return False
+            for i in out_at:
+                if values[i] is not BOTTOM:
+                    break
+            else:
                 return True
-
-            return fn
-
-        return _compiled_predicate(f"S_byz(k={k})", build_fn)
-
-    def span() -> Predicate:
-        def build_fn(index):
-            bg_at, dg_at = index["bg"], index["dg"]
-            b_at = tuple(index[n] for n in b_names)
-            d_at = tuple(index[n] for n in d_names)
-            out_at = tuple(index[n] for n in out_names)
-            bo_at = tuple(zip(b_at, out_at))
-            bdo_at = tuple(zip(b_at, d_at, out_at))
-
-            def fn(values, bg_at=bg_at, dg_at=dg_at, b_at=b_at, d_at=d_at,
-                   bo_at=bo_at, bdo_at=bdo_at):
-                count = 1 if values[bg_at] else 0
-                for i in b_at:
-                    if values[i]:
-                        count += 1
-                if count > 1:
+            for i in d_at:
+                if values[i] is BOTTOM:
                     return False
-                witness = None
-                for bi, oi in bo_at:
+            return True
+
+        return fn
+
+    def build_span(index):
+        """T_byz: at most one Byzantine process; every honest output was
+        emitted under the witness — all copies present and the output
+        equals their (thereafter stable) majority; under an honest
+        general, honest copies and outputs carry only ``d.g``."""
+        bg_at, dg_at = index["bg"], index["dg"]
+        b_at = tuple(index[n] for n in b_names)
+        d_at = tuple(index[n] for n in d_names)
+        out_at = tuple(index[n] for n in out_names)
+        bo_at = tuple(zip(b_at, out_at))
+        bdo_at = tuple(zip(b_at, d_at, out_at))
+
+        def fn(values, bg_at=bg_at, dg_at=dg_at, b_at=b_at, d_at=d_at,
+               bo_at=bo_at, bdo_at=bdo_at):
+            count = 1 if values[bg_at] else 0
+            for i in b_at:
+                if values[i]:
+                    count += 1
+            if count > 1:
+                return False
+            witness = None  # the stable majority, computed at most once
+            for bi, oi in bo_at:
+                if values[bi]:
+                    continue
+                out = values[oi]
+                if out is BOTTOM:
+                    continue
+                if witness is None:
+                    copies = [values[i] for i in d_at]
+                    if BOTTOM in copies:
+                        return False
+                    witness = majority_of(copies)
+                if out != witness:
+                    return False
+            if not values[bg_at]:
+                honest = (BOTTOM, values[dg_at])
+                for bi, di, oi in bdo_at:
                     if values[bi]:
                         continue
-                    out = values[oi]
-                    if out is BOTTOM:
-                        continue
-                    if witness is None:
-                        copies = [values[i] for i in d_at]
-                        if BOTTOM in copies:
-                            return False
-                        witness = majority_of(copies)
-                    if out != witness:
+                    if values[di] not in honest:
                         return False
-                if not values[bg_at]:
-                    honest = (BOTTOM, values[dg_at])
-                    for bi, di, oi in bdo_at:
-                        if values[bi]:
-                            continue
-                        if values[di] not in honest:
-                            return False
-                        if values[oi] not in honest:
-                            return False
-                return True
+                    if values[oi] not in honest:
+                        return False
+            return True
 
-            return fn
-
-        return _compiled_predicate(f"T_byz(k={k})", build_fn)
+        return fn
 
     def witness(j: int) -> Predicate:
-        def holds(s, j=j):
-            copies = [s[n] for n in d_names]
-            if BOTTOM in copies:
-                return False
-            return s[f"d{j}"] == majority_of(copies)
-
-        return Predicate(holds, name=f"W{j}: all copied ∧ d{j}=majority")
+        return Predicate(
+            expr=("and", *witness_terms(j)),
+            name=f"W{j}: all copied ∧ d{j}=majority",
+        )
 
     def detection(j: int) -> Predicate:
-        def holds(s, j=j):
-            copies = [s[n] for n in d_names]
-            if not s["bg"]:
-                return s[f"d{j}"] == s["dg"]
-            if BOTTOM in copies:
-                return False
-            return s[f"d{j}"] == majority_of(copies)
-
-        return Predicate(holds, name=f"X{j}: d{j}=corrdecn")
+        """``d.j = corrdecn`` (false while the correct decision is still
+        undefined)."""
+        return Predicate(
+            expr=("or",
+                  ("and", ("eq_const", "bg", False), ("eq_var", f"d{j}", "dg")),
+                  ("and", ("eq_const", "bg", True), *witness_terms(j))),
+            name=f"X{j}: d{j}=corrdecn",
+        )
 
     symmetry = ReplicaSymmetry.of_families(
         "d{i}", "out{i}", "b{i}", indices=ngs,
@@ -1044,17 +432,20 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
     )
 
     plain_ib = [a for j in ngs for a in ib_actions(j, guarded=False)]
-    ib = Program(variables, plain_ib, name=f"IB(k={k})", symmetry=symmetry)
+    ib = Program(variables, plain_ib, name=f"IB{suffix}", symmetry=symmetry)
     behaviour = byz_behaviour()
     ib_with_byz = Program(variables, plain_ib + behaviour,
-                          name=f"IB‖BYZ(k={k})", symmetry=symmetry)
+                          name=f"IB‖BYZ{suffix}", symmetry=symmetry)
+    # one shared set of guarded IB actions: actions are immutable and
+    # memoize their successors, so the masking program's exploration
+    # replays the fail-safe program's evaluations instead of redoing them
     guarded_ib = [a for j in ngs for a in ib_actions(j, guarded=True)]
     failsafe = Program(variables, guarded_ib + behaviour,
-                       name=f"IB1‖DB;IB2‖BYZ(k={k})", symmetry=symmetry)
+                       name=f"IB1‖DB;IB2‖BYZ{suffix}", symmetry=symmetry)
     masking = Program(
         variables,
         guarded_ib + [cb_action(j) for j in ngs] + behaviour,
-        name=f"IB1‖DB;IB2‖CB‖BYZ(k={k})", symmetry=symmetry,
+        name=f"IB1‖DB;IB2‖CB‖BYZ{suffix}", symmetry=symmetry,
     )
 
     return ByzantineModel(
@@ -1063,9 +454,11 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
         failsafe=failsafe,
         masking=masking,
         spec=spec(),
-        invariant_ib=_compiled_predicate(f"S_ib(k={k})", build_invariant_ib),
-        invariant=invariant(),
-        span=span(),
+        invariant_ib=Predicate(name=f"S_ib{suffix}",
+                               values_builder=build_invariant_ib),
+        invariant=Predicate(name=f"S_byz{suffix}",
+                            values_builder=build_invariant),
+        span=Predicate(name=f"T_byz{suffix}", values_builder=build_span),
         faults=fault_latches(),
         witnesses={j: witness(j) for j in ngs},
         detections={j: detection(j) for j in ngs},

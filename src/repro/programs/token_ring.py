@@ -40,7 +40,6 @@ from ..core import (
     TRUE,
     ValueRotation,
     Variable,
-    assign,
     perturb_variable,
 )
 
@@ -51,22 +50,9 @@ def has_token(index: int, size: int) -> Predicate:
     """The token-holding predicate of process ``index`` in a ring of
     ``size`` processes."""
     if index == 0:
-        def _builder0(schema_index, n=size):
-            a, b = schema_index["x0"], schema_index[f"x{n - 1}"]
-            return lambda values: values[a] == values[b]
-
-        return Predicate(
-            lambda s, n=size: s["x0"] == s[f"x{n - 1}"], name="token@0",
-            values_builder=_builder0,
-        )
-
-    def _builder(schema_index, i=index):
-        a, b = schema_index[f"x{i}"], schema_index[f"x{i - 1}"]
-        return lambda values: values[a] != values[b]
-
+        return Predicate(expr=("eq_var", "x0", f"x{size - 1}"), name="token@0")
     return Predicate(
-        lambda s, i=index: s[f"x{i}"] != s[f"x{i - 1}"], name=f"token@{index}",
-        values_builder=_builder,
+        expr=("ne_var", f"x{index}", f"x{index - 1}"), name=f"token@{index}"
     )
 
 
@@ -104,31 +90,16 @@ def build(size: int = 4, k: int = None) -> TokenRingModel:
     variables = [Variable(f"x{i}", list(range(k))) for i in range(size)]
     tokens = {i: has_token(i, size) for i in range(size)}
 
+    # each move fires exactly when its process holds the token
     actions: List[Action] = [
-        Action(
-            "move0",
-            tokens[0],
-            assign(x0=lambda s, n=size, kk=k: (s[f"x{n - 1}"] + 1) % kk),
-            reads={"x0", f"x{size - 1}"}, writes={"x0"},
-            plan=Plan(
-                ("eq_var", "x0", f"x{size - 1}"),
-                [("inc_mod", "x0", f"x{size - 1}", k)],
-            ),
-        )
+        Action("move0", plan=Plan(
+            tokens[0].expr, [("inc_mod", "x0", f"x{size - 1}", k)],
+        ))
     ]
     for i in range(1, size):
-        actions.append(
-            Action(
-                f"move{i}",
-                tokens[i],
-                assign(**{f"x{i}": lambda s, i=i: s[f"x{i - 1}"]}),
-                reads={f"x{i}", f"x{i - 1}"}, writes={f"x{i}"},
-                plan=Plan(
-                    ("ne_var", f"x{i}", f"x{i - 1}"),
-                    [("copy", f"x{i}", f"x{i - 1}")],
-                ),
-            )
-        )
+        actions.append(Action(f"move{i}", plan=Plan(
+            tokens[i].expr, [("copy", f"x{i}", f"x{i - 1}")],
+        )))
     # The ring is NOT process-rotation symmetric — process 0 runs the
     # distinguished increment action (rotating processes maps move0's
     # edges to edges no action produces; lint rule DC106 flags exactly
@@ -155,9 +126,7 @@ def build(size: int = 4, k: int = None) -> TokenRingModel:
         return holds
 
     one_token = Predicate(
-        lambda s, ts=tokens: sum(1 for t in ts.values() if t(s)) == 1,
-        name="exactly one token",
-        values_builder=_one_token_builder,
+        name="exactly one token", values_builder=_one_token_builder
     )
     spec = Spec(
         [StateInvariant(one_token, name="mutual exclusion of the token")]

@@ -10,17 +10,21 @@ certificates.
 
 Material construction rules:
 
-- **Actions** fingerprint by their compiled :class:`~repro.core.kernels.Plan`
-  IR when one is attached (guard/effect opcodes, exact and
-  representation-independent); otherwise by code-object introspection of
-  the guard and statement callables — bytecode, recursively-fingerprinted
-  constants and closure cells, names, and defaults.  Restricted actions
-  (``Action.restrict``) fingerprint as (base, restriction predicate).
-  Declared reads/writes frames join the material: a frame edit is a
-  semantic declaration change and must produce a different key.
-- **Predicates** fingerprint by name *and* callable: the name appears in
-  verdict descriptions, so two predicates with equal functions but
-  different names must not share verdict artifacts.
+- **Actions** fingerprint by their :class:`~repro.core.kernels.Plan` IR
+  when they are built from one (guard/effect opcodes, exact and
+  representation-independent); otherwise by their guard (see
+  predicates) and by code-object introspection of the statement
+  callable — bytecode, recursively-fingerprinted constants and closure
+  cells, names, and defaults.  Restricted actions (``Action.restrict``)
+  fingerprint as (base, restriction predicate).  The reads/writes
+  frame joins the material: a frame edit is a semantic declaration
+  change and must produce a different key.
+- **Predicates** fingerprint by name *and* content: the expression for
+  predicates built with ``expr=`` (the IR term itself), the callable
+  otherwise.  The name appears in verdict descriptions, so two
+  predicates with equal content but different names must not share
+  verdict artifacts.  A guard/statement action's guard uses the same
+  content material.
 - **Programs** fingerprint by name, variable (name, domain) pairs in
   declaration order, per-action materials in declaration order, and the
   declared symmetry.
@@ -122,8 +126,17 @@ def callable_material(fn) -> Tuple:
     return ("code", _code_material(code), cells, defaults)
 
 
+def _evaluation_material(predicate) -> Tuple:
+    """What a predicate computes: its IR expression when it has one
+    (exact and representation-independent), else its callable."""
+    expr = getattr(predicate, "expr", None)
+    if expr is not None:
+        return ("expr", expr)
+    return callable_material(predicate.fn)
+
+
 def predicate_material(predicate) -> Tuple:
-    return ("pred", predicate.name, callable_material(predicate.fn))
+    return ("pred", predicate.name, _evaluation_material(predicate))
 
 
 def _frame_material(frame) -> Optional[Tuple[str, ...]]:
@@ -142,7 +155,7 @@ def action_material(action) -> Tuple:
     if plan is not None:
         body: Tuple = ("plan", plan.guard, plan.effects)
     else:
-        body = ("interp", callable_material(action.guard.fn),
+        body = ("interp", _evaluation_material(action.guard),
                 callable_material(action.statement))
     return ("action", action.name, body,
             _frame_material(action.reads), _frame_material(action.writes))

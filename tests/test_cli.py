@@ -1,12 +1,14 @@
 """Tests for the command-line verifier."""
 
 import io
+from pathlib import Path
 
 import pytest
 
 from repro.cli import CATALOGUE, main
 from repro.core import kernels
 from repro.core.exploration import clear_all_caches
+from repro.store import backend as store_backend
 
 
 class TestList:
@@ -62,6 +64,28 @@ class TestVerify:
             kernels.set_backend("auto")
             clear_all_caches()
         assert reports[0] == reports[1]
+
+
+TRANSCRIPTS = Path(__file__).parent / "transcripts"
+
+
+class TestTranscripts:
+    """The whole-catalogue command outputs, byte for byte.  The files
+    under ``tests/transcripts/`` are the reference; regenerate them with
+    ``python -m repro verify --all`` / ``python -m repro lint --all
+    --strict`` only for an intended change of the reported text."""
+
+    @pytest.mark.parametrize("argv, transcript", [
+        (["verify", "--all"], "verify_all.txt"),
+        (["lint", "--all", "--strict"], "lint_all_strict.txt"),
+    ])
+    def test_output_matches_transcript(self, argv, transcript):
+        # an active store would append its traffic line to the report
+        store_backend.set_active_store(None)
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        expected = (TRANSCRIPTS / transcript).read_text(encoding="utf-8")
+        assert out.getvalue() == expected
 
 
 class TestCampaign:

@@ -1,10 +1,10 @@
 """Tests for the symbolic Plan-IR analyzer and its linter integration.
 
-Covers the PR-10 tentpole end to end: the finite-domain guard solver,
-exact IR frames on spaces far beyond any probe limit, translation
-validation (including seeded mutant plans), the DC50x/DC51x codes, the
-catalogue coverage contract, lint certificates in the content-addressed
-store, cache draining, and the SARIF reporter/CLI surface.
+Covers the analyzer end to end: the finite-domain guard solver, exact
+IR frames on spaces far beyond any probe limit, the DC50x/DC51x codes,
+the catalogue coverage contract, lint certificates in the
+content-addressed store, cache draining, and the SARIF reporter/CLI
+surface.
 """
 
 import io
@@ -36,10 +36,8 @@ from repro.analysis.symbolic import GuardSolver, analyze_action
 from repro.core import (
     Action,
     Plan,
-    Predicate,
     Program,
     Variable,
-    assign,
 )
 from repro.core.exploration import clear_all_caches
 from repro.core.state import Schema
@@ -143,20 +141,13 @@ def _two_vars():
 class TestSymbolicVerdicts:
     def test_dc501_dead_subexpression(self):
         variables = _two_vars()
-        action = Action(
-            "a",
-            Predicate(lambda s: s["v0"] == 1
-                      and (s["v1"] == 99 or s["v1"] == 2), name="g"),
-            assign(v0=0),
-            reads={"v0", "v1"}, writes={"v0"},
-            plan=Plan(
-                ("and", ("eq_const", "v0", 1),
-                 ("or", ("eq_const", "v1", 99), ("eq_const", "v1", 2))),
-                [("set_const", "v0", 0)],
-            ),
-        )
+        action = Action("a", plan=Plan(
+            ("and", ("eq_const", "v0", 1),
+             ("or", ("eq_const", "v1", 99), ("eq_const", "v1", 2))),
+            [("set_const", "v0", 0)],
+        ))
         analysis = _analyze(action, variables)
-        assert analysis.translation == "proven"
+        assert analysis.status == "compiled"
         dead = [d for d in analysis.diagnostics if d.code == "DC501"]
         assert len(dead) == 1
         assert dead[0].severity is Severity.WARNING
@@ -164,49 +155,30 @@ class TestSymbolicVerdicts:
 
     def test_dc502_tautological_subexpression(self):
         variables = _two_vars()
-        action = Action(
-            "a",
-            Predicate(lambda s: s["v0"] == 1
-                      and (s["v1"] == 0 or s["v1"] != 0), name="g"),
-            assign(v0=0),
-            reads={"v0", "v1"}, writes={"v0"},
-            plan=Plan(
-                ("and", ("eq_const", "v0", 1),
-                 ("or", ("eq_const", "v1", 0), ("ne_const", "v1", 0))),
-                [("set_const", "v0", 0)],
-            ),
-        )
+        action = Action("a", plan=Plan(
+            ("and", ("eq_const", "v0", 1),
+             ("or", ("eq_const", "v1", 0), ("ne_const", "v1", 0))),
+            [("set_const", "v0", 0)],
+        ))
         codes = _codes(_analyze(action, variables))
         assert "DC502" in codes and "DC501" not in codes
 
     def test_dc502_tautological_root(self):
         variables = _two_vars()
-        action = Action(
-            "a",
-            Predicate(lambda s: s["v0"] == 0 or s["v0"] != 0, name="g"),
-            assign(v0=0),
-            reads={"v0"}, writes={"v0"},
-            plan=Plan(
-                ("or", ("eq_const", "v0", 0), ("ne_const", "v0", 0)),
-                [("set_const", "v0", 0)],
-            ),
-        )
+        action = Action("a", plan=Plan(
+            ("or", ("eq_const", "v0", 0), ("ne_const", "v0", 0)),
+            [("set_const", "v0", 0)],
+        ))
         analysis = _analyze(action, variables)
         roots = [d for d in analysis.diagnostics if d.code == "DC502"]
         assert len(roots) == 1 and "guard" in roots[0].message
 
     def test_dc301_proven_dead_without_dc501(self):
         variables = _two_vars()
-        action = Action(
-            "dead",
-            Predicate(lambda s: s["v0"] == 0 and s["v0"] == 1, name="g"),
-            assign(v1=0),
-            reads={"v0", "v1"}, writes={"v1"},
-            plan=Plan(
-                ("and", ("eq_const", "v0", 0), ("eq_const", "v0", 1)),
-                [("set_const", "v1", 0)],
-            ),
-        )
+        action = Action("dead", plan=Plan(
+            ("and", ("eq_const", "v0", 0), ("eq_const", "v0", 1)),
+            [("set_const", "v1", 0)],
+        ))
         analysis = _analyze(action, variables)
         dead = [d for d in analysis.diagnostics if d.code == "DC301"]
         assert len(dead) == 1
@@ -220,9 +192,6 @@ class TestSymbolicVerdicts:
         variables = _two_vars()
         action = Action(
             "stutter",
-            Predicate(lambda s: s["v0"] == 1, name="g"),
-            assign(v0=lambda s: s["v0"]),
-            reads={"v0"}, writes={"v0"},
             plan=Plan(("eq_const", "v0", 1), [("copy", "v0", "v0")]),
         )
         analysis = _analyze(action, variables)
@@ -233,98 +202,12 @@ class TestSymbolicVerdicts:
         variables = _two_vars()
         action = Action(
             "a",
-            Predicate(lambda s: s["v0"] == 0, name="g"),
-            assign(v0=1),
-            reads={"v0"}, writes={"v0"},
             plan=Plan(("eq_const", "nope", 0), [("set_const", "v0", 1)]),
         )
         analysis = _analyze(action, variables)
-        assert analysis.translation == "uncompilable"
+        assert analysis.status == "uncompilable"
         assert _codes(analysis) == ["DC512"]
         assert not analysis.covers_frames
-
-
-class TestTranslationValidation:
-    def _move0(self, model):
-        return next(a for a in model.ring.actions if a.name == "move0")
-
-    def test_mutant_guard_is_refuted(self):
-        from repro.programs import token_ring
-
-        model = token_ring.build(3)
-        genuine = self._move0(model)
-        mutant = Action(
-            genuine.name, genuine.guard, genuine.statement,
-            reads=genuine.reads, writes=genuine.writes,
-            # seeded mutation: eq_var drifted to ne_var
-            plan=Plan(("ne_var", "x0", "x2"),
-                      list(genuine.plan.effects)),
-        )
-        analysis = _analyze(mutant, model.ring.variables)
-        assert analysis.translation == "refuted"
-        assert "DC511" in _codes(analysis)
-        refutation = analysis.diagnostics[0]
-        assert refutation.severity is Severity.ERROR
-        assert refutation.evidence
-
-    def test_mutant_effect_is_refuted(self):
-        from repro.programs import token_ring
-
-        model = token_ring.build(3)
-        genuine = self._move0(model)
-        mutant = Action(
-            genuine.name, genuine.guard, genuine.statement,
-            reads=genuine.reads, writes=genuine.writes,
-            # seeded mutation: the increment decayed into a plain copy
-            plan=Plan(genuine.plan.guard, [("copy", "x0", "x2")]),
-        )
-        analysis = _analyze(mutant, model.ring.variables)
-        assert analysis.translation == "refuted"
-        assert "DC511" in _codes(analysis)
-
-    def test_mutant_plan_fails_lint(self):
-        from repro.programs import token_ring
-
-        model = token_ring.build(3)
-        actions = [
-            a if a.name != "move1" else Action(
-                a.name, a.guard, a.statement,
-                reads=a.reads, writes=a.writes,
-                plan=Plan(("eq_var", "x1", "x0"), list(a.plan.effects)),
-            )
-            for a in model.ring.actions
-        ]
-        program = Program(model.ring.variables, actions, name="mutant-ring")
-        report = lint(LintTarget(name="mutant", program=program))
-        assert [d.code for d in report.errors()] == ["DC511"]
-
-    def test_decomposed_validation_on_huge_space(self):
-        variables = [Variable(f"v{i}", [0, 1, 2, 3]) for i in range(30)]
-        action = Action(
-            "wide",
-            Predicate(lambda s: s["v0"] == s["v1"], name="g"),
-            assign(v2=1),
-            reads={"v0", "v1"}, writes={"v2"},
-            plan=Plan(("eq_var", "v0", "v1"), [("set_const", "v2", 1)]),
-        )
-        analysis = _analyze(action, variables)
-        assert analysis.translation == "decomposed"
-        assert analysis.covers_frames
-
-    def test_decomposed_catches_interpretation_drift(self):
-        # the interpreted statement consults a variable the plan ignores;
-        # the per-variable sweep of the decomposition must notice
-        variables = [Variable(f"v{i}", [0, 1, 2, 3]) for i in range(30)]
-        action = Action(
-            "drifted",
-            Predicate(lambda s: s["v0"] == 0, name="g"),
-            assign(v1=lambda s: 1 if s["v29"] == 3 else 2),
-            reads={"v0", "v29"}, writes={"v1"},
-            plan=Plan(("eq_const", "v0", 0), [("set_const", "v1", 2)]),
-        )
-        analysis = _analyze(action, variables)
-        assert analysis.translation == "refuted"
-        assert "DC511" in _codes(analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +215,29 @@ class TestTranslationValidation:
 # ---------------------------------------------------------------------------
 
 class TestProvenFrames:
-    def _wide_action(self, reads, writes):
+    """The analyzer checks the frame a planned action derives from its
+    plan against the exact frame; the drifted frames below stand in for
+    a broken derivation."""
+
+    def _wide_action(self, reads=None, writes=None):
         variables = [Variable(f"v{i}", [0, 1, 2, 3]) for i in range(30)]
         action = Action(
             "wide",
-            Predicate(lambda s: s["v0"] == s["v1"], name="g"),
-            assign(v2=1),
-            reads=reads, writes=writes,
             plan=Plan(("eq_var", "v0", "v1"), [("set_const", "v2", 1)]),
         )
+        if reads is not None:
+            action.reads, action.writes = frozenset(reads), frozenset(writes)
         return action, variables
 
     def test_exact_frame_on_huge_space(self):
-        action, variables = self._wide_action({"v0", "v1"}, {"v2"})
+        action, variables = self._wide_action()
+        assert (action.reads, action.writes) == ({"v0", "v1"}, {"v2"})
         analysis = _analyze(action, variables)
         assert analysis.reads == frozenset({"v0", "v1"})
         assert analysis.writes == frozenset({"v2"})
         assert analysis.diagnostics == ()
         assert {p.rule for p in analysis.proofs} >= {
             "frame-soundness", "guard-satisfiability",
-            "translation-validation",
         }
 
     def test_undeclared_read_proven(self):
@@ -411,7 +297,7 @@ class TestFrameProperty:
                 analysis = analyze_action(
                     action, variables, schema, target=target.name
                 )
-                assert analysis.validated, (target.name, action.name)
+                assert analysis.compiled, (target.name, action.name)
                 reads, writes, complete = infer_frame(
                     action, variables, probe,
                     pair_budget=10 ** 9, alt_limit=0,
@@ -436,8 +322,7 @@ class TestCatalogueSelfLint:
             report = lint(target)
             assert not report.errors(), (target.name, report.errors())
             for action in planned:
-                for rule in ("translation-validation", "frame-soundness",
-                             "guard-satisfiability"):
+                for rule in ("frame-soundness", "guard-satisfiability"):
                     assert report.proofs_for(rule, action=action.name), (
                         target.name, action.name, rule
                     )
@@ -476,17 +361,11 @@ def _small_program(flavor=0):
     variables = [Variable("a", [0, 1, 2]), Variable("b", [0, 1, 2])]
     stable = Action(
         "stable",
-        Predicate(lambda s: s["a"] != 0, name="ga"),
-        assign(a=0),
-        reads={"a"}, writes={"a"},
         plan=Plan(("ne_const", "a", 0), [("set_const", "a", 0)]),
     )
     value = 1 if flavor else 2
     edited = Action(
         "edited",
-        Predicate(lambda s, v=value: s["b"] != v, name="gb"),
-        assign(b=value),
-        reads={"b"}, writes={"b"},
         plan=Plan(("ne_const", "b", value), [("set_const", "b", value)]),
     )
     return Program(variables, [stable, edited], name=f"small{flavor}")
@@ -577,8 +456,9 @@ class TestSarif:
             [Suppression(code="DC303", justification="intentional loop")]
         )
         report.add_proofs([Proof(
-            rule="translation-validation", method="exhaustive",
-            detail="plan agrees", target="demo", action="a1",
+            rule="frame-soundness", method="ir-exact",
+            detail="declared frame covers the exact IR frame",
+            target="demo", action="a1",
         )])
         return [report]
 
