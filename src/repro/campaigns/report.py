@@ -76,14 +76,30 @@ def read_events(path) -> Iterator[Dict[str, Any]]:
 
     Blank lines are skipped.  Records from logs written before the
     schema stamp get ``schema_version: 0``, so every consumer sees a
-    versioned record regardless of log vintage.
+    versioned record regardless of log vintage.  Each stripped line is
+    one call into the JSON scanner, with the two checks ``json.loads``
+    adds (no value at all, data after the value) raised as the same
+    :class:`json.JSONDecodeError`; a line holding any other JSON value
+    than an object raises :class:`ValueError` naming its line number.
     """
+    scan = json.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record, end = scan(line, 0)
+            except StopIteration:
+                raise json.JSONDecodeError("Expecting value", line, 0) \
+                    from None
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if record.__class__ is not dict:
+                raise ValueError(
+                    f"{path}: line {number} is not a JSON object: "
+                    f"{line[:40]!r}"
+                )
             record.setdefault("schema_version", 0)
             yield record
 

@@ -165,6 +165,9 @@ class DetectorBank:
             )
             for variable in reads:
                 self._var_masks[variable] |= bit
+        #: dirty mask -> its ``(bit, evaluator)`` pairs, built on first use
+        #: (the evaluators are fixed, so a plan never goes stale)
+        self._plans: Dict[int, Tuple[Tuple[int, Callable], ...]] = {}
 
     # -- construction helpers ---------------------------------------------
     @classmethod
@@ -255,14 +258,16 @@ class DetectorBank:
     ) -> int:
         """Incremental re-evaluation: recompute only the ``dirty``
         detectors against ``values``, keeping every other bit."""
-        fns = self._fns
+        plan = self._plans.get(dirty)
+        if plan is None:
+            plan = self._plans[dirty] = tuple(
+                (1 << j, fn) for j, fn in enumerate(self._fns)
+                if dirty >> j & 1
+            )
         bits = 0
-        mask = dirty
-        while mask:
-            low = mask & -mask
-            if fns[low.bit_length() - 1](values):
-                bits |= low
-            mask ^= low
+        for bit, fn in plan:
+            if fn(values):
+                bits |= bit
         return (syndrome & ~dirty) | bits
 
     # -- region evaluation (big-int rows) ---------------------------------

@@ -17,6 +17,12 @@ bit-flip away from a registered pattern still routes to that pattern's
 corrector (and the returned :class:`Decoded` says how far the match
 was, so callers can refuse distant guesses with ``max_distance``).
 
+Each nonzero syndrome is searched once: its verdict is memoized (one
+entry per distinct syndrome decoded, cleared by every registration), so
+a stream that keeps revisiting the same patterns pays a dictionary
+probe per decode.  ``max_distance`` is a per-call filter over the
+memoized verdict, never part of it.
+
 The zero syndrome is healthy by definition and never decodes.
 """
 
@@ -64,6 +70,8 @@ class SyndromeDecoder:
         self.m = m
         self._entries: List[CorrectorEntry] = []
         self._exact: Dict[int, CorrectorEntry] = {}
+        #: syndrome -> its verdict (exact or nearest), filled by decode
+        self._memo: Dict[int, Decoded] = {}
 
     @classmethod
     def for_bank(cls, bank) -> "SyndromeDecoder":
@@ -100,6 +108,7 @@ class SyndromeDecoder:
         )
         self._entries.append(entry)
         self._exact[syndrome] = entry
+        self._memo.clear()
         return entry
 
     def register_for(
@@ -131,8 +140,21 @@ class SyndromeDecoder:
         registered pattern (ties to earliest registration), else None
         when nothing is registered or the nearest match is farther than
         ``max_distance``.  The zero syndrome always decodes to None."""
-        if syndrome == 0:
+        decoded = self._memo.get(syndrome)
+        if decoded is None:
+            if syndrome == 0:
+                return None
+            decoded = self._search(syndrome)
+            if decoded is None:
+                return None
+            self._memo[syndrome] = decoded
+        if max_distance is not None and decoded.distance > max_distance:
             return None
+        return decoded
+
+    def _search(self, syndrome: int) -> Optional[Decoded]:
+        """Exact hit, else the nearest entry (ties to the earliest
+        registration), else None when nothing is registered."""
         hit = self._exact.get(syndrome)
         if hit is not None:
             return Decoded(entry=hit, exact=True, distance=0)
@@ -143,8 +165,6 @@ class SyndromeDecoder:
             if best is None or d < best_distance:
                 best, best_distance = entry, d
         if best is None:
-            return None
-        if max_distance is not None and best_distance > max_distance:
             return None
         return Decoded(entry=best, exact=False, distance=best_distance)
 

@@ -13,11 +13,16 @@ ordinary writes from fault occurrences (any of the campaign engine's
 The hot path, :meth:`feed`, is synchronous and frame-aware: an event
 touches only the detectors whose declared read frames intersect its
 written variables (the bank's per-variable bitmasks), and a write that
-does not change a value touches nothing at all.  Everything expensive —
-telemetry records, decoding, corrector callbacks — happens only on
-syndrome *transitions*, so steady-state ingest is a few dict probes per
-event.  :meth:`drain` is the bulk spelling with the loop invariants
-hoisted; the throughput benchmark and the replay CLI go through it.
+does not change a value touches nothing at all.  A syndrome
+*transition* may happen on nearly every event (a token ring's token
+moves on every step), so a transition renders and searches nothing
+unless something asks for it: the telemetry sink builds a JSONL record
+only when a stream is attached, the decoder searches each distinct
+syndrome once and answers repeats from its memo, and only registered
+correctors and callbacks run.  Otherwise a transition is a few
+dictionary probes and counter bumps.  :meth:`drain` is the bulk
+spelling with the loop invariants hoisted; the throughput benchmark and
+the replay CLI go through it.
 
 The asyncio layer is a thin shell: :meth:`run` consumes any async
 iterator of events (see :mod:`repro.monitoring.sources` for JSONL
@@ -161,7 +166,10 @@ class MonitorRuntime:
 
     def drain(self, events: Iterable[Mapping[str, Any]]) -> int:
         """Feed a whole iterable through the hot path with the loop
-        invariants hoisted; returns the number of events consumed."""
+        invariants hoisted; returns the number of events consumed.
+
+        When the iterable (or an event) raises, ``events`` and ``time``
+        still count every event consumed, as :meth:`feed` would have."""
         values = self._values
         positions_get = self._positions.get
         masks = self._masks
@@ -169,37 +177,39 @@ class MonitorRuntime:
         fault_kinds = FAULT_KINDS
         count = 0
         at = self.time
-        for event in events:
-            count += 1
-            when = event.get("time")
-            if when is not None:
-                at = when
-            kind = event.get("kind")
-            if kind is not None:
-                if kind in fault_kinds:
-                    if self._pending_fault is None:
-                        self._pending_fault = at
-                elif kind == "reset":
-                    self.time = at
-                    self._reset()
-                    continue
-            writes = event.get("writes")
-            if writes:
-                dirty = 0
-                for name, value in writes.items():
-                    position = positions_get(name)
-                    if position is None or values[position] == value:
-                        continue
-                    values[position] = value
-                    dirty |= masks[name]
-                if dirty:
-                    old = self.syndrome
-                    new = update(old, values, dirty)
-                    if new != old:
+        try:
+            for event in events:
+                count += 1
+                when = event.get("time")
+                if when is not None:
+                    at = when
+                kind = event.get("kind")
+                if kind is not None:
+                    if kind in fault_kinds:
+                        if self._pending_fault is None:
+                            self._pending_fault = at
+                    elif kind == "reset":
                         self.time = at
-                        self._transition(old, new)
-        self.time = at
-        self.events += count
+                        self._reset()
+                        continue
+                writes = event.get("writes")
+                if writes:
+                    dirty = 0
+                    for name, value in writes.items():
+                        position = positions_get(name)
+                        if position is None or values[position] == value:
+                            continue
+                        values[position] = value
+                        dirty |= masks[name]
+                    if dirty:
+                        old = self.syndrome
+                        new = update(old, values, dirty)
+                        if new != old:
+                            self.time = at
+                            self._transition(old, new)
+        finally:
+            self.time = at
+            self.events += count
         return count
 
     # -- cold path ---------------------------------------------------------

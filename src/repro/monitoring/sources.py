@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from numbers import Real
 from typing import (
     Any,
     AsyncIterator,
@@ -59,19 +60,26 @@ __all__ = [
 
 # -- record translation -------------------------------------------------------
 
+def _as_time(value: Any) -> float:
+    """An event timestamp as a float; ValueError unless it is a number."""
+    if value.__class__ is bool or not isinstance(value, Real):
+        raise ValueError(f"event time must be a number, not {value!r}")
+    return float(value)
+
+
 def _translate(record: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     """One campaign record → one runtime event (None when the record
     has no runtime meaning — trial ends, campaign bookkeeping)."""
     kind = record.get("event")
     if kind == "transition":
         return {
-            "time": float(record.get("time", 0.0)),
+            "time": _as_time(record.get("time", 0.0)),
             "kind": "write",
             "writes": {record["monitor"]: record["value"]},
         }
     if kind == "fault":
         return {
-            "time": float(record.get("time", 0.0)),
+            "time": _as_time(record.get("time", 0.0)),
             "kind": record.get("kind", "fault"),
             "writes": None,
         }
@@ -144,15 +152,30 @@ def campaign_bank(
 def normalize_event(record: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     """One JSON object → one runtime event (or None for records with no
     runtime meaning).  Raw runtime events pass through; campaign-log
-    records (recognized by their ``event`` key) are translated."""
+    records (recognized by their ``event`` key) are translated.
+
+    Raises :class:`ValueError` for a record that is not an object, a
+    ``time`` that is not a number, or ``writes`` that are neither null
+    nor an object."""
+    if record.__class__ is not dict and not isinstance(record, Mapping):
+        raise ValueError(f"an event must be a JSON object, not {record!r}")
     if "event" in record:
         # direct translation, no trial re-interleaving: a live feed has
         # no buffered "rest of the trial" to sort against
         return _translate(record)
+    at = record.get("time", 0.0)
+    if at.__class__ is not float:
+        at = _as_time(at)
+    writes = record.get("writes")
+    if (writes is not None and writes.__class__ is not dict
+            and not isinstance(writes, Mapping)):
+        raise ValueError(
+            f"event writes must be an object or null, not {writes!r}"
+        )
     return {
-        "time": float(record.get("time", 0.0)),
+        "time": at,
         "kind": record.get("kind", "write"),
-        "writes": record.get("writes"),
+        "writes": writes,
     }
 
 
@@ -168,14 +191,10 @@ async def aiter_events(
 
 async def jsonl_source(path) -> AsyncIterator[Dict[str, Any]]:
     """Async iterator over a line-delimited JSON event file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            event = normalize_event(json.loads(line))
-            if event is not None:
-                yield event
+    for record in read_events(path):
+        event = normalize_event(record)
+        if event is not None:
+            yield event
 
 
 async def socket_source(

@@ -1,8 +1,9 @@
 """Structured telemetry for the monitoring runtime.
 
-The runtime's hot path only bumps counters; everything with a cost —
-JSONL records, histograms, percentile summaries — happens on syndrome
-*transitions* (rare) or at summary time (once).  The JSONL stream uses
+The recording methods bump counters; a JSONL record is built only when
+a stream is attached, so an unstreamed sink costs a few integer
+operations per syndrome transition.  Histograms and percentile
+summaries happen at summary time (once).  The JSONL stream uses
 the same conventions as the campaign log (:mod:`repro.campaigns.report`):
 one JSON object per line, sorted keys, a ``schema_version`` stamp on
 every record, wall-clock-dependent values only under keys starting with
@@ -86,30 +87,34 @@ class TelemetrySink:
             low = rising & -rising
             fires[low.bit_length() - 1] += 1
             rising ^= low
-        self._emit({
-            "event": "syndrome",
-            "time": time,
-            "syndrome": format_syndrome(new, self.m),
-            "fired": fired_names(new, self.detector_names),
-        })
+        if self.stream is not None:
+            self._emit({
+                "event": "syndrome",
+                "time": time,
+                "syndrome": format_syndrome(new, self.m),
+                "fired": fired_names(new, self.detector_names),
+            })
 
     def record_latency(self, time: float, latency: float) -> None:
         self.latencies.append(latency)
-        self._emit({"event": "detection", "time": time, "latency": latency})
+        if self.stream is not None:
+            self._emit({"event": "detection", "time": time, "latency": latency})
 
     def record_correction(self, time: float, decoded) -> None:
         self.corrections += 1
-        self._emit({
-            "event": "correction",
-            "time": time,
-            "corrector": decoded.entry.name,
-            "exact": decoded.exact,
-            "distance": decoded.distance,
-        })
+        if self.stream is not None:
+            self._emit({
+                "event": "correction",
+                "time": time,
+                "corrector": decoded.entry.name,
+                "exact": decoded.exact,
+                "distance": decoded.distance,
+            })
 
     def record_reset(self, time: float) -> None:
         self.resets += 1
-        self._emit({"event": "reset", "time": time})
+        if self.stream is not None:
+            self._emit({"event": "reset", "time": time})
 
     def _emit(self, record: Dict[str, Any]) -> None:
         if self.stream is None:

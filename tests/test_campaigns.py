@@ -316,6 +316,32 @@ class TestSummarizeAndFormat:
         # unversioned records are stamped as vintage 0, not current
         assert all(r["schema_version"] == 0 for r in records)
 
+    @pytest.mark.parametrize("line", [
+        '{"event": "fault", "time": 1.0',             # truncated object
+        '{"event": "fault"} {"event": "fault"}',      # two objects
+        '{"event": "fault"}garbage',                  # trailing garbage
+        '\ufeff{"event": "fault"}',                   # byte-order mark
+        "fault",                                      # bare word
+    ])
+    def test_read_events_rejects_what_json_loads_rejects(
+        self, tmp_path, line
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"event": "campaign_start"}\n' + line + "\n",
+                        encoding="utf-8")
+        records = read_events(path)
+        assert next(records)["event"] == "campaign_start"
+        with pytest.raises(json.JSONDecodeError):
+            next(records)
+
+    def test_read_events_rejects_a_line_that_is_not_an_object(
+        self, tmp_path
+    ):
+        path = tmp_path / "list.jsonl"
+        path.write_text('{"event": "campaign_start"}\n\n[1, 2]\n')
+        with pytest.raises(ValueError, match="line 3 is not a JSON object"):
+            list(read_events(path))
+
     def test_load_summary(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with open(path, "w", encoding="utf-8") as stream:

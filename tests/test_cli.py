@@ -1,6 +1,7 @@
 """Tests for the command-line verifier."""
 
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,9 @@ class TestTranscripts:
     """The whole-catalogue command outputs, byte for byte.  The files
     under ``tests/transcripts/`` are the reference; regenerate them with
     ``python -m repro verify --all`` / ``python -m repro lint --all
-    --strict`` only for an intended change of the reported text."""
+    --strict`` / the ``monitor`` command of
+    :meth:`test_monitor_stream_matches_transcript` only for an intended
+    change of the reported text."""
 
     @pytest.mark.parametrize("argv, transcript", [
         (["verify", "--all"], "verify_all.txt"),
@@ -86,6 +89,32 @@ class TestTranscripts:
         assert main(argv, out=out) == 0
         expected = (TRANSCRIPTS / transcript).read_text(encoding="utf-8")
         assert out.getvalue() == expected
+
+    def test_monitor_stream_matches_transcript(self, tmp_path):
+        """``repro monitor --events`` with a telemetry stream attached:
+        the report and every streamed record (syndromes, detections,
+        corrections with their decoded distances, resets, the summary),
+        minus the wall-clock figures."""
+        telemetry = tmp_path / "telemetry.jsonl"
+        out = io.StringIO()
+        assert main([
+            "monitor", "--events", str(TRANSCRIPTS / "monitor_events.jsonl"),
+            "--monitors", "a,b,c,d", "--out", str(telemetry),
+        ], out=out) == 0
+        report = "".join(
+            line for line in out.getvalue().splitlines(keepends=True)
+            if not line.startswith("   telemetry: ")
+        )
+        report = re.sub(r" \([\d,]+ events/sec\)", "", report)
+        records = re.sub(
+            r', "(?:events_per_sec|wall_s)": [^,}]+', "",
+            telemetry.read_text(encoding="utf-8"),
+        )
+        assert report == (TRANSCRIPTS / "monitor_events.txt").read_text(
+            encoding="utf-8")
+        assert records == (
+            TRANSCRIPTS / "monitor_events_telemetry.jsonl"
+        ).read_text(encoding="utf-8")
 
 
 class TestCampaign:

@@ -133,17 +133,23 @@ class TestDetectorBank:
         import random
 
         rng = random.Random(7)
-        for _ in range(200):
-            name = rng.choice(["x", "y"])
-            value = rng.choice((0, 1, 2) if name == "x" else (0, 1))
-            position = bank.schema.index[name]
-            if values[position] == value:
+        masks = set()
+        for _ in range(300):
+            written = []
+            for name in rng.choice((["x"], ["y"], ["x", "y"])):
+                value = rng.choice((0, 1, 2) if name == "x" else (0, 1))
+                position = bank.schema.index[name]
+                if values[position] != value:
+                    values[position] = value
+                    written.append(name)
+            if not written:
                 continue
-            values[position] = value
-            syndrome = bank.update_syndrome(
-                syndrome, values, bank.dirty_mask([name])
-            )
+            dirty = bank.dirty_mask(written)
+            masks.add(dirty)
+            syndrome = bank.update_syndrome(syndrome, values, dirty)
             assert syndrome == bank.syndrome_of_values(values)
+        # single writes and the union of both frames, each planned once
+        assert masks == {0b101, 0b010, 0b111}
 
     def test_rows_and_syndrome_table_match_pointwise(self):
         bank = toy_bank()
@@ -265,6 +271,60 @@ class TestSyndromeDecoder:
         decoder.register(0b0001)
         assert decoder.decode(0b1110, max_distance=2) is None
         assert decoder.decode(0b0011, max_distance=2) is not None
+
+    def test_decode_equals_linear_search_reference(self):
+        def reference(entries, syndrome, max_distance):
+            # exact hit or first entry at the least distance, by brute force
+            if syndrome == 0 or not entries:
+                return None
+            best = min(entries, key=lambda e: distance(syndrome, e.syndrome))
+            d = distance(syndrome, best.syndrome)
+            if max_distance is not None and d > max_distance:
+                return None
+            return best, d == 0, d
+
+        decoder = SyndromeDecoder(5)
+        for pattern in (0b00011, 0b11000, 0b00100, 0b10110):
+            decoder.register(pattern)
+        entries = decoder.entries
+        # some syndromes sit at the least distance from two patterns
+        assert any(
+            d[0] == d[1] for d in (
+                sorted(distance(s, e.syndrome) for e in entries)
+                for s in range(1, 32)
+            )
+        )
+        # the first sweep fills the memo, the later ones read it back
+        for max_distance in (1, None, 0, 2, None):
+            for syndrome in range(32):
+                decoded = decoder.decode(syndrome, max_distance=max_distance)
+                got = None if decoded is None else (
+                    decoded.entry, decoded.exact, decoded.distance
+                )
+                assert got == reference(entries, syndrome, max_distance), (
+                    syndrome, max_distance
+                )
+
+    def test_register_after_decode_changes_the_answer(self):
+        decoder = SyndromeDecoder(3)
+        first = decoder.register(0b001, name="first")
+        assert decoder.decode(0b110).entry is first
+        assert decoder.decode(0b011).distance == 1
+        second = decoder.register(0b100, name="second")
+        nearer = decoder.decode(0b110)
+        assert nearer.entry is second and nearer.distance == 1
+        third = decoder.register(0b011, name="third")
+        exact = decoder.decode(0b011)
+        assert exact.entry is third and exact.exact
+
+    def test_max_distance_applies_on_every_call(self):
+        decoder = SyndromeDecoder(4)
+        entry = decoder.register(0b0001)
+        assert decoder.decode(0b0011, max_distance=0) is None
+        nearest = decoder.decode(0b0011)
+        assert nearest.entry is entry and nearest.distance == 1
+        assert decoder.decode(0b0011, max_distance=0) is None
+        assert decoder.decode(0b0011, max_distance=1) == nearest
 
     def test_zero_syndrome_never_decodes(self):
         decoder = SyndromeDecoder(2)

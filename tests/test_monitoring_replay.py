@@ -156,6 +156,22 @@ class TestMonitorCli:
         assert "safety_violated" in text
         assert "(n=1)" in text
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        '{"time": null, "writes": {"safety": false}}',
+        '{"time": 1.0, "writes": ["safety"]}',
+    ])
+    def test_monitor_events_cli_rejects_malformed_lines(self, tmp_path, line):
+        from repro.cli import main
+
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"time": 0.5, "writes": {"safety": false}}\n' + line + "\n"
+        )
+        out = io.StringIO()
+        assert main(["monitor", "--events", str(path)], out=out) == 2
+        assert "replay failed" in out.getvalue()
+
     def test_monitor_requires_a_source(self):
         from repro.cli import main
 

@@ -135,6 +135,33 @@ class TestFeed:
         assert two.telemetry.transitions == one.telemetry.transitions
         assert two.events == one.events
 
+    @pytest.mark.parametrize("failure", ["source", "event"])
+    def test_failed_drain_keeps_the_consumed_prefix(self, failure):
+        prefix = [
+            {"time": 1.0, "writes": {"x": 2}},
+            {"time": 2.0, "writes": {"y": 1}},
+        ]
+        if failure == "event":  # the third event itself is malformed
+            prefix.append({"time": 3.0, "writes": ["x"]})
+
+        def source():
+            yield from prefix
+            raise ValueError("source failed")
+
+        drained = MonitorRuntime(toy_bank())
+        with pytest.raises((ValueError, AttributeError)):
+            drained.drain(source())
+        fed = MonitorRuntime(toy_bank())
+        for event in prefix:
+            try:
+                fed.feed(event)
+            except AttributeError:
+                pass
+        assert drained.events == fed.events == len(prefix)
+        assert drained.time == fed.time == prefix[-1]["time"]
+        assert drained.values() == fed.values()
+        assert drained.syndrome == fed.syndrome == 0b111
+
     def test_reset_restores_initial_values(self):
         runtime = MonitorRuntime(toy_bank())
         runtime.feed({"time": 1.0, "writes": {"x": 2, "y": 1}})
