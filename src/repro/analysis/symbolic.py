@@ -246,7 +246,8 @@ class PlanTable:
     """A joint guard+effect evaluation over the plan's support product.
 
     ``rows`` holds, for every assignment of the support variables, the
-    guard's verdict and the post-state of the support variables (effects
+    guard's verdict and the post-states of the support variables — one
+    per value of a ``set_any`` choice, in its order, else one (effects
     never touch anything outside the support, so this is the plan's
     complete behaviour up to carried variables).
     """
@@ -254,7 +255,7 @@ class PlanTable:
     names: Tuple[str, ...]
     assignments: Tuple[Tuple, ...]
     enabled: Tuple[bool, ...]
-    finals: Tuple[Optional[Tuple], ...]
+    finals: Tuple[Optional[Tuple[Tuple, ...]], ...]
 
 
 def plan_frame_table(
@@ -278,7 +279,7 @@ def plan_frame_table(
     effects = row_effects(plan, index)
     assignments = tuple(itertools.product(*doms)) if names else ((),)
     enabled: List[bool] = []
-    finals: List[Optional[Tuple]] = []
+    finals: List[Optional[Tuple[Tuple, ...]]] = []
     for values in assignments:
         if guard(values):
             enabled.append(True)
@@ -290,17 +291,18 @@ def plan_frame_table(
 
 
 def _exact_writes(table: PlanTable) -> Dict[str, int]:
-    """``variable -> witness row index`` for every variable some enabled
-    row observably changes."""
+    """``variable -> witness row index`` for every variable some
+    successor of an enabled row observably changes."""
     writes: Dict[str, int] = {}
-    for row, (values, on, final) in enumerate(
+    for row, (values, on, finals) in enumerate(
         zip(table.assignments, table.enabled, table.finals)
     ):
         if not on:
             continue
-        for position, name in enumerate(table.names):
-            if name not in writes and final[position] != values[position]:
-                writes[name] = row
+        for final in finals:
+            for position, name in enumerate(table.names):
+                if name not in writes and final[position] != values[position]:
+                    writes[name] = row
     return writes
 
 
@@ -312,21 +314,24 @@ def _exact_reads(
 
     Two assignments differing only in ``v`` must exhibit the same
     behaviour for ``v`` to be unread: equal guard verdicts and, when
-    enabled, equal post-states — compared under the memo's contract
-    (``v`` written: full post-states match; ``v`` unwritten: post-states
-    match outside ``v``, the old value merely rides along).
+    enabled, equal successor sequences — compared under the memo's
+    contract (``v`` written: full post-states match; ``v`` unwritten:
+    post-states match outside ``v``, the old value merely rides along).
     """
     reads: Dict[str, Tuple[int, int]] = {}
     for position, name in enumerate(table.names):
         masked = name not in writes
 
         def behaviour(row: int) -> Tuple:
-            final = table.finals[row]
-            if final is None:
+            finals = table.finals[row]
+            if finals is None:
                 return (False, None)
             if masked:
-                final = final[:position] + final[position + 1:]
-            return (True, final)
+                finals = tuple(
+                    final[:position] + final[position + 1:]
+                    for final in finals
+                )
+            return (True, finals)
 
         groups: Dict[Tuple, int] = {}
         for row, values in enumerate(table.assignments):
@@ -680,8 +685,8 @@ def _analyze_uncached(
     covers_frames = False
     if table is not None:
         changes_state = any(
-            on and final != values
-            for values, on, final in zip(
+            on and any(final != values for final in finals)
+            for values, on, finals in zip(
                 table.assignments, table.enabled, table.finals
             )
         )

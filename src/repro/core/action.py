@@ -23,13 +23,14 @@ Helper constructors:
 - :meth:`Action.restrict` implements the paper's ``Z ∧ ac`` notation:
   strengthening the guard of an action by a state predicate.
 
-A deterministic action is best written as data: ``Action(name,
-plan=Plan(guard, effects))`` (see :mod:`repro.core.kernels`).  The
-plan is then the action's only description — its guard, statement and
-``reads``/``writes`` frame are all derived from it, and the batch
-kernels compile it to whole-frontier evaluators.  Lambda guards and
-statements stay for what the plan grammar cannot say (nondeterministic
-statements, count guards).
+An action is best written as data: ``Action(name, plan=Plan(guard,
+effects))`` (see :mod:`repro.core.kernels`).  The plan is then the
+action's only description — its guard, statement and ``reads``/
+``writes`` frame are all derived from it, and the batch kernels compile
+it to whole-frontier evaluators.  Plans say deterministic assignments
+and one nondeterministic choice of a variable's value (``set_any``,
+the Byzantine lies); lambda guards and statements stay for what the
+grammar cannot say (count guards, a choice that depends on the state).
 """
 
 from __future__ import annotations
@@ -115,16 +116,18 @@ def skip() -> Statement:
 
 
 def _plan_statement(plan: Plan) -> Statement:
-    """The deterministic statement a plan's effects describe, compiled
-    once per schema."""
+    """The statement a plan's effects describe — one successor, or one
+    per value of its ``set_any`` choice — compiled once per schema."""
     compiled = EvaluatorMemo()
 
-    def statement(state: State) -> State:
+    def statement(state: State) -> Tuple[State, ...]:
         schema = state._schema
         apply = compiled.get(schema)
         if apply is None:
             apply = compiled[schema] = row_effects(plan, schema.index)
-        return _state_of(schema, apply(state._values))
+        return tuple([
+            _state_of(schema, values) for values in apply(state._values)
+        ])
 
     return statement
 
@@ -143,8 +146,8 @@ class Action:
     reads, writes:
         Optional frame of a guard/statement action (see ``__init__``).
     plan:
-        A :class:`~repro.core.kernels.Plan`: the whole description of a
-        deterministic action.  The guard, statement and frame are
+        A :class:`~repro.core.kernels.Plan`: the whole description of
+        the action.  The guard, statement and frame are
         derived from it, so passing any of them as well raises
         :class:`TypeError`.
     """

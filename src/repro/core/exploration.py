@@ -423,18 +423,21 @@ class TransitionSystem:
         numpy arrays; Python touches each edge only once, to build the
         final row tuples.
 
-        Planned actions expand a whole level per kernel call.  Unplanned
-        ones (nondeterministic statements such as the Byzantine lies)
-        run their interpreted ``successors`` over the level's states,
-        and all of a level's unplanned successors become rank columns in
-        one conversion.  On a symmetry quotient every successor block
-        passes through the column canonicalizer ``canon_cols`` before it
-        is packed, so codes, ids and states are orbit representatives
-        throughout.  Codes map to dense ids through :class:`_CodeIds`,
-        so interning, dedup, and discovery-order id assignment are all
-        vectorized; the interpreted engine's FIFO order is reproduced by
-        a stable sort on (source, program-before-fault, action
-        position), which keeps an unplanned action's statement order.
+        Planned actions expand a whole level per kernel call, with one
+        memo per level so the guard terms several actions repeat are
+        computed once.  Unplanned ones run their interpreted
+        ``successors`` over the level's states, and all of a level's
+        unplanned successors become rank columns in one conversion.  On
+        a symmetry quotient a level's successor columns are stacked and
+        pass through the column canonicalizer ``canon_cols`` once before
+        they are packed, so codes, ids and states are orbit
+        representatives throughout; unreduced levels pack each kernel's
+        block as it comes.  Codes map to dense ids through
+        :class:`_CodeIds`, so interning, dedup, and discovery-order id
+        assignment are all vectorized; the interpreted engine's FIFO
+        order is reproduced by a stable sort on (source,
+        program-before-fault, action position), which keeps the order a
+        nondeterministic action gives its successors in.
 
         Returns ``False``, with the registry reset to the start states,
         when no action has a kernel for ``layout`` or a start state or
@@ -442,8 +445,8 @@ class TransitionSystem:
         state of another schema); the interpreted engine then runs."""
         program_actions = self.program.actions
         fault_actions = self.fault_actions
-        # per group (program, fault): (position, kernel) of the planned
-        # actions and (position, action) of the unplanned ones
+        # per group (program, fault): (position, kernel, choices) of the
+        # planned actions and (position, action) of the unplanned ones
         planned: Tuple[List, List] = ([], [])
         unplanned: Tuple[List, List] = ([], [])
         for group, actions in enumerate((program_actions, fault_actions)):
@@ -452,7 +455,9 @@ class TransitionSystem:
                 if kernel is None:
                     unplanned[group].append((pos, action))
                 else:
-                    planned[group].append((pos, kernel))
+                    planned[group].append(
+                        (pos, kernel, action.plan.choices)
+                    )
         if not (planned[0] or planned[1]):
             return False
         starts = self.start_states
@@ -476,21 +481,28 @@ class TransitionSystem:
         while True:
             n = cols.shape[1]
             # edges as (key, code, action position) arrays, with key =
-            # 2 * source + group (program 0, fault 1)
+            # 2 * source + group (program 0, fault 1); on a quotient the
+            # successor columns wait in ``blocks`` for one canonicalization
             keys, dsts, acts = [empty], [empty], [empty]
+            blocks: List = []
+            memo: Dict = {}
+            repeats = False
             for group, kernels_g in enumerate(planned):
-                for pos, kernel in kernels_g:
-                    idx, out = kernel(cols)
+                for pos, kernel, choices in kernels_g:
+                    idx, out = kernel(cols, memo)
                     if out is None:
                         continue
-                    if canon_cols is not None:
-                        out = canon_cols(out)
                     keys.append(idx * 2 + group)
-                    dsts.append(layout.pack_columns(out))
                     acts.append(np.full(idx.shape[0], pos, dtype=np.int64))
-            level = states_list[frontier_lo:frontier_lo + n]
+                    if canon_cols is None:
+                        dsts.append(layout.pack_columns(out))
+                    else:
+                        blocks.append(out)
+                        # two values of one choice may share an orbit
+                        repeats = repeats or choices > 1
             found: List[State] = []
-            repeats = False
+            if unplanned[0] or unplanned[1]:
+                level = states_list[frontier_lo:frontier_lo + n]
             for group, actions_g in enumerate(unplanned):
                 for pos, action in actions_g:
                     successors = list(map(action.successors, level))
@@ -517,20 +529,24 @@ class TransitionSystem:
                     # a successor the layout cannot hold: start over
                     self._register_starts()
                     return False
-                if canon_cols is not None:
-                    out = canon_cols(out)
-                dsts.append(layout.pack_columns(out))
+                if canon_cols is None:
+                    dsts.append(layout.pack_columns(out))
+                else:
+                    blocks.append(out)
+            if blocks:
+                block = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+                dsts.append(layout.pack_columns(canon_cols(block)))
             key = np.concatenate(keys)
             dst = np.concatenate(dsts)
             act = np.concatenate(acts)
             # FIFO order: source-major, program edges before fault
             # edges, actions in declaration order; lexsort is stable,
-            # so an unplanned action's successors keep statement order
+            # so a nondeterministic action's successors keep their order
             order = np.lexsort((act, key))
             key, dst, act = key[order], dst[order], act[order]
             if repeats:
-                # an unplanned action offered one successor (or, on a
-                # quotient, one orbit) twice: keep the first edge
+                # an action offered one successor (or, on a quotient,
+                # one orbit) twice: keep the first edge
                 by_code = np.lexsort((dst, act, key))
                 k, a, d = key[by_code], act[by_code], dst[by_code]
                 again = (

@@ -1,9 +1,11 @@
 """The Plan IR and its compilers: one description per guarded command.
 
-A :class:`Plan` is the whole description of a deterministic guarded
-command — a guard expression and a list of effects over named
-variables (grammar below).  Everything else about the action is
-compiled from it here:
+A :class:`Plan` is the whole description of a guarded command — a
+guard expression and a list of effects over named variables (grammar
+below).  Effects are deterministic assignments plus at most one
+nondeterministic choice (``set_any``), so a plan describes an action
+with one successor per enabled state, or one per value of its choice.
+Everything else about the action is compiled from it here:
 
 - the interpreted guard and statement (:func:`row_guard`,
   :func:`row_effects`) and the ``reads``/``writes`` frame
@@ -22,10 +24,16 @@ The guard grammar is also the state-predicate language: a
 ``fn``, its values-tuple evaluator (:func:`row_guard`) and its
 rank-column evaluator (:func:`column_guard`) from the same compilers.
 
-Actions without a plan (nondeterministic statements such as the
-Byzantine lies) run their interpreted ``successors`` inside the same
-array engine, whose successors are converted to rank columns alongside
-the kernels' output, so kernels are an accelerator, never a constraint.
+Kernels take an optional per-level *memo*: the terms several guards of
+one program repeat (``all_ne_const`` and the majority count behind the
+majority ops) are computed once per frontier level and shared.  The
+caller owns the memo — one dict per matrix of columns — and a memoized
+column is only ever read, never written in place.
+
+Actions without a plan (statements the grammar cannot say) run their
+interpreted ``successors`` inside the same array engine, whose
+successors are converted to rank columns alongside the kernels' output,
+so kernels are an accelerator, never a constraint.
 ``tests/test_kernels.py`` pins kernel/interpreted parity (state sets,
 edges, deadlocks) across every bundled program and fault builder, under
 symmetry quotients.
@@ -54,12 +62,18 @@ Guards::
 ``("and",)`` is true and ``("or",)`` is false.
 
 Effects (applied atomically — every right-hand side reads the
-pre-state)::
+pre-state; no two effects of a plan assign the same variable)::
 
     ("set_const", name, value)
     ("copy", dst, src)                         # dst := src (values)
     ("inc_mod", dst, src, m)                   # dst := (src + 1) mod m
     ("set_majority", dst, names, k)            # dst := 0/1 majority
+    ("set_any", name, values)                  # name := any of values
+
+``set_any`` is nondeterministic choice: one successor per value, in
+``values`` order, each carrying the plan's other effects too; a value
+equal to the current one gives a self-loop.  ``values`` is non-empty and
+repeats no value, and a plan has at most one ``set_any``.
 """
 
 from __future__ import annotations
@@ -134,7 +148,9 @@ _GUARD_ARITY = {
     "all_ne_const": 2, "eq_majority": 3, "ne_majority": 3,
     "and": None, "or": None, "not": 1,
 }
-_EFFECT_ARITY = {"set_const": 2, "copy": 2, "inc_mod": 3, "set_majority": 3}
+_EFFECT_ARITY = {
+    "set_const": 2, "copy": 2, "inc_mod": 3, "set_majority": 3, "set_any": 2,
+}
 
 
 def _check_op(kind: str, term: Tuple, arities: Dict[str, Optional[int]]) -> None:
@@ -158,23 +174,48 @@ def check_guard(expr: Tuple) -> None:
 
 
 class Plan:
-    """Declarative guard + assignment of one deterministic action.
+    """Declarative guard + assignment of one guarded command.
 
-    ``guard`` and each effect follow the module-level grammar.  A plan
-    describes an action with at most one successor per state; actions
-    with nondeterministic statements stay unplanned and run interpreted.
+    ``guard`` and each effect follow the module-level grammar.  Effects
+    assign distinct variables, and at most one of them is a ``set_any``
+    choice; ``choices`` is the number of successors the plan gives an
+    enabled state (the length of the choice's values, else 1).
+    Malformed plans raise :class:`KernelError` here, before any
+    compiler sees them.
     """
 
-    __slots__ = ("guard", "effects")
+    __slots__ = ("guard", "effects", "choices")
 
     def __init__(self, guard: Tuple, effects: Iterable[Tuple]):
         self.guard = tuple(guard)
-        self.effects = tuple(tuple(effect) for effect in effects)
         check_guard(self.guard)
-        if not self.effects:
-            raise KernelError("a plan needs at least one effect")
-        for effect in self.effects:
+        checked = []
+        targets = set()
+        self.choices = 1
+        for effect in effects:
+            effect = tuple(effect)
             _check_op("effect", effect, _EFFECT_ARITY)
+            if effect[1] in targets:
+                raise KernelError(
+                    f"plan assigns {effect[1]!r} twice: {effect!r}"
+                )
+            targets.add(effect[1])
+            if effect[0] == "set_any":
+                values = tuple(effect[2])
+                if any(e[0] == "set_any" for e in checked):
+                    raise KernelError(
+                        f"a plan takes at most one set_any effect: {effect!r}"
+                    )
+                if not values:
+                    raise KernelError(f"set_any needs values: {effect!r}")
+                if len(dict.fromkeys(values)) != len(values):
+                    raise KernelError(f"set_any repeats a value: {effect!r}")
+                effect = ("set_any", effect[1], values)
+                self.choices = len(values)
+            checked.append(effect)
+        if not checked:
+            raise KernelError("a plan needs at least one effect")
+        self.effects = tuple(checked)
 
     def __repr__(self) -> str:
         return f"Plan(guard={self.guard!r}, effects={self.effects!r})"
@@ -202,7 +243,7 @@ def guard_support(expr: Tuple) -> FrozenSet[str]:
 
 def _effect_sources(effect: Tuple) -> FrozenSet[str]:
     op = effect[0]
-    if op == "set_const":
+    if op in ("set_const", "set_any"):
         return frozenset()
     if op in ("copy", "inc_mod"):
         return frozenset((effect[2],))
@@ -422,12 +463,14 @@ def _validate_plan(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
     _validate_names(plan_support(plan), index)
     for effect in plan.effects:
         op = effect[0]
-        if op == "set_const":
-            _, name, value = effect
-            _require(
-                value in _domain_of(domains, name),
-                f"set_const value {value!r} outside domain of {name!r}",
-            )
+        if op in ("set_const", "set_any"):
+            values = effect[2] if op == "set_any" else (effect[2],)
+            domain = _domain_of(domains, effect[1])
+            for value in values:
+                _require(
+                    value in domain,
+                    f"{op} value {value!r} outside domain of {effect[1]!r}",
+                )
         elif op == "copy":
             _, dst, src = effect
             dst_domain = set(_domain_of(domains, dst))
@@ -544,12 +587,18 @@ def row_guard(expr: Tuple, index: Dict[str, int]) -> Callable:
 
 def row_effects(plan: Plan, index: Dict[str, int]) -> Callable:
     """The plan's assignment over raw values sequences in ``index``
-    order: values in, successor values-tuple out (the guard is not
-    consulted).  Raises :class:`KernelError` on an unknown variable."""
+    order: values in, the tuple of successor values-tuples out — one
+    per value of the plan's ``set_any`` choice, in its order, else
+    exactly one (the guard is not consulted).  Raises
+    :class:`KernelError` on an unknown variable."""
     steps = []
+    choice = None
     for effect in plan.effects:
         op = effect[0]
         target = _position(index, effect[1])
+        if op == "set_any":
+            choice = (target, effect[2])
+            continue
         if op == "set_const":
             value = lambda values, v=effect[2]: v
         elif op == "copy":
@@ -565,11 +614,18 @@ def row_effects(plan: Plan, index: Dict[str, int]) -> Callable:
             )
         steps.append((target, value))
 
-    def apply(values, steps=tuple(steps)):
+    def apply(values, steps=tuple(steps), choice=choice):
         out = list(values)
         for target, value in steps:
             out[target] = value(values)
-        return tuple(out)
+        if choice is None:
+            return (tuple(out),)
+        at, choices = choice
+        successors = []
+        for value in choices:
+            out[at] = value
+            successors.append(tuple(out))
+        return tuple(successors)
 
     return apply
 
@@ -580,9 +636,9 @@ _ROW_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def row_kernel(action, schema, domains: Dict[str, Tuple]) -> Optional[Callable]:
     """A compiled per-row evaluator of ``action``'s plan: values-tuple
-    in, successor values-tuple (or ``None`` when disabled) out.  Returns
-    ``None`` when the action has no plan or the plan does not fit the
-    schema/domains."""
+    in, the tuple of successor values-tuples out (empty when the guard
+    is false).  Returns ``None`` when the action has no plan or the plan
+    does not fit the schema/domains."""
     plan = getattr(action, "plan", None)
     if plan is None:
         return None
@@ -604,7 +660,7 @@ def row_kernel(action, schema, domains: Dict[str, Tuple]) -> Optional[Callable]:
         else:
             def fn(values, guard=guard, effects=effects):
                 if not guard(values):
-                    return None
+                    return ()
                 return effects(values)
     except KernelError:
         fn = None
@@ -630,6 +686,21 @@ def _value_lut(layout: Layout, src: str, dst: str):
     )
 
 
+def _shared(key: Tuple, fn: Callable) -> Callable:
+    """``fn`` as a term several guards share: with a memo (one dict per
+    column matrix, owned by the caller) it is computed once under
+    ``key`` and its column handed to every guard that repeats it —
+    which is why no compiled guard writes a sub-result in place."""
+    def shared(cols, memo=None, key=key, fn=fn):
+        if memo is None:
+            return fn(cols)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = fn(cols)
+        return found
+    return shared
+
+
 def _majority_column(layout: Layout, names, k: int):
     positions = tuple(layout.index[n] for n in names)
     ones = tuple(_rank_or_sentinel(layout, n, 1) for n in names)
@@ -640,10 +711,17 @@ def _majority_column(layout: Layout, names, k: int):
             count += cols[p] == r1
         return 2 * count > k
 
-    return majority_is_one
+    return _shared(("majority", tuple(names), k), majority_is_one)
+
+
+def _never(cols, memo=None):
+    return _np.zeros(cols.shape[1], dtype=bool)
 
 
 def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
+    """Guard evaluator ``fn(cols, memo=None)`` over rank columns, or
+    ``None`` for a guard that is syntactically always true.  The mask it
+    returns may be a memoized column: read it, never update it."""
     op = expr[0]
     index = layout.index
     if op == "true":
@@ -652,18 +730,20 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
         p = index[expr[1]]
         r = _rank_or_sentinel(layout, expr[1], expr[2])
         if op == "eq_const":
-            return lambda cols, p=p, r=r: cols[p] == r
-        return lambda cols, p=p, r=r: cols[p] != r
+            return lambda cols, memo=None, p=p, r=r: cols[p] == r
+        return lambda cols, memo=None, p=p, r=r: cols[p] != r
     if op in ("eq_var", "ne_var"):
         a, b = index[expr[1]], index[expr[2]]
         if layout.domains[a] == layout.domains[b]:
             if op == "eq_var":
-                return lambda cols, a=a, b=b: cols[a] == cols[b]
-            return lambda cols, a=a, b=b: cols[a] != cols[b]
+                return lambda cols, memo=None, a=a, b=b: cols[a] == cols[b]
+            return lambda cols, memo=None, a=a, b=b: cols[a] != cols[b]
         lut = _value_lut(layout, expr[2], expr[1])
         if op == "eq_var":
-            return lambda cols, a=a, b=b, lut=lut: cols[a] == lut[cols[b]]
-        return lambda cols, a=a, b=b, lut=lut: cols[a] != lut[cols[b]]
+            return (lambda cols, memo=None, a=a, b=b, lut=lut:
+                    cols[a] == lut[cols[b]])
+        return (lambda cols, memo=None, a=a, b=b, lut=lut:
+                cols[a] != lut[cols[b]])
     if op == "all_ne_const":
         pairs = tuple(
             (index[n], _rank_or_sentinel(layout, n, expr[2]))
@@ -674,41 +754,48 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
             for p, r in pairs[1:]:
                 acc &= cols[p] != r
             return acc
-        return all_ne
+        return _shared(("all_ne_const", tuple(expr[1]), expr[2]), all_ne)
     if op in ("eq_majority", "ne_majority"):
         p = index[expr[1]]
         r0 = _rank_or_sentinel(layout, expr[1], 0)
         r1 = _rank_or_sentinel(layout, expr[1], 1)
         majority_is_one = _majority_column(layout, expr[2], expr[3])
-        def eq_majority(cols, p=p, r0=r0, r1=r1, m=majority_is_one):
-            return cols[p] == _np.where(m(cols), r1, r0)
+        def eq_majority(cols, memo=None, p=p, r0=r0, r1=r1,
+                        m=majority_is_one):
+            return cols[p] == _np.where(m(cols, memo), r1, r0)
         if op == "eq_majority":
             return eq_majority
-        return lambda cols, f=eq_majority: ~f(cols)
+        return lambda cols, memo=None, f=eq_majority: ~f(cols, memo)
     if op == "not":
         sub = _compile_guard_numpy(expr[1], layout)
         if sub is None:
-            return lambda cols: _np.zeros(cols.shape[1], dtype=bool)
-        return lambda cols, f=sub: ~f(cols)
+            return _never
+        return lambda cols, memo=None, f=sub: ~f(cols, memo)
     subs = [_compile_guard_numpy(sub, layout) for sub in expr[1:]]
     if op == "and":
         subs = [f for f in subs if f is not None]
         if not subs:
             return None
-        def conj(cols, fns=tuple(subs)):
-            acc = fns[0](cols)
-            for fn in fns[1:]:
-                acc &= fn(cols)
+        if len(subs) == 1:
+            return subs[0]
+        # the first operation allocates the accumulator, so a shared
+        # first conjunct is never updated in place
+        def conj(cols, memo=None, fns=tuple(subs)):
+            acc = fns[0](cols, memo) & fns[1](cols, memo)
+            for fn in fns[2:]:
+                acc &= fn(cols, memo)
             return acc
         return conj
     if any(f is None for f in subs):
         return None
     if not subs:  # the empty disjunction is false
-        return lambda cols: _np.zeros(cols.shape[1], dtype=bool)
-    def disj(cols, fns=tuple(subs)):
-        acc = fns[0](cols)
-        for fn in fns[1:]:
-            acc |= fn(cols)
+        return _never
+    if len(subs) == 1:
+        return subs[0]
+    def disj(cols, memo=None, fns=tuple(subs)):
+        acc = fns[0](cols, memo) | fns[1](cols, memo)
+        for fn in fns[2:]:
+            acc |= fn(cols, memo)
         return acc
     return disj
 
@@ -726,6 +813,8 @@ def column_guard(expr: Tuple, layout: Layout) -> Callable:
 
 
 def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
+    """The plan's deterministic effects as column steps ``step(pre,
+    out)``; a ``set_any`` choice is expanded by the kernel itself."""
     index = layout.index
     steps: List[Callable] = []
     for effect in plan.effects:
@@ -757,7 +846,7 @@ def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
                 lambda pre, out, d=d, s=s, m=m:
                 out.__setitem__(d, (pre[s] + 1) % m)
             )
-        else:  # set_majority
+        elif op == "set_majority":
             d = index[effect[1]]
             r0 = layout.ranks[d][0]
             r1 = layout.ranks[d][1]
@@ -769,18 +858,36 @@ def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
     return tuple(steps)
 
 
+def _choice_ranks(plan: Plan, layout: Layout):
+    """``(position, value ranks)`` of the plan's ``set_any`` choice, or
+    ``None`` for a deterministic plan."""
+    for effect in plan.effects:
+        if effect[0] == "set_any":
+            d = layout.index[effect[1]]
+            return d, _np.array(
+                [layout.ranks[d][value] for value in effect[2]],
+                dtype=_np.int64,
+            )
+    return None
+
+
 #: action -> {layout: batch kernel or None}
 _BATCH_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def batch_kernel(action, layout: Layout) -> Optional[Callable]:
     """A vectorized evaluator of ``action``'s plan over a ``(vars, N)``
-    rank matrix: returns ``(enabled column indices, successor rank
-    matrix)`` — or ``None`` when the action has no plan or the plan does
-    not fit.
+    rank matrix: ``kernel(cols, memo=None)`` returns ``(source column
+    indices, successor rank matrix)`` — or the kernel is ``None`` when
+    the action has no plan or the plan does not fit.
 
-    The successor matrix has one column per enabled source column, in
-    source order, so callers can zip the two results directly.
+    The successor matrix has one column per enabled source column and
+    value of the plan's choice (one per enabled source for a
+    deterministic plan), source-major in source order, with the choice's
+    values in their declared order; the index array names each column's
+    source, so callers can zip the two results directly.  ``memo`` is
+    the caller's per-matrix dict of shared guard terms (see the module
+    docstring).
     """
     plan = getattr(action, "plan", None)
     if plan is None:
@@ -800,20 +907,28 @@ def batch_kernel(action, layout: Layout) -> Optional[Callable]:
         _validate_plan(plan, layout.index, domains)
         guard = _compile_guard_numpy(plan.guard, layout)
         steps = _compile_effects_numpy(plan, layout)
+        choice = _choice_ranks(plan, layout)
         empty = _np.empty(0, dtype=_np.int64)
 
-        def kernel(cols, guard=guard, steps=steps, empty=empty):
+        def kernel(cols, memo=None, guard=guard, steps=steps,
+                   choice=choice, empty=empty):
             if guard is None:
                 idx = _np.arange(cols.shape[1], dtype=_np.int64)
                 pre = cols
             else:
-                idx = _np.flatnonzero(guard(cols))
+                idx = _np.flatnonzero(guard(cols, memo))
                 if idx.size == 0:
                     return empty, None
                 pre = cols[:, idx]
             out = pre.copy()
             for step in steps:
                 step(pre, out)
+            if choice is not None:
+                d, ranks = choice
+                m = ranks.shape[0]
+                idx = _np.repeat(idx, m)
+                out = _np.repeat(out, m, axis=1)
+                out[d] = _np.tile(ranks, idx.shape[0] // m)
             return idx, out
     except KernelError:
         kernel = None
@@ -827,10 +942,12 @@ _CODE_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def code_kernel(action, layout: Layout) -> Optional[Callable]:
     """A successor evaluator that stays entirely in code space:
-    ``kernel(codes, cols)`` returns ``(enabled column indices, successor
-    codes)`` — or ``None`` when the action has no compilable plan.
+    ``kernel(codes, cols, memo=None)`` returns ``(source column indices,
+    successor codes)`` — or ``None`` when the action has no compilable
+    plan.  Successors come in :func:`batch_kernel`'s order, one per
+    enabled source and value of the plan's choice.
 
-    Because a plan's effects are per-variable assignments and codes are
+    Because a plan's effects assign distinct variables and codes are
     mixed-radix sums, the successor code is the source code plus
     ``(new_rank - old_rank) * stride`` per written variable — no
     successor rank matrix is ever materialized and no repacking happens,
@@ -863,7 +980,7 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
                 d = index[effect[1]]
                 r, st = layout.ranks[d][effect[2]], strides[d]
                 deltas.append(
-                    lambda cols, idx, d=d, r=r, st=st:
+                    lambda cols, idx, memo, d=d, r=r, st=st:
                     (r - cols[d, idx]) * st
                 )
             elif op == "copy":
@@ -871,23 +988,23 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
                 st = strides[d]
                 if layout.domains[d] == layout.domains[s]:
                     deltas.append(
-                        lambda cols, idx, d=d, s=s, st=st:
+                        lambda cols, idx, memo, d=d, s=s, st=st:
                         (cols[s, idx] - cols[d, idx]) * st
                     )
                 else:
                     lut = _value_lut(layout, effect[2], effect[1])
                     deltas.append(
-                        lambda cols, idx, d=d, s=s, st=st, lut=lut:
+                        lambda cols, idx, memo, d=d, s=s, st=st, lut=lut:
                         (lut[cols[s, idx]] - cols[d, idx]) * st
                     )
             elif op == "inc_mod":
                 d, s, m = index[effect[1]], index[effect[2]], effect[3]
                 st = strides[d]
                 deltas.append(
-                    lambda cols, idx, d=d, s=s, st=st, m=m:
+                    lambda cols, idx, memo, d=d, s=s, st=st, m=m:
                     ((cols[s, idx] + 1) % m - cols[d, idx]) * st
                 )
-            else:  # set_majority
+            elif op == "set_majority":
                 d = index[effect[1]]
                 r0, r1 = layout.ranks[d][0], layout.ranks[d][1]
                 st = strides[d]
@@ -895,23 +1012,37 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
                     layout, effect[2], effect[3]
                 )
                 deltas.append(
-                    lambda cols, idx, d=d, r0=r0, r1=r1, st=st,
+                    lambda cols, idx, memo, d=d, r0=r0, r1=r1, st=st,
                     m=majority_is_one:
-                    (_np.where(m(cols)[idx], r1, r0) - cols[d, idx]) * st
+                    (_np.where(m(cols, memo)[idx], r1, r0)
+                     - cols[d, idx]) * st
                 )
+        offsets = None
+        choice = _choice_ranks(plan, layout)
+        if choice is not None:
+            # clear the choice's target; each value adds its own offset
+            d, ranks = choice
+            st = strides[d]
+            deltas.append(
+                lambda cols, idx, memo, d=d, st=st: -cols[d, idx] * st
+            )
+            offsets = ranks * st
         empty = _np.empty(0, dtype=_np.int64)
 
-        def kernel(codes, cols, guard=guard, deltas=tuple(deltas),
-                   empty=empty):
+        def kernel(codes, cols, memo=None, guard=guard,
+                   deltas=tuple(deltas), offsets=offsets, empty=empty):
             if guard is None:
                 idx = _np.arange(codes.shape[0], dtype=_np.int64)
             else:
-                idx = _np.flatnonzero(guard(cols))
+                idx = _np.flatnonzero(guard(cols, memo))
                 if idx.size == 0:
                     return empty, None
             out = codes[idx]
             for delta in deltas:
-                out = out + delta(cols, idx)
+                out = out + delta(cols, idx, memo)
+            if offsets is not None:
+                out = (out[:, None] + offsets).ravel()
+                idx = _np.repeat(idx, offsets.shape[0])
             return idx, out
     except KernelError:
         kernel = None
@@ -988,8 +1119,9 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
         for lo in range(0, int(frontier.shape[0]), _FRONTIER_CHUNK):
             chunk = frontier[lo:lo + _FRONTIER_CHUNK]
             cols = layout.columns_from_codes(chunk)
+            memo = {}  # guard terms shared across the chunk's kernels
             for kernel in kernels:
-                idx, codes = kernel(chunk, cols)
+                idx, codes = kernel(chunk, cols, memo)
                 if codes is None:
                     continue
                 edges += int(idx.shape[0])

@@ -805,10 +805,12 @@ class SystemIndex:
         per action object).
 
         Planned program actions skip the guard sweep entirely: a plan
-        certifies the action is a deterministic assignment, so its guard
-        holds at a state exactly when exploration recorded an edge
-        labelled by it — and one pass over the recorded program edges
-        yields the bitmaps of *every* such action at once."""
+        certifies the action gives every enabled state at least one
+        successor (one, or one per value of its ``set_any`` choice), so
+        its guard holds at a state exactly when exploration recorded at
+        least one edge labelled by it — and one pass over the recorded
+        program edges yields the bitmaps of *every* such action at
+        once."""
         cached = self._enabled_data.get(action)
         if cached is None:
             if (

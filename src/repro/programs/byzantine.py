@@ -41,10 +41,11 @@ State variables: ``dg``/``bg`` for the general; per non-general ``j``:
 
 :func:`build_family` generalizes the construction to any odd number
 ``k`` of non-generals; :func:`build` is its paper instance, ``k = 3``.
-Every deterministic action is a :class:`~repro.core.kernels.Plan`, and
-the witness and detection predicates are expressions in the same
-grammar; only the Byzantine lies (nondeterministic writes) and the
-count predicates (spec, invariants, span) are written as code.
+Every action is a :class:`~repro.core.kernels.Plan` — the Byzantine
+lies are nondeterministic ``set_any`` writes, one successor per value —
+and the witness and detection predicates are expressions in the same
+grammar; only the count predicates (spec, invariants, span) are written
+as code.
 """
 
 from __future__ import annotations
@@ -214,15 +215,13 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
         """The arbitrary-behaviour halves of BYZ.g and BYZ.j — program
         actions, enabled while the respective Byzantine flag is up.
         Writes are arbitrary *values*: a Byzantine process may lie but
-        cannot un-send (``⊥`` is never written).  Nondeterministic, so
-        written as code rather than as plans."""
+        cannot un-send (``⊥`` is never written).  Each lie is a
+        ``set_any`` choice, one successor per value (the current one
+        included, as a self-loop)."""
         def lie(name: str, flag: str, target: str) -> Action:
-            return Action(
-                name,
-                Predicate(expr=("eq_const", flag, True), name=flag),
-                lambda s, target=target: s.assign_each(target, VALUES),
-                reads={flag}, writes={target},
-            )
+            return Action(name, plan=Plan(
+                ("eq_const", flag, True), [("set_any", target, VALUES)],
+            ))
 
         actions = [lie("BYZ.g.lie", "bg", "dg")]
         for j in ngs:

@@ -76,6 +76,8 @@ class ServerThread:
             self.loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True)
             )
+        # close the listening socket StoreServer.start opened
+        self.loop.run_until_complete(self.server.stop())
         self.loop.close()
 
     @property

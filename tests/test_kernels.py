@@ -31,8 +31,13 @@ from repro.core.exploration import (
 from repro.core.kernels import KernelError, Plan, explore_codes
 from repro.core.predicate import TRUE, var_eq
 from repro.core.program import Program
-from repro.core.state import State, StateInterner, Variable, state_space
-from repro.programs import byzantine, memory_access, tmr, token_ring
+from repro.core.state import (
+    Schema, State, StateInterner, Variable, state_space,
+)
+from repro.core.symmetry import ValueRotation
+from repro.programs import (
+    byzantine, memory_access, tmr, token_ring, tree_maintenance,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -68,12 +73,50 @@ def _tick():
     )
 
 
+def _lambda_lies(program):
+    """``program`` with every ``set_any`` action written as the lambda
+    statement it replaced (same name, guard and frame), so the array
+    engine runs it through its unplanned path."""
+    actions = []
+    for action in program.actions:
+        op, target, *values = action.plan.effects[0]
+        if op == "set_any":
+            action = Action(
+                action.name, action.guard,
+                lambda s, target=target, values=values[0]:
+                s.assign_each(target, values),
+                reads=action.reads, writes=action.writes,
+            )
+        actions.append(action)
+    return Program(
+        program.variables, actions, name=f"{program.name} (lambda lies)",
+        symmetry=program.symmetry,
+    )
+
+
+def _flip_program():
+    """A 160-state counter under the Z_2 rotation of ``c``: ``flip``
+    steps ``x`` and sets ``c`` to either value, so on the quotient both
+    of its successors fall into one orbit."""
+    flip = Action("flip", plan=Plan(
+        ("ne_const", "x", 79),
+        [("set_any", "c", (1, 0)), ("inc_mod", "x", "x", 80)],
+    ))
+    hold = Action("hold", plan=Plan(
+        ("eq_const", "x", 79), [("set_const", "x", 0)],
+    ))
+    return Program(
+        [Variable("c", (0, 1)), Variable("x", range(80))], [flip, hold],
+        name="flip", symmetry=ValueRotation(("c",), 2),
+    )
+
+
 def _scenarios():
     """(name, program, starts, faults, symmetric) over the bundled
-    families plus one synthetic edge-order case: planned actions,
-    unplanned actions (byzantine lies), fault builders, symmetry
-    quotients, and dense and sorted code -> id maps are all
-    represented."""
+    families plus synthetic edge-order cases: planned actions (the
+    Byzantine lies among them, as ``set_any`` choices), unplanned
+    actions, fault builders, symmetry quotients, and dense and sorted
+    code -> id maps are all represented."""
     ring = token_ring.build(4)
     yield (
         "token_ring",
@@ -99,7 +142,7 @@ def _scenarios():
         tuple(byz.faults.actions),
         False,
     )
-    # S_3 quotient with unplanned lies plus faults, from the fault span
+    # S_3 quotient with the lies plus faults, from the fault span
     # (starts in every orbit, many revisited)
     yield (
         "byzantine_masking_sym",
@@ -119,9 +162,9 @@ def _scenarios():
         tuple(family5.faults.actions),
         True,
     )
-    # S_7 quotient, 15 of 44 actions unplanned lies, a 2,448,880,128-code
-    # space: the sorted code -> id map, one column conversion of the
-    # lies' successors per level, and their column canonicalization
+    # S_7 quotient, 15 of 44 actions set_any lies, a 2,448,880,128-code
+    # space: the sorted code -> id map and one canonicalization of every
+    # kernel's successors per level
     ngs7 = (1, 2, 3, 4, 5, 6, 7)
     family7 = byzantine.build_family(ngs7)
     yield (
@@ -131,6 +174,19 @@ def _scenarios():
         tuple(family7.faults.actions),
         True,
     )
+    # the same quotient with the lies left as lambda statements: one
+    # column conversion of their successors per level, their column
+    # canonicalization, and the dedup of the orbits they repeat
+    yield (
+        "byzantine_family7_lambda_lies_sym",
+        _lambda_lies(family7.masking),
+        byzantine.initial_states(ngs7),
+        tuple(family7.faults.actions),
+        True,
+    )
+    # a planned choice whose two values share an orbit: the quotient
+    # keeps the first edge of the pair
+    yield ("flip_sym", _flip_program(), [State(c=0, x=0)], (), True)
     t = tmr.build()
     yield (
         "tmr",
@@ -262,12 +318,29 @@ def test_explore_codes_rejects_unknown_selector():
         explore_codes(model.ring, "everything")
 
 
+@pytest.mark.parametrize("ngs", [(1, 2, 3), (1, 2, 3, 4, 5)])
+def test_explore_codes_runs_the_lies(ngs):
+    """With the lies planned, the masking program and its faults census
+    in code space: the State-object explorer's states and edges."""
+    model = byzantine.build_family(ngs)
+    starts = byzantine.initial_states(ngs)
+    faults = tuple(model.faults.actions)
+    reach = explore_codes(model.masking, starts, faults)
+    ts = TransitionSystem(model.masking, starts, faults)
+    assert reach.states == len(ts.states)
+    assert reach.edges == sum(
+        len(ts.program_edges_from(s)) + len(ts.fault_edges_from(s))
+        for s in ts.states
+    )
+
+
 def test_explore_codes_requires_plans():
     """No interpreted fallback: an unplanned action is a hard error,
     not a silent downgrade."""
-    model = byzantine.build()  # BYZ lie actions are deliberately unplanned
-    with pytest.raises(KernelError):
-        explore_codes(model.masking, byzantine.initial_states())
+    model = tree_maintenance.build()  # fix{i}: a lambda guard and statement
+    starts = [next(iter(state_space(model.program.variables)))]
+    with pytest.raises(KernelError, match="'fix1'"):
+        explore_codes(model.program, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +354,18 @@ def test_malformed_plan_raises_kernel_error():
         Plan(("no_such_op", "x0"), [("set_const", "x0", 0)])
     with pytest.raises(KernelError):
         Plan(("true",), [("no_such_effect", "x0", 0)])
+
+
+@pytest.mark.parametrize("effects", [
+    [("set_const", "x", 1), ("set_const", "x", 2)],
+    [("set_any", "x", (0, 1)), ("copy", "x", "y")],
+    [("inc_mod", "x", "y", 4), ("set_any", "x", (2,))],
+])
+def test_plan_assigning_a_variable_twice_is_refused(effects):
+    """``x := 1; x := 2`` has no atomic meaning (the code kernel used to
+    add both deltas and reach x = 3): refused, naming the variable."""
+    with pytest.raises(KernelError, match="'x' twice"):
+        Plan(("true",), effects)
 
 
 def test_clear_all_caches_drains_kernel_memos():
@@ -299,6 +384,187 @@ def test_clear_all_caches_drains_kernel_memos():
     assert len(kernels._CODE_KERNELS) == 0
     assert len(kernels._ROW_KERNELS) == 0
     assert len(kernels._LAYOUTS) == 0
+
+
+# ---------------------------------------------------------------------------
+# set_any: nondeterministic choice
+# ---------------------------------------------------------------------------
+
+_PICK_VARIABLES = [Variable("x", range(4)), Variable("y", range(40))]
+
+
+def _pick():
+    """``y != 39 --> x := any of (2, 0, 1); y := y + 1``."""
+    return Action("pick", plan=Plan(
+        ("ne_const", "y", 39),
+        [("set_any", "x", (2, 0, 1)), ("inc_mod", "y", "y", 40)],
+    ))
+
+
+def _assert_evaluators_agree(action, variables):
+    """The batch and code kernels give every state of ``variables`` the
+    interpreted successors of ``action``, in order; returns them as
+    (source index, code) pairs."""
+    states = list(state_space(variables))
+    layout = kernels.layout_for(
+        states[0].schema, {v.name: tuple(v.domain) for v in variables}
+    )
+    cols = layout.columns_from_states(states)
+    idx, out = kernels.batch_kernel(action, layout)(cols, {})
+    code_idx, codes = kernels.code_kernel(action, layout)(
+        layout.pack_columns(cols), cols, {}
+    )
+    interpreted = [
+        (i, layout.pack_values(t.values_tuple))
+        for i, s in enumerate(states) for t in action.successors(s)
+    ]
+    assert list(zip(idx.tolist(), layout.pack_columns(out).tolist())) \
+        == interpreted
+    assert list(zip(code_idx.tolist(), codes.tolist())) == interpreted
+    return interpreted
+
+
+def test_set_any_successors_follow_the_values_order():
+    """One successor per value, in ``values`` order, each with the
+    plan's other effects — the current value included, as a
+    self-loop on ``x`` — on every evaluator."""
+    action = _pick()
+    state = State(x=0, y=5)
+    want = tuple(State(x=v, y=6) for v in (2, 0, 1))
+    assert action.successors(state) == want
+    assert action.successors(State(x=0, y=39)) == ()
+    domains = {v.name: tuple(v.domain) for v in _PICK_VARIABLES}
+    row = kernels.row_kernel(action, state.schema, domains)
+    assert row(state.values_tuple) == tuple(s.values_tuple for s in want)
+    assert row(State(x=0, y=39).values_tuple) == ()
+    assert len(_assert_evaluators_agree(action, _PICK_VARIABLES)) \
+        == 3 * 4 * 39
+
+
+@pytest.mark.parametrize("effects, match", [
+    ([("set_any", "x", ())], "needs values"),
+    ([("set_any", "x", (1, 0, 1))], "repeats a value"),
+    ([("set_any", "x", (0, 1)), ("set_any", "y", (0, 1))], "at most one"),
+])
+def test_malformed_set_any_is_refused(effects, match):
+    with pytest.raises(KernelError, match=match):
+        Plan(("true",), effects)
+
+
+def test_set_any_outside_the_domain_does_not_compile():
+    """A value the domain lacks has no rank: no kernel, and the
+    code-space census refuses the action."""
+    action = Action("wild", plan=Plan(
+        ("true",), [("set_any", "x", (0, 7))]
+    ))
+    program = Program(_PICK_VARIABLES, [action], name="wild")
+    schema = Schema.of(("x", "y"))
+    domains = program._domains
+    layout = kernels.layout_for(schema, domains)
+    assert kernels.row_kernel(action, schema, domains) is None
+    assert kernels.batch_kernel(action, layout) is None
+    assert kernels.code_kernel(action, layout) is None
+    with pytest.raises(KernelError, match="'wild'"):
+        explore_codes(program, [State(x=0, y=0)])
+
+
+def test_set_any_values_in_one_orbit_keep_the_first_edge():
+    """On the Z_2 quotient both ``flip`` successors are one orbit: the
+    quotient records one flip edge per state (the scenario's parity
+    with the oracle is pinned above), and before canonicalization the
+    batch, code and interpreted evaluations agree edge for edge."""
+    program = _flip_program()
+    states, program_edges = _explored("flip_sym", "numpy")[:2]
+    assert len(states) == 80
+    for edges in program_edges:
+        assert [a for a, _ in edges] in (["flip"], ["hold"])
+    _assert_evaluators_agree(program.actions[0], program.variables)
+
+
+@pytest.mark.parametrize("ngs, symmetric", [
+    ((1, 2, 3), False), ((1, 2, 3), True), ((1, 2, 3, 4, 5, 6, 7), True),
+])
+def test_planned_lies_match_lambda_lies(ngs, symmetric):
+    """A ``set_any`` lie and the ``assign_each`` statement it replaced
+    give one graph: states, order and labelled edges."""
+    model = byzantine.build_family(ngs)
+    starts = byzantine.initial_states(ngs)
+    faults = tuple(model.faults.actions)
+    graphs = [
+        _graph(TransitionSystem(p, starts, faults, symmetric=symmetric))
+        for p in (model.masking, _lambda_lies(model.masking))
+    ]
+    assert graphs[0] == graphs[1]
+
+
+def test_no_bundled_symmetric_program_mixes_plans_and_lambdas():
+    """With the lies planned, every bundled symmetric program (faults
+    included) is fully planned — or, like TMR/NMR's count guards, not
+    planned at all, which the array engine declines — so the quotient
+    engine's unplanned path is reached only through the test-local
+    lambda-lie scenario above."""
+    from repro.analysis import all_lint_targets
+
+    systems = [
+        (t.program, t.faults.actions if t.faults is not None else ())
+        for t in all_lint_targets()
+    ]
+    family = byzantine.build_family((1, 2, 3, 4, 5))
+    systems += [
+        (program, family.faults.actions)
+        for program in (family.ib, family.ib_with_byz, family.failsafe,
+                        family.masking)
+    ]
+    symmetric = 0
+    for program, faults in systems:
+        if program.symmetry is None:
+            continue
+        symmetric += 1
+        actions = list(program.actions) + list(faults)
+        assert len({a.plan is None for a in actions}) == 1, program.name
+    assert symmetric >= 9
+
+
+# ---------------------------------------------------------------------------
+# the per-level memo of shared guard terms
+# ---------------------------------------------------------------------------
+
+def test_shared_guard_terms_are_never_written_in_place():
+    """Guards evaluated over one matrix with one memo, the first
+    conjunct of two of them a shared term: every mask matches the row
+    evaluator, the memoized columns still hold the terms' own values,
+    and majorities over different copies are different terms."""
+    from repro.core import BOTTOM
+
+    copies = ("d1", "d2", "d3")
+    variables = [Variable(n, (BOTTOM, 0, 1)) for n in copies]
+    variables.append(Variable("o", (BOTTOM, 0, 1)))
+    present = ("all_ne_const", copies, BOTTOM)
+    guards = (
+        ("and", present, ("eq_const", "o", BOTTOM)),
+        ("and", present, ("ne_majority", "d1", copies, 3),
+         ("ne_const", "o", 1)),
+        ("eq_majority", "d1", ("d2", "d3", "o"), 3),
+        present,
+    )
+    states = list(state_space(variables))
+    schema = states[0].schema
+    layout = kernels.layout_for(
+        schema, {v.name: tuple(v.domain) for v in variables}
+    )
+    cols = layout.columns_from_states(states)
+    memo = {}
+    masks = [
+        kernels.column_guard(expr, layout)(cols, memo).tolist()
+        for expr in guards
+    ]
+    assert present in memo and len(memo) == 3  # all_ne, two majorities
+    for expr, mask in zip(guards, masks):
+        row = kernels.row_guard(expr, schema.index)
+        assert mask == [bool(row(s.values_tuple)) for s in states], expr
+    assert memo[present].tolist() == masks[-1]
+    assert sum(masks[0]) and sum(masks[1])
+    assert masks[0] != masks[-1] and masks[1] != masks[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +637,12 @@ def test_columnar_engine_stashes_edge_arrays():
     ("byzantine_family5_ib_sym", True),
     ("byzantine_masking_sym", True),
     ("byzantine_family7_masking_sym", True),
+    ("byzantine_family7_lambda_lies_sym", True),
+    ("flip_sym", True),
 ])
 def test_quotients_take_the_array_engines(name, columnar):
     """Symmetric runs take the columnar engine under the same conditions
-    as unreduced ones, with or without unplanned actions (the Byzantine
+    as unreduced ones, with or without unplanned actions (the lambda
     lies) and with a dense or a sorted code -> id map."""
     program, starts, faults, symmetric = SCENARIOS[name]
     kernels.set_backend("numpy")

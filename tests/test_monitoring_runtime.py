@@ -278,6 +278,9 @@ class TestAsyncSources:
 
     def test_socket_source_over_socketpair(self):
         left, right = socket.socketpair()
+        # loop.sock_sendall needs a non-blocking socket (asyncio debug
+        # mode refuses a blocking one)
+        left.setblocking(False)
 
         async def scenario():
             runtime = MonitorRuntime(toy_bank())
@@ -300,7 +303,11 @@ class TestAsyncSources:
             _, summary = await asyncio.gather(producer(), consumer())
             return runtime, summary
 
-        runtime, summary = asyncio.run(scenario())
+        try:
+            runtime, summary = asyncio.run(scenario())
+        finally:
+            left.close()
+            right.close()
         assert summary["events"] == 2
         assert runtime.syndrome == 0
         assert runtime.telemetry.transitions == 2

@@ -298,6 +298,8 @@ class TestServe:
                 loop.run_until_complete(
                     asyncio.gather(*pending, return_exceptions=True)
                 )
+            # close the listening socket StoreServer.start opened
+            loop.run_until_complete(server.stop())
             loop.close()
 
     def test_dormancy_after_transport_failures(self):

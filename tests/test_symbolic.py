@@ -198,6 +198,24 @@ class TestSymbolicVerdicts:
         assert analysis.changes_state is False
         assert "DC303" in _codes(analysis)
 
+    @pytest.mark.parametrize("guard, reads", [
+        # from v0 = 1 the last value is the current one: only the first
+        # successor changes v0
+        (("eq_const", "v0", 1), {"v0"}),
+        # no successor keeps the old v0, so the choice does not read it
+        (("eq_const", "v1", 1), {"v1"}),
+    ])
+    def test_set_any_frame_covers_every_successor(self, guard, reads):
+        variables = _two_vars()
+        action = Action(
+            "lie", plan=Plan(guard, [("set_any", "v0", (0, 1))]),
+        )
+        analysis = _analyze(action, variables)
+        assert (analysis.reads, analysis.writes) == (reads, {"v0"})
+        assert (action.reads, action.writes) == (reads, {"v0"})
+        assert analysis.changes_state is True
+        assert analysis.diagnostics == ()
+
     def test_dc512_uncompilable_plan(self):
         variables = _two_vars()
         action = Action(
