@@ -23,7 +23,9 @@ Performance notes (see ``docs/performance.md``):
   :class:`~repro.core.state.StateInterner`, so the states held by a
   system are pointer-equal iff value-equal and duplicate successors
   collapse before touching the frontier;
-- per-state edge lists are stored as tuples and handed out *unsliced* —
+- the id-level graph is one set of edge arrays per system
+  (``_edge_arrays``), left by every engine and by the store's loaders;
+  per-state State-level edge lists are tuples handed out *unsliced* —
   :meth:`TransitionSystem.edges_from` only concatenates when a state
   actually has fault edges to merge in;
 - :meth:`deadlock_states` reads the recorded program edges instead of
@@ -59,7 +61,7 @@ from . import kernels as _kernels
 from .action import Action
 from .predicate import Predicate
 from .program import Program
-from .regions import first_bit, iter_bits, system_index
+from .regions import first_bit, iter_bits, paused_gc, system_index
 from .results import CheckResult, Counterexample
 from .state import Schema, State, StateInterner, _state_of
 from .symmetry import SymmetryError
@@ -173,26 +175,18 @@ class TransitionSystem:
         self._program_edges: Dict[State, Tuple[Tuple[str, State], ...]] = {}
         #: outgoing fault edges per state (only states that have some)
         self._fault_edges: Dict[State, Tuple[Tuple[str, State], ...]] = {}
-        #: per-predicate memo for states_satisfying (keyed by identity)
-        self._satisfying: Dict[Predicate, Tuple[State, ...]] = {}
-        #: integer adjacency built alongside level-synchronous assembly:
-        #: (program rows, fault rows, state -> dense id) with rows[i] the
-        #: ``(action name, target id)`` tuple of the state with id ``i``.
-        #: Every engine fills it (store-loaded graphs carry it too), and
-        #: ``SystemIndex`` and the certificate store adopt it instead of
-        #: re-deriving ids from the State-level edge tables
-        self._labeled_rows: Tuple[List, List, Dict[State, int]] = ([], [], {})
-        #: columnar edge arrays, set only by the all-array engine:
-        #: ((src ids, dst ids, action positions) for program and fault
-        #: edges, program names, fault names), each group sorted by
-        #: source id with declaration-order actions — the raw material
-        #: for ``SystemIndex``'s vectorized closure and escape sweeps
+        #: the id-level graph, left by every engine (and by the store's
+        #: loaders): ((src ids, dst ids, action positions) for program
+        #: and fault edges, program names, fault names), each group's
+        #: int64 arrays sorted by source id with actions in declaration
+        #: order.  ``SystemIndex`` derives successors, predecessors,
+        #: deadlocks and enabledness from it
         self._edge_arrays = None
         #: True while State-level edge tuples are deferred: the columnar
-        #: engine (and store-loaded graphs) hold only the id rows, and
-        #: the first consumer that walks State-level edges pays one
+        #: engine (and store-loaded graphs) hold only the edge arrays,
+        #: and the first consumer that walks State-level edges pays one
         #: materialization pass (:meth:`_materialize_edges`).  Closure
-        #: and region analyses never trigger it — they read the rows.
+        #: and region analyses never trigger it — they read the arrays.
         self._edges_lazy = False
         #: (layout, rank-column matrix) of the explored states in id
         #: order, retained by the columnar engine for vectorized
@@ -242,22 +236,15 @@ class TransitionSystem:
         # Three engines, one transition graph: sharded (process pool,
         # opt-in), columnar (whole frontier levels as rank-column
         # arrays), and interpreted (the oracle).  All three register
-        # states and edges in the exact same order and accumulate the
-        # dense-id adjacency rows as they go, so which engine ran is
-        # unobservable from the finished system (pinned by tests).
+        # states and edges in the exact same order and leave the same
+        # edge arrays, so which engine ran is unobservable from the
+        # finished system (pinned by tests).
         self._register_starts()
         # Pause generational GC for the build: edge tuples hold State
-        # references, so unlike (str, int) pairs they stay gc-tracked,
-        # and letting collections rescan the growing graph costs more
-        # than the whole expansion.  Exploration allocates no reference
-        # cycles, so deferring collection is free.
-        import gc
-
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if workers is not None and workers > 1:
+        # references, so they stay gc-tracked, and letting collections
+        # rescan the growing graph costs more than the whole expansion
+        with paused_gc():
+            if workers is not None and workers > 1 and self.start_states:
                 if self._explore_sharded(
                     max_states, canonical_many, workers
                 ):
@@ -267,16 +254,38 @@ class TransitionSystem:
             ):
                 return
             self._explore_interpreted(max_states, canonical)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _register_starts(self) -> None:
         """Reset the state registry to the start states alone, each with
         no edges yet and ids in start order."""
+        self._program_edges = dict.fromkeys(self.start_states, _EMPTY_EDGES)
+
+    def _edge_lists(self):
+        """The accumulators :meth:`_assemble_level` fills: the state ->
+        id map (the start states so far), action name -> declaration
+        position, and per group (program, fault) the src, dst and act
+        id lists."""
+        position = {
+            action.name: pos
+            for actions in (self.program.actions, self.fault_actions)
+            for pos, action in enumerate(actions)
+        }
         starts = self.start_states
-        self._program_edges = dict.fromkeys(starts, _EMPTY_EDGES)
-        self._labeled_rows = ([], [], {s: i for i, s in enumerate(starts)})
+        return (
+            {state: i for i, state in enumerate(starts)}, position,
+            ([], [], []), ([], [], []),
+        )
+
+    def _set_edge_arrays(self, program_ids, fault_ids) -> None:
+        """Record the id-level graph from per-group ``(src, dst, act)``
+        sequences, each sorted by source id with actions in declaration
+        order (see ``_edge_arrays``)."""
+        self._edge_arrays = (
+            tuple(np.asarray(part, dtype=np.int64) for part in program_ids),
+            tuple(np.asarray(part, dtype=np.int64) for part in fault_ids),
+            [a.name for a in self.program.actions],
+            [a.name for a in self.fault_actions],
+        )
 
     def _start_layout(self):
         """The packing layout the array engine expands the start set
@@ -342,6 +351,7 @@ class TransitionSystem:
         frontier: List[State] = list(self.start_states)
         program_actions = self.program.actions
         fault_actions = self.fault_actions
+        lists = self._edge_lists()
         while frontier:
             n = len(frontier)
             program_buckets: List[List] = [[] for _ in range(n)]
@@ -357,8 +367,9 @@ class TransitionSystem:
                         for nxt in action.successors(state):
                             bucket.append((name, canonical(nxt, nxt)))
             frontier = self._assemble_level(
-                frontier, program_buckets, fault_buckets, max_states
+                frontier, program_buckets, fault_buckets, max_states, lists
             )
+        self._set_edge_arrays(*lists[2:])
 
     def _assemble_level(
         self,
@@ -366,6 +377,7 @@ class TransitionSystem:
         program_buckets: List[List[Tuple[str, State]]],
         fault_buckets: List[List[Tuple[str, State]]],
         max_states: int,
+        lists,
     ) -> List[State]:
         """Fold one expanded frontier level into the edge tables.
 
@@ -381,14 +393,13 @@ class TransitionSystem:
         keeps the first.
 
         Because frontier levels are expanded in registration order, the
-        expansion order over the whole run *is* the dense-id order —
-        each pass through this method appends the expanded states'
-        ``(action name, target id)`` rows to the accumulator that
-        :class:`~repro.core.regions.SystemIndex` later adopts, so
-        nothing downstream re-derives ids from State-level edges."""
+        expansion order over the whole run *is* the dense-id order, so
+        appending each expanded state's edges to the id ``lists`` (see
+        :meth:`_edge_lists`) keeps them sorted by source id with actions
+        in declaration order: the edge arrays of the columnar engine."""
         program_edges_of = self._program_edges
         fault_edges_of = self._fault_edges
-        prows, frows, id_of = self._labeled_rows
+        id_of, position, program_ids, fault_ids = lists
         next_frontier: List[State] = []
         for i, state in enumerate(frontier):
             program_edges = program_buckets[i]
@@ -400,28 +411,30 @@ class TransitionSystem:
             program_edges_of[state] = tuple(program_edges)
             if fault_edges:
                 fault_edges_of[state] = tuple(fault_edges)
-            for edges in (program_edges, fault_edges):
-                for _, nxt in edges:
-                    if nxt not in program_edges_of:
+            u = id_of[state]
+            for edges, (src, dst, act) in (
+                (program_edges, program_ids), (fault_edges, fault_ids)
+            ):
+                for name, nxt in edges:
+                    v = id_of.get(nxt)
+                    if v is None:
+                        v = id_of[nxt] = len(id_of)
                         program_edges_of[nxt] = _EMPTY_EDGES
-                        id_of[nxt] = len(id_of)
                         next_frontier.append(nxt)
-                        if len(program_edges_of) > max_states:
+                        if v >= max_states:
                             raise RuntimeError(
                                 f"state-space exceeds max_states={max_states} "
                                 f"for {self.program.name!r}"
                             )
-            prows.append(tuple((a, id_of[t]) for a, t in program_edges))
-            frows.append(
-                tuple((a, id_of[t]) for a, t in fault_edges)
-                if fault_edges else _EMPTY_EDGES
-            )
+                    src.append(u)
+                    dst.append(v)
+                    act.append(position[name])
         return next_frontier
 
     def _explore_columnar(self, max_states: int, layout, canon_cols) -> bool:
         """The array engine: levels expand, dedup, and id-assign as
-        numpy arrays; Python touches each edge only once, to build the
-        final row tuples.
+        numpy arrays, and each level's edges join the edge arrays as
+        they are, with no per-edge Python object.
 
         Planned actions expand a whole level per kernel call, with one
         memo per level so the guard terms several actions repeat are
@@ -443,13 +456,13 @@ class TransitionSystem:
         when no action has a kernel for ``layout`` or a start state or
         successor escapes it (a value outside its declared domain, a
         state of another schema); the interpreted engine then runs."""
-        program_actions = self.program.actions
-        fault_actions = self.fault_actions
         # per group (program, fault): (position, kernel, choices) of the
         # planned actions and (position, action) of the unplanned ones
         planned: Tuple[List, List] = ([], [])
         unplanned: Tuple[List, List] = ([], [])
-        for group, actions in enumerate((program_actions, fault_actions)):
+        for group, actions in enumerate(
+            (self.program.actions, self.fault_actions)
+        ):
             for pos, action in enumerate(actions):
                 kernel = _kernels.batch_kernel(action, layout)
                 if kernel is None:
@@ -466,12 +479,9 @@ class TransitionSystem:
         except KeyError:
             return False  # a start value escaped its declared domain
         schema = layout.schema
-        names_p = np.array([a.name for a in program_actions], dtype=object)
-        names_f = np.array([a.name for a in fault_actions], dtype=object)
         code_ids = _CodeIds(layout.space, layout.pack_columns(cols))
         states_list: List[State] = list(starts)
         program_edges_of = self._program_edges
-        prows, frows, id_of = self._labeled_rows
         values_of = layout.values_from_column
         empty = np.empty(0, dtype=np.int64)
         acc_p: List = []
@@ -581,46 +591,22 @@ class TransitionSystem:
                     state = _state_of(schema, values_of(new_cols, j))
                     states_list.append(state)
                     program_edges_of[state] = _EMPTY_EDGES
-                    id_of[state] = next_id + j
 
-            # rows: per-state slices of the source-major edge arrays
+            # the State-level edge tuples stay unmaterialized until a
+            # consumer actually walks them (closure/region/tolerance
+            # sweeps never do)
             fault = (key & 1).astype(bool)
-            views = []
-            for acc, names_g, mask in (
-                (acc_p, names_p, ~fault), (acc_f, names_f, fault)
-            ):
-                src = key[mask] >> 1
-                ids_g = ids[mask]
-                act_g = act[mask]
-                acc.append((src + frontier_lo, ids_g, act_g))
-                views.append((
-                    names_g[act_g].tolist(),
-                    ids_g.tolist(),
-                    np.searchsorted(
-                        src, np.arange(n + 1, dtype=np.int64)
-                    ).tolist(),
-                ))
-            # only the id rows are assembled here; the State-level edge
-            # tuples stay unmaterialized until a consumer actually walks
-            # them (closure/region/tolerance sweeps never do)
-            (pn, pi, pb), (fn, fi, fb) = views
-            for i in range(n):
-                lo, hi = pb[i], pb[i + 1]
-                prows.append(tuple(zip(pn[lo:hi], pi[lo:hi])))
-                lo, hi = fb[i], fb[i + 1]
-                frows.append(
-                    tuple(zip(fn[lo:hi], fi[lo:hi])) if lo != hi
-                    else _EMPTY_EDGES
+            for acc, mask in ((acc_p, ~fault), (acc_f, fault)):
+                acc.append(
+                    ((key[mask] >> 1) + frontier_lo, ids[mask], act[mask])
                 )
 
             frontier_lo += n
             if new_cols is None:
-                self._edge_arrays = (
-                    tuple(np.concatenate(part) for part in zip(*acc_p)),
-                    tuple(np.concatenate(part) for part in zip(*acc_f)),
-                    [a.name for a in program_actions],
-                    [a.name for a in fault_actions],
-                )
+                self._set_edge_arrays(*(
+                    tuple(np.concatenate(part) for part in zip(*acc))
+                    for acc in (acc_p, acc_f)
+                ))
                 self._state_cols = (layout, np.hstack(col_acc))
                 self._edges_lazy = True
                 return True
@@ -644,8 +630,6 @@ class TransitionSystem:
         action closures by address space; guarded-command statements
         are lambdas, which do not pickle)."""
         global _SHARD_ACTIONS
-        if not self.start_states:
-            return True
         import multiprocessing
 
         try:
@@ -654,6 +638,7 @@ class TransitionSystem:
             return False
         _SHARD_ACTIONS = (self.program.actions, self.fault_actions)
         pool = context.Pool(processes=workers)
+        lists = self._edge_lists()
         try:
             frontier: List[State] = list(self.start_states)
             while frontier:
@@ -681,37 +666,43 @@ class TransitionSystem:
                                 for row, rep in zip(rows, reps)
                             ]
                 frontier = self._assemble_level(
-                    frontier, program_buckets, fault_buckets, max_states
+                    frontier, program_buckets, fault_buckets, max_states,
+                    lists,
                 )
         finally:
             _SHARD_ACTIONS = None
             pool.terminate()
             pool.join()
+        self._set_edge_arrays(*lists[2:])
         return True
 
     # -- views ---------------------------------------------------------------
     def _materialize_edges(self) -> None:
-        """Build the State-level edge tuples from the id rows.
+        """Build the State-level edge tuples from the edge arrays.
 
         The columnar engine and store-loaded graphs defer this: region,
-        closure, and tolerance machinery work on the rows (or the edge
-        arrays) and never ask for State-level tuples, so most systems
-        live and die without ever paying for them.  The first consumer
-        that does ask (path finding, spec transition sweeps, direct
-        ``edges_from`` callers) triggers one whole-graph pass."""
-        prows, frows, _ = self._labeled_rows
-        states_list = list(self._program_edges)
-        program_edges_of = self._program_edges
-        fault_edges_of = self._fault_edges
-        for state, prow, frow in zip(states_list, prows, frows):
-            if prow:
-                program_edges_of[state] = tuple(
-                    (name, states_list[j]) for name, j in prow
-                )
-            if frow:
-                fault_edges_of[state] = tuple(
-                    (name, states_list[j]) for name, j in frow
-                )
+        closure, and tolerance machinery work on the edge arrays and
+        never ask for State-level tuples, so most systems live and die
+        without ever paying for them.  The first consumer that does ask
+        (path finding, spec transition sweeps, direct ``edges_from``
+        callers) triggers one whole-graph pass."""
+        states = list(self._program_edges)
+        program_ids, fault_ids, names_p, names_f = self._edge_arrays
+        for edges_of, (src, dst, act), names in (
+            (self._program_edges, program_ids, names_p),
+            (self._fault_edges, fault_ids, names_f),
+        ):
+            bounds = np.searchsorted(
+                src, np.arange(len(states) + 1, dtype=np.int64)
+            )
+            edges = list(zip(
+                map(names.__getitem__, act.tolist()),
+                map(states.__getitem__, dst.tolist()),
+            ))
+            sources = np.flatnonzero(np.diff(bounds)).tolist()
+            bounds = bounds.tolist()
+            for u in sources:
+                edges_of[states[u]] = tuple(edges[bounds[u]:bounds[u + 1]])
         self._edges_lazy = False
 
     def program_edges_from(self, state: State) -> Sequence[Tuple[str, State]]:
@@ -763,33 +754,18 @@ class TransitionSystem:
         recorded program edges — every enabled action contributed an
         edge during exploration, so no guard is re-evaluated here.
         """
-        if self._edges_lazy:
-            # read the id rows; every State-level value is a placeholder
-            return [
-                state
-                for state, row in zip(
-                    self._program_edges, self._labeled_rows[0]
-                )
-                if not row
-            ]
-        return [
-            state
-            for state, edges in self._program_edges.items()
-            if not edges
-        ]
+        index = system_index(self)
+        states = index.states
+        return [states[i] for i in iter_bits(index.deadlock_bits, index.n)]
 
     def states_satisfying(self, predicate: Predicate) -> List[State]:
         """The explored states at which ``predicate`` holds.
 
-        Memoized per predicate *object* (identity, not formula), since
-        theory checks repeatedly interrogate a system with the same
-        invariant/span predicates.
+        Memoized per predicate *object* (identity, not formula) by the
+        system's region index, since theory checks repeatedly
+        interrogate a system with the same invariant/span predicates.
         """
-        cached = self._satisfying.get(predicate)
-        if cached is None:
-            cached = tuple(filter(predicate.fn, self._program_edges))
-            self._satisfying[predicate] = cached
-        return list(cached)
+        return list(system_index(self).satisfying(predicate))
 
     # -- closure checks ------------------------------------------------------
     def is_closed(
@@ -885,16 +861,11 @@ class TransitionSystem:
         return None
 
     def __repr__(self) -> str:
-        if self._edges_lazy:
-            prows, frows, _ = self._labeled_rows
-            n_program = sum(len(row) for row in prows)
-            n_fault = sum(len(row) for row in frows)
-        else:
-            n_program = sum(len(e) for e in self._program_edges.values())
-            n_fault = sum(len(e) for e in self._fault_edges.values())
+        (program_src, _, _), (fault_src, _, _), _, _ = self._edge_arrays
         return (
             f"TransitionSystem({self.program.name!r}, {len(self.states)} states, "
-            f"{n_program} program edges, {n_fault} fault edges)"
+            f"{program_src.shape[0]} program edges, "
+            f"{fault_src.shape[0]} fault edges)"
         )
 
 

@@ -37,7 +37,7 @@ required to execute them.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .exploration import TransitionSystem
 from .predicate import Predicate
@@ -45,8 +45,9 @@ from .regions import (
     Region,
     SystemIndex,
     _data_to_mask,
+    _distinct,
     _np,
-    bits_of_ids,
+    _unpack_bits,
     first_bit,
     iter_bits,
     paused_gc,
@@ -121,24 +122,17 @@ def strongly_connected_components(
     return components
 
 
-def fair_recurrent_sccs(
-    ts: TransitionSystem,
-    region,
-    edge_filter=None,
-) -> List[Set[State]]:
+def fair_recurrent_sccs(ts: TransitionSystem, region) -> List[Set[State]]:
     """SCCs of the program-edge subgraph on ``region`` in which a weakly
     fair computation can remain forever.
 
     ``region`` may be a set of states or a
     :class:`~repro.core.regions.Region` over the system's index.
-    ``edge_filter(source, action_name, target)``, when given, further
-    restricts which program edges count as internal to the subgraph (used
-    e.g. to search for fair *stuttering* cycles in refinement checks).
 
     See the module docstring for the characterization.  Decided over the
-    system's dense index: iterative Tarjan on integer ids, memoized
-    per-action enabledness bit arrays for the starvation test.  States
-    in ``region`` that the system never explored have no edges, so they
+    system's dense index: iterative Tarjan on integer ids, with the
+    starvation test run over the program-edge arrays.  States in
+    ``region`` that the system never explored have no edges, so they
     can only form trivial SCCs and are skipped outright.
     """
     index = system_index(ts)
@@ -146,9 +140,7 @@ def fair_recurrent_sccs(
         region_bits = region.bits
     else:
         region_bits = index.region_of(region).bits
-    components = _fair_recurrent_component_ids(
-        ts, index, region_bits, edge_filter
-    )
+    components = _fair_recurrent_component_ids(ts, index, region_bits)
     states = index.states
     return [{states[u] for u in component} for component in components]
 
@@ -157,7 +149,6 @@ def _fair_recurrent_component_ids(
     ts: TransitionSystem,
     index: SystemIndex,
     region_bits: int,
-    edge_filter=None,
 ) -> List[List[int]]:
     """Id-level core of :func:`fair_recurrent_sccs`.
 
@@ -178,27 +169,6 @@ def _fair_recurrent_component_ids(
     empirically by the parity suite — the same trade the SCC-granular
     full-graph test already makes.
     """
-    n = index.n
-    region_data = region_bits.to_bytes((n + 7) >> 3, "little")
-    plabeled = index.plabeled
-    states = index.states
-
-    if edge_filter is None:
-        psucc = index.psucc
-        def internal(u: int) -> List[int]:
-            return [
-                v for v in psucc[u] if region_data[v >> 3] & (1 << (v & 7))
-            ]
-    else:
-        def internal(u: int) -> List[int]:
-            source = states[u]
-            return [
-                v
-                for a, v in plabeled[u]
-                if region_data[v >> 3] & (1 << (v & 7))
-                and edge_filter(source, a, states[v])
-            ]
-
     symmetry = ts.symmetry
     if symmetry is None:
         obligations: List[Tuple[FrozenSet[str], Tuple]] = [
@@ -214,66 +184,26 @@ def _fair_recurrent_component_ids(
         ]
 
     with paused_gc():
-        core = None
-        if edge_filter is None:
-            core = _cycle_core(index, region_data, n)
-        if core is not None:
-            # every node Tarjan could place in a non-trivial SCC (or a
-            # self-loop) survives the trim, so restricting both the
-            # roots and the adjacency to the core drops only trivial
-            # components — which are filtered below anyway
-            region_data = _np.packbits(core, bitorder="little").tobytes()
-            node_ids = _np.flatnonzero(core).tolist()
-        else:
-            node_ids = list(iter_bits(region_bits, n))
-        components = _tarjan_ids(node_ids, internal)
-        if edge_filter is None:
-            vetted = _vet_components_csr(index, components, obligations)
-            if vetted is not None:
-                return vetted
+        # every node Tarjan could place in a non-trivial SCC (or a
+        # self-loop) survives the trim, so restricting both the roots
+        # and the adjacency to the core drops only trivial components
+        # — which the vetting filters out anyway
+        core = _cycle_core(index, region_bits)
+        core_data = _np.packbits(core, bitorder="little").tobytes()
+        psucc = index.psucc
 
-        recurrent: List[List[int]] = []
-        for component in components:
-            members = set(component)
-            internal_labels: Set[str] = set()
-            for u in component:
-                if edge_filter is None:
-                    for a, v in plabeled[u]:
-                        if v in members:
-                            internal_labels.add(a)
-                else:
-                    source = states[u]
-                    for a, v in plabeled[u]:
-                        if v in members and edge_filter(source, a, states[v]):
-                            internal_labels.add(a)
-            if not internal_labels:
-                continue  # trivial SCC without a self-loop: cannot linger
-            fair = True
-            for names, actions in obligations:
-                if not internal_labels.isdisjoint(names):
-                    continue  # some orbit member executed inside C
-                if len(actions) == 1:
-                    enabled = index.enabled_data(actions[0])
-                    starved = all(
-                        enabled[u >> 3] & (1 << (u & 7)) for u in component
-                    )
-                else:
-                    datas = [index.enabled_data(a) for a in actions]
-                    starved = all(
-                        any(d[u >> 3] & (1 << (u & 7)) for d in datas)
-                        for u in component
-                    )
-                if starved:
-                    fair = False  # continuously enabled but starved inside C
-                    break
-            if fair:
-                recurrent.append(component)
-        return recurrent
+        def internal(u: int) -> List[int]:
+            return [
+                v for v in psucc[u] if core_data[v >> 3] & (1 << (v & 7))
+            ]
+
+        components = _tarjan_ids(_np.flatnonzero(core).tolist(), internal)
+        return _vet_components_csr(index, components, obligations)
 
 
-def _cycle_core(index: SystemIndex, region_data: bytes, n: int):
+def _cycle_core(index: SystemIndex, region_bits: int):
     """Boolean mask of the region nodes that can lie on a program-edge
-    cycle within the region — or ``None`` without columnar edge arrays.
+    cycle within the region.
 
     Iteratively peels nodes with no internal successor or no internal
     predecessor (the classic trim step of FW-BW SCC algorithms) in
@@ -283,22 +213,19 @@ def _cycle_core(index: SystemIndex, region_data: bytes, n: int):
     placed in trivial, self-loop-free components.  Convergent regions —
     the dominant shape in stabilization certificates — trim to a small
     fraction of the region in a few passes."""
-    csr = index._edge_csr(False)
-    if csr is None:
-        return None
-    indptr, dst, _act, _names = csr
-    alive = _data_to_mask(region_data, n)
-    src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
+    n = index.n
+    _, src, dst, _, _ = index._edge_csr(False)
+    alive = _unpack_bits(region_bits, n)
     inside = alive[src] & alive[dst]
     src = src[inside]
     dst = dst[inside]
-    count = int(alive.sum())
+    count = _np.count_nonzero(alive)
     while True:
         live = alive[src] & alive[dst]
         out_deg = _np.bincount(src[live], minlength=n)
         in_deg = _np.bincount(dst[live], minlength=n)
         alive &= (out_deg > 0) & (in_deg > 0)
-        next_count = int(alive.sum())
+        next_count = _np.count_nonzero(alive)
         if next_count == count:
             return alive
         count = next_count
@@ -308,30 +235,25 @@ def _vet_components_csr(
     index: SystemIndex,
     components: List[List[int]],
     obligations,
-) -> Optional[List[List[int]]]:
+) -> List[List[int]]:
     """Array-level fairness vetting of Tarjan components.
 
-    Replaces the per-SCC Python loops (internal-label collection and the
-    per-obligation starvation probes) with a handful of whole-graph numpy
-    passes over the program-edge CSR: one labelling pass classifies every
-    edge by (source component, action) at once, and each obligation's
-    starvation test becomes a single ``bincount`` of enabled members per
-    component.  Returns ``None`` when the exploration engine left no
-    columnar edge arrays behind (the caller then runs the reference
-    loops) — semantics are identical either way."""
-    csr = index._edge_csr(False)
-    if csr is None:
-        return None
-    indptr, dst, act, names = csr
+    A handful of whole-graph numpy passes over the program-edge CSR: one
+    labelling pass classifies every edge by (source component, action)
+    at once, and each obligation's starvation test becomes a single
+    ``bincount`` of enabled members per component."""
+    if not components:
+        return []
+    _, src, dst, act, names = index._edge_csr(False)
     ncomp = len(components)
     comp = _np.full(index.n, -1, dtype=_np.int64)
     for ci, nodes in enumerate(components):
         comp[nodes] = ci
-    src_comp = _np.repeat(comp, _np.diff(indptr))
+    src_comp = comp[src]
     internal_edge = (src_comp >= 0) & (src_comp == comp[dst])
     pair = src_comp[internal_edge] * len(names) + act[internal_edge]
     labels: List[Set[str]] = [set() for _ in range(ncomp)]
-    for key in _np.unique(pair).tolist():
+    for key in _distinct(pair).tolist():
         labels[key // len(names)].add(names[key % len(names)])
 
     member_ids = _np.flatnonzero(comp >= 0)
@@ -597,23 +519,6 @@ def liveness_violating_states(
 
 
 # -- internals ---------------------------------------------------------------
-
-def _forward_closure(
-    ts: TransitionSystem, sources: Sequence[State], region: Set[State]
-) -> Set[State]:
-    """States reachable from ``sources`` via program edges staying in
-    ``region`` (sources assumed to be in the region)."""
-    seen: Set[State] = set()
-    frontier = deque(s for s in sources if s in region)
-    seen.update(frontier)
-    while frontier:
-        state = frontier.popleft()
-        for _, nxt in ts.edges_from(state, include_faults=True):
-            if nxt in region and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
 
 def _cycle_through(
     ts: TransitionSystem, component: Set[State], start: State

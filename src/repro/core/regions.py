@@ -21,10 +21,10 @@ on instead:
   O(words) big-int operations at C speed, membership is an O(1) byte
   probe, and iteration touches only the set bits;
 - :class:`SystemIndex` is the per-:class:`TransitionSystem` variant
-  (cached on the system object), with successor and predecessor
-  adjacency split by program vs. fault edges, recorded deadlocks, and
-  memoized per-predicate satisfying regions and per-action enabledness
-  regions;
+  (cached on the system object): successor and predecessor adjacency,
+  recorded deadlocks and the enabledness regions of planned actions,
+  all derived from the system's edge arrays (split by program vs.
+  fault edges), plus memoized per-predicate satisfying regions;
 - the worklist fixpoints themselves: :func:`backward_closure_ids`,
   :func:`largest_closed_subset_bits` — O(V+E) over precomputed
   predecessor lists instead of O(V²·A) universe rescans.
@@ -152,6 +152,16 @@ def _pack_bits(mask) -> int:
     return int.from_bytes(
         _np.packbits(mask, bitorder="little").tobytes(), "little"
     )
+
+
+def _distinct(ids):
+    """The distinct values of a nonnegative int array, ascending:
+    ``np.unique`` without its masked-array check, whose first call in a
+    process imports ``numpy.ma``."""
+    ids = _np.sort(ids)
+    keep = _np.ones(ids.shape[0], dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep]
 
 
 def _data_to_mask(data: bytes, n: int):
@@ -599,29 +609,26 @@ class SystemIndex:
     Ids follow the system's deterministic BFS discovery order, so
     "first set bit" matches "first state an order-sensitive sweep of
     ``ts.states`` would have found" — counterexamples are unchanged.
-    Built lazily field by field; cached on the system object by
-    :func:`system_index` (transition systems are immutable, so the
-    index can never go stale and dies with the system).
+    Every graph view is derived from the system's edge arrays
+    (``ts._edge_arrays``: per group ``(src, dst, act)`` sorted by
+    source id, actions in declaration order), whichever engine or store
+    loader left them.  Built lazily field by field; cached on the
+    system object by :func:`system_index` (transition systems are
+    immutable, so the index can never go stale and dies with the
+    system).
     """
 
     __slots__ = (
-        "ts", "states", "id_of", "n", "full_bits",
-        "plabeled", "flabeled", "_psucc", "_apred", "_deadlock_bits",
+        "ts", "states", "_id_of", "n", "full_bits",
+        "_psucc", "_apred", "_deadlock_bits",
         "_satisfying", "_region_bits", "_region_data", "_enabled_data",
-        "_shared_schema", "_csr", "_enabled_by_name",
+        "_shared_schema", "_csr",
     )
 
     def __init__(self, ts):
         self.ts = ts
         self.states: Tuple[State, ...] = tuple(ts.states)
-        # every exploration engine (and the store's graph loader)
-        # accumulates the dense-id adjacency and the id map as it
-        # assembles each frontier level; adopt them verbatim
-        prows, frows, id_of = ts._labeled_rows
-        #: per-state ``(action name, target id)`` program / fault rows
-        self.plabeled: Tuple[Tuple[Tuple[str, int], ...], ...] = tuple(prows)
-        self.flabeled: Tuple[Tuple[Tuple[str, int], ...], ...] = tuple(frows)
-        self.id_of: Dict[State, int] = id_of
+        self._id_of: Optional[Dict[State, int]] = None
         self.n = len(self.states)
         self.full_bits = (1 << self.n) - 1
         #: per-state deduplicated program successor ids
@@ -636,51 +643,54 @@ class SystemIndex:
         #: the one Schema every state shares (False = mixed, None = not
         #: yet computed); schema-compiled predicate sweeps need it
         self._shared_schema = None
-        #: include_faults -> (indptr, dst, act, names) columnar edge
-        #: views (see :meth:`_edge_csr`)
-        self._csr: Dict[bool, Optional[tuple]] = {}
-        #: action name -> enabled bitmap derived from recorded program
-        #: edges in one sweep (valid for planned actions only)
-        self._enabled_by_name: Optional[Dict[str, bytearray]] = None
+        #: include_faults -> (indptr, src, dst, act, names) columnar
+        #: edge views (see :meth:`_edge_csr`)
+        self._csr: Dict[bool, tuple] = {}
+
+    @property
+    def id_of(self) -> Dict[State, int]:
+        """``State -> id`` (built lazily: the graph views never need it)."""
+        mapping = self._id_of
+        if mapping is None:
+            mapping = self._id_of = {
+                s: i for i, s in enumerate(self.states)
+            }
+        return mapping
 
     # -- adjacency (lazy) --------------------------------------------------
     @property
     def psucc(self) -> Tuple[Tuple[int, ...], ...]:
-        """Deduplicated program-successor ids per state (SCC fodder).
-
-        The CSR program rows are plabeled's rows verbatim, so slicing a
-        flat ``dst`` list through ``indptr`` yields the same successor
-        sequences without a Python-level pass over every edge tuple."""
+        """Deduplicated program-successor ids per state (SCC fodder),
+        sliced out of the program-edge CSR."""
         if self._psucc is None:
             with paused_gc():
-                csr = self._edge_csr(False)
-                if csr is not None:
-                    indptr = csr[0].tolist()
-                    dst = csr[1].tolist()
-                    self._psucc = tuple(
-                        tuple(dict.fromkeys(dst[indptr[u]:indptr[u + 1]]))
-                        for u in range(self.n)
-                    )
-                else:
-                    self._psucc = tuple(
-                        tuple(dict.fromkeys(t for _, t in row))
-                        for row in self.plabeled
-                    )
+                indptr, _, dst, _, _ = self._edge_csr(False)
+                indptr = indptr.tolist()
+                dst = dst.tolist()
+                self._psucc = tuple(
+                    tuple(dict.fromkeys(dst[indptr[u]:indptr[u + 1]]))
+                    for u in range(self.n)
+                )
         return self._psucc
 
     @property
     def apred(self) -> List[List[int]]:
-        """Predecessor lists over program and fault edges."""
+        """Predecessor lists over program and fault edges: per target,
+        the program-edge sources, then the fault-edge sources, each in
+        ascending id order."""
         if self._apred is None:
             with paused_gc():
-                preds: List[List[int]] = [[] for _ in range(self.n)]
-                for u, row in enumerate(self.plabeled):
-                    for _, v in row:
-                        preds[v].append(u)
-                for u, row in enumerate(self.flabeled):
-                    for _, v in row:
-                        preds[v].append(u)
-                self._apred = preds
+                (p_src, p_dst, _), (f_src, f_dst, _), _, _ = \
+                    self.ts._edge_arrays
+                dst = _np.concatenate((p_dst, f_dst))
+                order = _np.argsort(dst, kind="stable")
+                src = _np.concatenate((p_src, f_src))[order].tolist()
+                bounds = _np.searchsorted(
+                    dst[order], _np.arange(self.n + 1, dtype=_np.int64)
+                ).tolist()
+                self._apred = [
+                    src[bounds[v]:bounds[v + 1]] for v in range(self.n)
+                ]
         return self._apred
 
     @property
@@ -689,9 +699,9 @@ class SystemIndex:
         of ``TransitionSystem.deadlock_states``, exactly the states where
         no program action is enabled."""
         if self._deadlock_bits is None:
-            self._deadlock_bits = bits_of_ids(
-                (u for u, row in enumerate(self.plabeled) if not row), self.n
-            )
+            live = _np.zeros(self.n, dtype=bool)
+            live[self.ts._edge_arrays[0][0]] = True
+            self._deadlock_bits = _pack_bits(~live)
         return self._deadlock_bits
 
     # -- predicates --------------------------------------------------------
@@ -808,33 +818,19 @@ class SystemIndex:
         certifies the action gives every enabled state at least one
         successor (one, or one per value of its ``set_any`` choice), so
         its guard holds at a state exactly when exploration recorded at
-        least one edge labelled by it — and one pass over the recorded
-        program edges yields the bitmaps of *every* such action at
-        once."""
+        least one edge labelled by it — the sources of its program
+        edges."""
         cached = self._enabled_data.get(action)
         if cached is None:
             if (
                 getattr(action, "plan", None) is not None
                 and action.name not in self.ts.fault_action_names
             ):
-                by_name = self._enabled_by_name
-                if by_name is None:
-                    by_name = {}
-                    for i, row in enumerate(self.plabeled):
-                        bit = 1 << (i & 7)
-                        for a, _ in row:
-                            buf = by_name.get(a)
-                            if buf is None:
-                                buf = by_name[a] = bytearray(
-                                    (self.n + 7) >> 3
-                                )
-                            buf[i >> 3] |= bit
-                    self._enabled_by_name = by_name
-                recorded = by_name.get(action.name)
-                cached = (
-                    bytes(recorded) if recorded is not None
-                    else bytes((self.n + 7) >> 3)
-                )
+                (src, _, act), _, names, _ = self.ts._edge_arrays
+                enabled = _np.zeros(self.n, dtype=bool)
+                if action.name in names:
+                    enabled[src[act == names.index(action.name)]] = True
+                cached = _np.packbits(enabled, bitorder="little").tobytes()
             else:
                 buf = bytearray((self.n + 7) >> 3)
                 guard = action.guard.fn
@@ -847,35 +843,30 @@ class SystemIndex:
 
     # -- columnar edge views ----------------------------------------------
     def _edge_csr(self, include_faults: bool):
-        """Edge arrays ``(indptr, dst, act, names)`` sorted by (source,
-        program-before-fault, declaration order) — exactly the order the
-        scalar sweeps visit edges — or ``None`` when the exploration
-        engine did not leave columnar arrays behind.  ``indptr[u]`` to
-        ``indptr[u+1]`` delimits state ``u``'s edges; ``names[act[j]]``
-        labels edge ``j``."""
+        """Edge arrays ``(indptr, src, dst, act, names)`` sorted by
+        (source, program-before-fault, declaration order).  ``indptr[u]``
+        to ``indptr[u+1]`` delimits state ``u``'s edges; edge ``j`` runs
+        from ``src[j]`` to ``dst[j]`` and is labelled ``names[act[j]]``."""
         cached = self._csr.get(include_faults)
-        if cached is None and include_faults not in self._csr:
-            cached = None
-            arrays = getattr(self.ts, "_edge_arrays", None)
-            if arrays is not None:
-                (p_src, p_dst, p_act), (f_src, f_dst, f_act), names_p, \
-                    names_f = arrays
-                if include_faults and f_src.shape[0]:
-                    order = _np.argsort(
-                        _np.concatenate((p_src * 2, f_src * 2 + 1)),
-                        kind="stable",
-                    )
-                    src = _np.concatenate((p_src, f_src))[order]
-                    dst = _np.concatenate((p_dst, f_dst))[order]
-                    act = _np.concatenate(
-                        (p_act, f_act + len(names_p))
-                    )[order]
-                else:
-                    src, dst, act = p_src, p_dst, p_act
-                indptr = _np.searchsorted(
-                    src, _np.arange(self.n + 1, dtype=_np.int64)
+        if cached is None:
+            (p_src, p_dst, p_act), (f_src, f_dst, f_act), names_p, \
+                names_f = self.ts._edge_arrays
+            if include_faults and f_src.shape[0]:
+                order = _np.argsort(
+                    _np.concatenate((p_src * 2, f_src * 2 + 1)),
+                    kind="stable",
                 )
-                cached = (indptr, dst, act, names_p + names_f)
+                src = _np.concatenate((p_src, f_src))[order]
+                dst = _np.concatenate((p_dst, f_dst))[order]
+                act = _np.concatenate(
+                    (p_act, f_act + len(names_p))
+                )[order]
+            else:
+                src, dst, act = p_src, p_dst, p_act
+            indptr = _np.searchsorted(
+                src, _np.arange(self.n + 1, dtype=_np.int64)
+            )
+            cached = (indptr, src, dst, act, names_p + names_f)
             self._csr[include_faults] = cached
         return cached
 
@@ -885,27 +876,15 @@ class SystemIndex:
         """The first recorded edge whose source lies in the region and
         whose target does not, as ``(source id, action name, target
         id)`` — ``None`` when the region is closed.  "First" follows the
-        scalar sweep order (ascending source id, program rows before
-        fault rows), so counterexamples are engine-independent."""
-        csr = self._edge_csr(include_faults)
-        if csr is not None:
-            indptr, dst, act, names = csr
-            region = _unpack_bits(region_bits, self.n)
-            bad = _np.repeat(region, _np.diff(indptr)) & ~region[dst]
-            if not bad.any():
-                return None
-            j = int(_np.argmax(bad))
-            u = int(_np.searchsorted(indptr, j, side="right")) - 1
-            return u, names[int(act[j])], int(dst[j])
-        data = region_bits.to_bytes((self.n + 7) >> 3, "little")
-        for u in iter_bits(region_bits, self.n):
-            rows = self.plabeled[u]
-            if include_faults:
-                rows += self.flabeled[u]
-            for a, v in rows:
-                if not data[v >> 3] & (1 << (v & 7)):
-                    return u, a, v
-        return None
+        CSR order (ascending source id, program edges before fault
+        edges), so counterexamples are engine-independent."""
+        _, src, dst, act, names = self._edge_csr(include_faults)
+        region = _unpack_bits(region_bits, self.n)
+        bad = region[src] & ~region[dst]
+        if not bad.any():
+            return None
+        j = int(_np.argmax(bad))
+        return int(src[j]), names[int(act[j])], int(dst[j])
 
     # -- closures ----------------------------------------------------------
     def forward_closure_bits(
@@ -914,41 +893,21 @@ class SystemIndex:
         """States reachable from ``start ∩ within`` along edges staying in
         ``within`` (program edges, plus fault edges by default)."""
         n = self.n
-        csr = self._edge_csr(include_faults)
-        if csr is not None:
-            indptr_l = csr[0].tolist()
-            dst = csr[1]
-            within = _unpack_bits(within_bits, n)
-            seen = _unpack_bits(start_bits, n) & within
-            frontier = _np.flatnonzero(seen)
-            while frontier.size:
-                parts = [
-                    dst[indptr_l[u]:indptr_l[u + 1]]
-                    for u in frontier.tolist()
-                ]
-                vs = _np.concatenate(parts)
-                fresh = _np.unique(vs[~seen[vs] & within[vs]])
-                seen[fresh] = True
-                frontier = fresh
-            return _pack_bits(seen)
-        within_data = within_bits.to_bytes((n + 7) >> 3, "little")
-        seen = bytearray((n + 7) >> 3)
-        worklist = deque()
-        for i in iter_bits(start_bits & within_bits, n):
-            seen[i >> 3] |= 1 << (i & 7)
-            worklist.append(i)
-        plabeled = self.plabeled
-        flabeled = self.flabeled if include_faults else None
-        while worklist:
-            u = worklist.popleft()
-            rows = plabeled[u] if flabeled is None else plabeled[u] + flabeled[u]
-            for _, v in rows:
-                k, b = v >> 3, 1 << (v & 7)
-                if seen[k] & b or not within_data[k] & b:
-                    continue
-                seen[k] |= b
-                worklist.append(v)
-        return int.from_bytes(seen, "little")
+        indptr, _, dst, _, _ = self._edge_csr(include_faults)
+        indptr_l = indptr.tolist()
+        within = _unpack_bits(within_bits, n)
+        seen = _unpack_bits(start_bits, n) & within
+        frontier = _np.flatnonzero(seen)
+        while frontier.size:
+            parts = [
+                dst[indptr_l[u]:indptr_l[u + 1]]
+                for u in frontier.tolist()
+            ]
+            vs = _np.concatenate(parts)
+            fresh = _distinct(vs[~seen[vs] & within[vs]])
+            seen[fresh] = True
+            frontier = fresh
+        return _pack_bits(seen)
 
     def __repr__(self) -> str:
         return f"SystemIndex({self.n} states)"

@@ -2,14 +2,18 @@
 
 Two artifact shapes cover the exploration layer:
 
-- a **whole-graph artifact** (``kind="system"``): the BFS-ordered state
-  table plus the per-state ``(action, target id)`` adjacency rows — the
-  exact ``_labeled_rows`` form every engine produces and
-  :class:`~repro.core.regions.SystemIndex` adopts.  Loading one rebuilds
-  a :class:`~repro.core.exploration.TransitionSystem` by direct
+- a **whole-graph artifact** (``kind="system"``, payload ``"v": 2``):
+  the BFS-ordered state table plus the system's edge arrays — per
+  group (program, fault) the ``(src, dst, act)`` id arrays every engine
+  leaves and :class:`~repro.core.regions.SystemIndex` reads, as int64
+  bytes, with the action names they index.  Loading one rebuilds a
+  :class:`~repro.core.exploration.TransitionSystem` by direct
   construction (``__new__`` + interned states), *never* re-exploring;
   State-level edge tuples stay unmaterialized until a consumer actually
-  asks for them (the lazy path shared with the columnar engine).
+  asks for them (the lazy path shared with the columnar engine).  A
+  payload that fails a structural check (see :func:`_decode_system`),
+  or one of the old ``"v": 1`` row format, is not served: the graph is
+  explored again and saved over it.
 
 - **per-action row artifacts** (``kind="actrows"``): the id rows of one
   action over one state table, keyed by (variables, state-table digest,
@@ -31,7 +35,10 @@ exploration.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import backend as _backend
 from . import keys as _keys
@@ -78,7 +85,6 @@ def _vars_material(program):
 # -- whole-graph payloads ------------------------------------------------------
 
 def _encode_system(ts) -> bytes:
-    prows, frows, _ = ts._labeled_rows
     schemas: List[Tuple[str, ...]] = []
     schema_idx: Dict[object, int] = {}
     states_out = []
@@ -90,37 +96,26 @@ def _encode_system(ts) -> bytes:
             schema_idx[schema] = idx
             schemas.append(schema.names)
         states_out.append((idx, state.values_tuple))
-    names: List[str] = []
-    name_idx: Dict[str, int] = {}
-
-    def encode_rows(rows):
-        out = []
-        for row in rows:
-            encoded = []
-            for name, target in row:
-                idx = name_idx.get(name)
-                if idx is None:
-                    idx = len(names)
-                    name_idx[name] = idx
-                    names.append(name)
-                encoded.append((idx, target))
-            out.append(tuple(encoded))
-        return out
-
+    program_ids, fault_ids, names_p, names_f = ts._edge_arrays
     payload = {
-        "v": 1,
+        "v": 2,
         "schemas": schemas,
         "states": states_out,
         "n_starts": len(ts.start_states),
-        "names": None,  # filled after encode_rows populates the table
-        "prows": encode_rows(prows),
-        "frows": encode_rows(frows),
+        "names": (list(names_p), list(names_f)),
+        "edges": tuple(
+            tuple(part.astype("<i8", copy=False).tobytes() for part in group)
+            for group in (program_ids, fault_ids)
+        ),
     }
-    payload["names"] = names
     return _backend.dumps(payload)
 
 
-def _blank_system(program, fault_actions, symmetric: bool):
+def _blank_system(program, fault_actions, symmetric: bool, states,
+                  n_starts: int):
+    """A :class:`TransitionSystem` over the registered ``states`` (the
+    first ``n_starts`` of them the start states), with no edges yet and
+    State-level edges deferred."""
     from ..core.exploration import TransitionSystem
 
     ts = TransitionSystem.__new__(TransitionSystem)
@@ -128,42 +123,55 @@ def _blank_system(program, fault_actions, symmetric: bool):
     ts.symmetry = program.symmetry if symmetric else None
     ts.fault_actions = tuple(fault_actions)
     ts.fault_action_names = frozenset(a.name for a in ts.fault_actions)
-    ts._program_edges = {}
+    ts.start_states = tuple(states[:n_starts])
+    ts._program_edges = dict.fromkeys(states, _EMPTY)
     ts._fault_edges = {}
-    ts._satisfying = {}
-    ts._labeled_rows = None
     ts._edge_arrays = None
-    ts._edges_lazy = False
+    ts._edges_lazy = True
     ts._state_cols = None
     return ts
 
 
 def _decode_system(payload: bytes, program, fault_actions, symmetric: bool):
+    """The system a ``"v": 2`` graph payload describes, or ``None`` when
+    the payload is of another version or fails a structural check: per
+    group one length for ``src``, ``dst`` and ``act``, ids inside the
+    state table with sources nondecreasing, action positions inside the
+    group's names, at most as many start states as states, and names
+    equal to the program's and the faults' in declaration order."""
     from ..core.state import Schema, _state_of
 
     data = _backend.loads(payload)
-    if data.get("v") != 1:
+    if data.get("v") != 2:
         return None
-    schemas = [Schema.of(names) for names in data["schemas"]]
+    n = len(data["states"])
+    names = [
+        [a.name for a in program.actions], [a.name for a in fault_actions]
+    ]
+    if not 0 <= data["n_starts"] <= n or [
+        list(group) for group in data["names"]
+    ] != names:
+        return None
+    groups = []
+    for group, group_names in zip(data["edges"], names):
+        src, dst, act = (np.frombuffer(part, dtype="<i8") for part in group)
+        if not src.shape == dst.shape == act.shape:
+            return None
+        if src.shape[0] and not (
+            0 <= src[0] and src[-1] < n and (src[1:] >= src[:-1]).all()
+            and 0 <= dst.min() and dst.max() < n
+            and 0 <= act.min() and act.max() < len(group_names)
+        ):
+            return None
+        groups.append((src, dst, act))
+    schemas = [Schema.of(fields) for fields in data["schemas"]]
     states = [
         _state_of(schemas[idx], values) for idx, values in data["states"]
     ]
-    names = data["names"]
-    prows = [
-        tuple((names[ni], target) for ni, target in row)
-        for row in data["prows"]
-    ]
-    frows = [
-        tuple((names[ni], target) for ni, target in row)
-        for row in data["frows"]
-    ]
-    ts = _blank_system(program, fault_actions, symmetric)
-    ts.start_states = tuple(states[: data["n_starts"]])
-    program_edges = ts._program_edges
-    for state in states:
-        program_edges[state] = _EMPTY
-    ts._labeled_rows = (prows, frows, {s: i for i, s in enumerate(states)})
-    ts._edges_lazy = True
+    ts = _blank_system(
+        program, fault_actions, symmetric, states, data["n_starts"]
+    )
+    ts._set_edge_arrays(*groups)
     return ts
 
 
@@ -221,21 +229,23 @@ def _record_action_rows(store, ts) -> None:
     if ts.symmetry is not None:
         return
     states = list(ts.states)
-    if len(states) != len(ts.start_states) or len(states) > ROWS_STATE_LIMIT:
+    n = len(states)
+    if n != len(ts.start_states) or n > ROWS_STATE_LIMIT:
         return
-    prows, frows, _ = ts._labeled_rows
     starts_digest = _keys.states_digest(states)
     vars_material = _vars_material(ts.program)
-    for actions, rows_table in (
-        (ts.program.actions, prows),
-        (ts.fault_actions, frows),
+    ids = np.arange(n + 1, dtype=np.int64)
+    for actions, (src, dst, act) in zip(
+        (ts.program.actions, ts.fault_actions), ts._edge_arrays
     ):
-        for action in actions:
-            name = action.name
-            key = _action_rows_key(vars_material, starts_digest, action)
+        for pos, action in enumerate(actions):
+            mine = act == pos
+            bounds = np.searchsorted(src[mine], ids).tolist()
+            targets = dst[mine].tolist()
             rows = [
-                tuple(t for n, t in row if n == name) for row in rows_table
+                tuple(targets[bounds[i]:bounds[i + 1]]) for i in range(n)
             ]
+            key = _action_rows_key(vars_material, starts_digest, action)
             store.put(
                 key, _backend.dumps({"v": 1, "rows": rows}), kind="actrows"
             )
@@ -282,28 +292,32 @@ def assemble_system(store, program, starts, fault_actions, symmetric: bool):
             store.put(key, _backend.dumps({"v": 1, "rows": rows}),
                       kind="actrows")
         rows_of[action.name] = rows
-    program_rows = [(a.name, rows_of[a.name]) for a in program.actions]
-    fault_rows = [(a.name, rows_of[a.name]) for a in fault_actions]
 
-    prows: List[Tuple] = []
-    frows: List[Tuple] = []
-    for i in range(len(states)):
-        prow: List[Tuple[str, int]] = []
-        for name, rows in program_rows:
-            prow.extend((name, t) for t in rows[i])
-        prows.append(tuple(prow))
-        frow: List[Tuple[str, int]] = []
-        for name, rows in fault_rows:
-            frow.extend((name, t) for t in rows[i])
-        frows.append(tuple(frow))
+    # per group, each action's edges in state order, stably sorted by
+    # source: actions stay in declaration order within each source
+    n = len(states)
+    ids = np.arange(n, dtype=np.int64)
+    groups = []
+    for actions in (program.actions, fault_actions):
+        src, dst, act = [ids[:0]], [ids[:0]], [ids[:0]]
+        for pos, action in enumerate(actions):
+            rows = rows_of[action.name]
+            counts = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+            total = int(counts.sum())
+            src.append(np.repeat(ids, counts))
+            dst.append(np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64, count=total
+            ))
+            act.append(np.full(total, pos, dtype=np.int64))
+        src = np.concatenate(src)
+        order = np.argsort(src, kind="stable")
+        groups.append((
+            src[order], np.concatenate(dst)[order],
+            np.concatenate(act)[order],
+        ))
 
-    ts = _blank_system(program, fault_actions, symmetric)
-    ts.start_states = tuple(states)
-    program_edges = ts._program_edges
-    for state in states:
-        program_edges[state] = _EMPTY
-    ts._labeled_rows = (prows, frows, {s: i for i, s in enumerate(states)})
-    ts._edges_lazy = True
+    ts = _blank_system(program, fault_actions, symmetric, states, n)
+    ts._set_edge_arrays(*groups)
     _backend.record_event("graph_reassembled")
     return ts
 

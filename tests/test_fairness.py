@@ -71,14 +71,6 @@ class TestFairRecurrentSccs:
         region = {State(x=0), State(x=1)}
         assert fair_recurrent_sccs(ts, region) == [region]
 
-    def test_edge_filter_restricts(self):
-        spin = Action("spin", Predicate(lambda s: s["x"] < 2),
-                      assign(x=lambda s: 1 - s["x"]))
-        p = program([spin])
-        ts = TransitionSystem(p, [State(x=0)])
-        region = {State(x=0), State(x=1)}
-        assert fair_recurrent_sccs(ts, region, edge_filter=lambda s, a, t: False) == []
-
 
 class TestLeadsTo:
     def test_straight_line_progress(self):

@@ -8,7 +8,9 @@ from the finished :class:`~repro.core.exploration.TransitionSystem`.
 These tests pin that contract over the bundled program families
 (programs *and* their fault builders), under symmetry quotients, and
 for every worker count, by comparing full graph fingerprints (state
-order, edge tuples, deadlocks) against the interpreted reference.
+order, edge tuples, deadlocks, edge arrays) against the interpreted
+reference; systems loaded or reassembled from the certificate store
+must match a fresh exploration the same way.
 
 :func:`~repro.core.kernels.explore_codes` has no interpreted twin (it
 exists for spaces where ``State`` objects are not an option), so it is
@@ -26,6 +28,8 @@ from repro.core.exploration import (
     _SMALL_SPACE_STATES,
     TransitionSystem,
     clear_all_caches,
+    clear_system_cache,
+    explored_system,
     set_default_workers,
 )
 from repro.core.kernels import KernelError, Plan, explore_codes
@@ -38,6 +42,8 @@ from repro.core.symmetry import ValueRotation
 from repro.programs import (
     byzantine, memory_access, tmr, token_ring, tree_maintenance,
 )
+from repro.store import backend as store_backend
+from repro.store.backend import MemoryStore
 
 
 @pytest.fixture(autouse=True)
@@ -50,14 +56,18 @@ def _restore_kernel_globals():
 
 def _graph(ts: TransitionSystem):
     """Full fingerprint: state discovery order, per-state edge tuples
-    (program and fault), and deadlocks.  Two systems with equal
-    fingerprints are indistinguishable to every checker."""
+    (program and fault), deadlocks, and the edge arrays with the action
+    names they index.  Two systems with equal fingerprints are
+    indistinguishable to every checker."""
     states = tuple(ts.states)
+    program_ids, fault_ids, names_p, names_f = ts._edge_arrays
     return (
         states,
         tuple(tuple(ts.program_edges_from(s)) for s in states),
         tuple(tuple(ts.fault_edges_from(s)) for s in states),
         tuple(ts.deadlock_states()),
+        tuple(part.tolist() for part in program_ids + fault_ids),
+        (tuple(names_p), tuple(names_f)),
     )
 
 
@@ -231,8 +241,8 @@ def _explored(name: str, backend: str, workers=None):
         )
     finally:
         kernels.set_backend("auto")
-    # every engine leaves the dense-id rows SystemIndex and the store adopt
-    assert ts._labeled_rows is not None
+    # every engine leaves the edge arrays SystemIndex and the store read
+    assert ts._edge_arrays is not None
     return _graph(ts)
 
 
@@ -258,6 +268,51 @@ def test_sharded_graph_identical_for_any_worker_count(name, workers):
     the in-process graph — with and without a symmetry quotient."""
     reference = _explored(name, "auto")
     assert _explored(name, "auto", workers=workers) == reference
+
+
+@pytest.fixture
+def memory_store():
+    """An active in-memory certificate store, deactivated afterwards."""
+    store = store_backend.set_active_store(MemoryStore())
+    store_backend.reset_stats()
+    yield store
+    store_backend.set_active_store(None)
+    store_backend.reset_stats()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_graph_artifact_loads_the_explored_graph(name, memory_store):
+    """A system loaded from its whole-graph artifact has the fingerprint
+    of a fresh exploration, on every scenario (quotients included)."""
+    program, starts, faults, symmetric = SCENARIOS[name]
+    fresh = _graph(
+        TransitionSystem(program, starts, faults, symmetric=symmetric)
+    )
+    explored_system(program, starts, faults, symmetric=symmetric)
+    clear_system_cache()
+    store_backend.reset_stats()
+    loaded = explored_system(program, starts, faults, symmetric=symmetric)
+    assert store_backend.stats().get("graph_hits") == 1
+    assert _graph(loaded) == fresh
+
+
+def test_one_action_edit_reassembles_the_explored_graph(memory_store):
+    """A closed system's per-action row artifacts reassemble the graph
+    of a one-action edit (the edited action's rows are the only ones
+    computed), with the fingerprint of a fresh exploration of the
+    edited program."""
+    program, starts, faults, _ = SCENARIOS["token_ring"]
+    actions = list(program.actions)
+    actions[1] = actions[1].restrict(var_eq("x0", 0))
+    edited = Program(program.variables, actions, name=program.name)
+    fresh = _graph(TransitionSystem(edited, starts, faults))
+    explored_system(program, starts, faults)
+    store_backend.reset_stats()
+    reassembled = explored_system(edited, starts, faults)
+    stats = store_backend.stats()
+    assert stats.get("graph_reassembled") == 1
+    assert stats.get("rows_computed") == 1
+    assert _graph(reassembled) == fresh
 
 
 def test_default_workers_applies_to_new_systems():
@@ -606,9 +661,9 @@ def test_canonicalizer_canonical_many_matches_scalar():
 # ---------------------------------------------------------------------------
 
 def test_columnar_engine_stashes_edge_arrays():
-    """On an eligible scenario the all-array engine records the dense
-    adjacency (``_edge_arrays``/``_labeled_rows``) that SystemIndex
-    adopts instead of re-deriving ids from State-level edges."""
+    """On an eligible scenario the all-array engine records the edge
+    arrays (``_edge_arrays``) that SystemIndex reads instead of
+    re-deriving ids from State-level edges."""
     from repro.core.regions import system_index
 
     model = token_ring.build(5, 4)
@@ -619,7 +674,6 @@ def test_columnar_engine_stashes_edge_arrays():
         tuple(model.faults.actions),
     )
     assert ts._edge_arrays is not None
-    assert ts._labeled_rows is not None
     index = system_index(ts)
     assert index.n == len(ts.states)
     # the adopted CSR agrees with the State-level edge tables
@@ -647,8 +701,7 @@ def test_quotients_take_the_array_engines(name, columnar):
     program, starts, faults, symmetric = SCENARIOS[name]
     kernels.set_backend("numpy")
     ts = TransitionSystem(program, starts, faults, symmetric=symmetric)
-    assert (ts._edge_arrays is not None) is columnar
-    assert ts._labeled_rows is not None
+    assert (ts._state_cols is not None) is columnar
     # representatives are pointer-unique: every edge target is the
     # registered state itself, whether the start pass or a code built it
     registered = {id(state) for state in ts.states}
@@ -677,7 +730,7 @@ def test_escaping_successor_restarts_interpreted(monkeypatch):
     )
     kernels.set_backend("numpy")
     ts = TransitionSystem(program, starts)
-    assert ts._edge_arrays is None
+    assert ts._state_cols is None
     # registered once up front, then reset from the four states (c = 0..3)
     # the array run had registered when the spill escaped
     assert resets == [0, 4]

@@ -274,7 +274,7 @@ def test_empty_disjunction_is_false_on_every_engine():
     for backend in ("numpy", "interpreted"):
         kernels.set_backend(backend)
         ts = TransitionSystem(program, starts)
-        assert (ts._edge_arrays is not None) is (backend == "numpy")
+        assert (ts._state_cols is not None) is (backend == "numpy")
         graphs.append((
             tuple(ts.states),
             tuple(tuple(ts.program_edges_from(s)) for s in ts.states),

@@ -14,6 +14,8 @@ Covers the acceptance matrix of the store PR:
 - ``clear_all_caches`` closes store handles but keeps the store active;
 - the exploration LRU keys on the resolved engine, so a columnar-built
   system is never served to the interpreted oracle;
+- a malformed or old-format whole-graph artifact is never served: the
+  graph is explored again and saved over it;
 - ``repro serve`` round-trips artifacts to a ``RemoteStore`` client.
 """
 
@@ -23,18 +25,20 @@ import json
 import threading
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core import exploration
 from repro.core import kernels
 from repro.core.action import Action, assign
+from repro.core.fairness import check_leads_to
 from repro.core.predicate import TRUE, Predicate, var_eq, var_in
 from repro.core.program import Program
 from repro.core.refinement import refines_spec
 from repro.core.specification import invariant_spec
-from repro.core.state import Variable
-from repro.store import backend, certificates, keys
+from repro.core.state import State, Variable
+from repro.store import artifacts, backend, certificates, keys
 from repro.store.backend import MemoryStore, RemoteStore, SQLiteStore
 from repro.store.serve import StoreServer
 
@@ -255,6 +259,113 @@ class TestEngineCacheKey:
         finally:
             kernels.set_backend("auto")
         assert oracle.states == compiled.states
+
+
+def _edit_ids(data, group, part, edit):
+    """Apply ``edit`` to one stored id array of a graph payload."""
+    parts = list(data["edges"][group])
+    ids = np.frombuffer(parts[part], dtype="<i8").copy()
+    parts[part] = edit(ids).astype("<i8").tobytes()
+    edges = list(data["edges"])
+    edges[group] = tuple(parts)
+    data["edges"] = tuple(edges)
+
+
+def _set_id(group, part, index, value):
+    def corrupt(data):
+        def edit(ids):
+            ids[index] = value
+            return ids
+        _edit_ids(data, group, part, edit)
+    return corrupt
+
+
+def _as_v1_minus_last_row(data):
+    """The old row payload (``"v": 1``), without its last id row."""
+    data["v"] = 1
+    data["names"] = ["inc"]
+    data["prows"] = [((0, 1),), ((0, 2),), ((0, 3),)]
+    data["frows"] = [(), (), (), ()]
+    del data["edges"]
+
+
+class TestGraphArtifactChecks:
+    """A whole-graph artifact that fails a structural check, or has the
+    old row format, is not served: the graph is explored again and
+    saved over it, so the graph served next equals a fresh exploration.
+    """
+
+    @staticmethod
+    def _counter():
+        inc = Action(
+            "inc", Predicate(lambda s: s["x"] < 3, "x<3"),
+            assign(x=lambda s: s["x"] + 1),
+        )
+        return Program([Variable("x", [0, 1, 2, 3])], [inc], name="counter")
+
+    @staticmethod
+    def _graph(ts):
+        states = tuple(ts.states)
+        program_ids, fault_ids, names_p, names_f = ts._edge_arrays
+        return (
+            states,
+            tuple(tuple(ts.program_edges_from(s)) for s in states),
+            tuple(tuple(ts.fault_edges_from(s)) for s in states),
+            tuple(ts.deadlock_states()),
+            tuple(part.tolist() for part in program_ids + fault_ids),
+            (tuple(names_p), tuple(names_f)),
+        )
+
+    @pytest.mark.parametrize("corrupt", [
+        _as_v1_minus_last_row,
+        # one length per group
+        lambda data: _edit_ids(data, 0, 1, lambda ids: ids[:-1]),
+        # ids inside the state table, sources nondecreasing
+        _set_id(0, 0, -1, 4),
+        _set_id(0, 0, 0, -1),
+        _set_id(0, 1, -1, 4),
+        _set_id(0, 1, 0, -1),
+        _set_id(0, 0, 0, 2),
+        # action positions inside the group's names
+        _set_id(0, 2, 0, 1),
+        _set_id(0, 2, 0, -1),
+        # at most as many start states as states
+        lambda data: data.update(n_starts=5),
+        # the program's and the faults' names, in declaration order
+        lambda data: data.update(names=(["dec"], [])),
+        lambda data: data.update(names=(["inc"], ["reset"])),
+    ], ids=[
+        "v1", "lengths", "src_high", "src_negative", "dst_high",
+        "dst_negative", "src_order", "act_high", "act_negative",
+        "n_starts", "program_names", "fault_names",
+    ])
+    def test_malformed_graph_is_explored_again(self, corrupt):
+        program = self._counter()
+        starts = [State(x=0)]
+        reached = var_eq("x", 3)
+        fresh = exploration.TransitionSystem(program, starts)
+        store = backend.set_active_store(MemoryStore())
+        exploration.explored_system(program, starts)
+        key = artifacts.system_key(
+            program, keys.states_digest(starts), (),
+            exploration.DEFAULT_MAX_STATES, False,
+        )
+        data = backend.loads(store.get(key))
+        corrupt(data)
+        store.put(key, backend.dumps(data), kind="system")
+
+        exploration.clear_system_cache()
+        backend.reset_stats()
+        explored = exploration.explored_system(program, starts)
+        assert backend.stats().get("graph_hits", 0) == 0
+        assert check_leads_to(explored, TRUE, reached).ok
+
+        exploration.clear_system_cache()
+        backend.reset_stats()
+        served = exploration.explored_system(program, starts)
+        assert backend.stats().get("graph_hits") == 1
+        assert self._graph(served) == self._graph(fresh)
+        assert check_leads_to(served, TRUE, reached).ok
 
 
 class TestServe:
