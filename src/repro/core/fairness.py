@@ -40,12 +40,12 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .exploration import TransitionSystem
+from .kernels import _distinct
 from .predicate import Predicate
 from .regions import (
     Region,
     SystemIndex,
     _data_to_mask,
-    _distinct,
     _np,
     _unpack_bits,
     first_bit,

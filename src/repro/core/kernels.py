@@ -131,9 +131,14 @@ DEFAULT_MAX_CODES = 50_000_000
 #: (space bytes of memory); larger spaces use a sorted-merge anti-join
 _BITMAP_SPACE_LIMIT = 1 << 26
 
-#: Frontier rows expanded per kernel batch inside :func:`explore_codes`;
-#: bounds peak memory at chunk × variables × 8 bytes per column set.
-_FRONTIER_CHUNK = 1 << 20
+#: Frontier rows expanded per kernel batch inside :func:`explore_codes`.
+#: Small enough that a chunk's rank columns and successor codes stay in
+#: cache (chunk × variables × 8 bytes per column set), so beyond the
+#: frontier and the seen set peak memory scales with this constant.  In
+#: a sweep of 2^12 to 2^20 (7^8 ring and k = 11 Byzantine censuses, a
+#: 2-CPU Xeon), 2^12 to 2^16 ran within 5% of each other, 2^15 fastest,
+#: and 2^20 took 1.6x as long.
+_FRONTIER_CHUNK = 1 << 15
 
 
 class KernelError(ValueError):
@@ -393,9 +398,22 @@ class Layout:
         )
 
     def columns_from_codes(self, codes) -> "object":
-        cols = _np.empty((len(self.sizes), codes.shape[0]), dtype=_np.int64)
-        for i, (stride, size) in enumerate(zip(self.strides, self.sizes)):
-            cols[i] = (codes // stride) % size
+        """``(vars, N)`` int64 rank matrix of codes in ``[0, space)``.
+        Digits peel off the least significant end as ``q - (q // size)
+        * size``: numpy divides int64 by a scalar through libdivide for
+        ``//`` but not for ``%`` or ``divmod``, which cost about 3x
+        more."""
+        sizes = self.sizes
+        cols = _np.empty((len(sizes), codes.shape[0]), dtype=_np.int64)
+        q = codes
+        for i in range(len(sizes) - 1, 0, -1):
+            row = cols[i]
+            nq = q // sizes[i]
+            _np.multiply(nq, sizes[i], out=row)
+            _np.subtract(q, row, out=row)
+            q = nq
+        if sizes:
+            cols[0] = q
         return cols
 
     def pack_columns(self, cols) -> "object":
@@ -952,7 +970,9 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
     ``(new_rank - old_rank) * stride`` per written variable — no
     successor rank matrix is ever materialized and no repacking happens,
     so the per-edge cost is independent of the number of variables.
-    :func:`explore_codes` prefers this over :func:`batch_kernel`.
+    Each column an effect reads is gathered once per call, for the
+    enabled sources only.  :func:`explore_codes` prefers this over
+    :func:`batch_kernel`.
     """
     plan = getattr(action, "plan", None)
     if plan is None:
@@ -973,73 +993,83 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
         _validate_plan(plan, index, domains)
         guard = _compile_guard_numpy(plan.guard, layout)
         strides = layout.strides
+        # a delta reads ``rows[j]``, column j of the enabled sources;
+        # ``idx`` is their positions in ``cols`` (None: every column)
+        operands = set()
         deltas: List[Callable] = []
         for effect in plan.effects:
             op = effect[0]
+            d = index[effect[1]]
+            st = strides[d]
+            operands.add(d)
             if op == "set_const":
-                d = index[effect[1]]
-                r, st = layout.ranks[d][effect[2]], strides[d]
+                r = layout.ranks[d][effect[2]]
                 deltas.append(
-                    lambda cols, idx, memo, d=d, r=r, st=st:
-                    (r - cols[d, idx]) * st
+                    lambda rows, cols, idx, memo, d=d, r=r, st=st:
+                    (r - rows[d]) * st
                 )
             elif op == "copy":
-                d, s = index[effect[1]], index[effect[2]]
-                st = strides[d]
+                s = index[effect[2]]
+                operands.add(s)
                 if layout.domains[d] == layout.domains[s]:
                     deltas.append(
-                        lambda cols, idx, memo, d=d, s=s, st=st:
-                        (cols[s, idx] - cols[d, idx]) * st
+                        lambda rows, cols, idx, memo, d=d, s=s, st=st:
+                        (rows[s] - rows[d]) * st
                     )
                 else:
                     lut = _value_lut(layout, effect[2], effect[1])
                     deltas.append(
-                        lambda cols, idx, memo, d=d, s=s, st=st, lut=lut:
-                        (lut[cols[s, idx]] - cols[d, idx]) * st
+                        lambda rows, cols, idx, memo, d=d, s=s, st=st,
+                        lut=lut: (lut.take(rows[s]) - rows[d]) * st
                     )
             elif op == "inc_mod":
-                d, s, m = index[effect[1]], index[effect[2]], effect[3]
-                st = strides[d]
+                s, m = index[effect[2]], effect[3]
+                operands.add(s)
                 deltas.append(
-                    lambda cols, idx, memo, d=d, s=s, st=st, m=m:
-                    ((cols[s, idx] + 1) % m - cols[d, idx]) * st
+                    lambda rows, cols, idx, memo, d=d, s=s, st=st, m=m:
+                    ((rows[s] + 1) % m - rows[d]) * st
                 )
             elif op == "set_majority":
-                d = index[effect[1]]
                 r0, r1 = layout.ranks[d][0], layout.ranks[d][1]
-                st = strides[d]
                 majority_is_one = _majority_column(
                     layout, effect[2], effect[3]
                 )
+
+                def majority(rows, cols, idx, memo, d=d, r0=r0, r1=r1,
+                             st=st, m=majority_is_one):
+                    ones = m(cols, memo)
+                    if idx is not None:
+                        ones = ones.take(idx)
+                    return (_np.where(ones, r1, r0) - rows[d]) * st
+                deltas.append(majority)
+            else:  # set_any: clear the target; each value adds its offset
                 deltas.append(
-                    lambda cols, idx, memo, d=d, r0=r0, r1=r1, st=st,
-                    m=majority_is_one:
-                    (_np.where(m(cols, memo)[idx], r1, r0)
-                     - cols[d, idx]) * st
+                    lambda rows, cols, idx, memo, d=d, st=st: -rows[d] * st
                 )
         offsets = None
         choice = _choice_ranks(plan, layout)
         if choice is not None:
-            # clear the choice's target; each value adds its own offset
             d, ranks = choice
-            st = strides[d]
-            deltas.append(
-                lambda cols, idx, memo, d=d, st=st: -cols[d, idx] * st
-            )
-            offsets = ranks * st
+            offsets = ranks * strides[d]
         empty = _np.empty(0, dtype=_np.int64)
 
         def kernel(codes, cols, memo=None, guard=guard,
-                   deltas=tuple(deltas), offsets=offsets, empty=empty):
+                   deltas=tuple(deltas), operands=tuple(sorted(operands)),
+                   offsets=offsets, empty=empty):
             if guard is None:
-                idx = _np.arange(codes.shape[0], dtype=_np.int64)
+                idx = None
+                out = codes.copy()
+                rows = cols
             else:
                 idx = _np.flatnonzero(guard(cols, memo))
                 if idx.size == 0:
                     return empty, None
-            out = codes[idx]
+                out = codes.take(idx)
+                rows = {j: cols[j].take(idx) for j in operands}
             for delta in deltas:
-                out = out + delta(cols, idx, memo)
+                out += delta(rows, cols, idx, memo)
+            if idx is None:
+                idx = _np.arange(codes.shape[0], dtype=_np.int64)
             if offsets is not None:
                 out = (out[:, None] + offsets).ravel()
                 idx = _np.repeat(idx, offsets.shape[0])
@@ -1051,6 +1081,19 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
 
 
 # -- code-space exploration (million-state BFS, no State objects) --------------
+
+def _distinct(values):
+    """The distinct values of an int array, ascending: a sort and a
+    neighbour compare.  ``np.unique`` gives the same array, but the
+    hash-based one of numpy 2.4 is 8-27x slower on arrays of 2^15 to
+    2^20 int64 codes, and its first call in a process imports
+    ``numpy.ma`` for a masked-array check.  The code-space BFS, the
+    region sweeps and the fairness checks all dedup through this."""
+    values = _np.sort(values)
+    keep = _np.ones(values.shape[0], dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
 
 class CodeReach:
     """Result of :func:`explore_codes`: exact reachable census.
@@ -1099,17 +1142,34 @@ def _census_kernels(program, fault_actions, layout: Layout) -> List[Callable]:
     return kernels
 
 
+def _check_cap(count: int, max_states: int, name: str) -> None:
+    if count > max_states:
+        raise RuntimeError(
+            f"code-space exploration exceeds max_states={max_states} "
+            f"for {name!r}"
+        )
+
+
 def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
               name: str, collect: bool) -> CodeReach:
     """The BFS core shared by whole censuses and shards: expand from
-    ``start_codes`` (sorted, unique) until no fresh code appears."""
+    ``start_codes`` (sorted, unique) until no fresh code appears.
+
+    A level runs in chunks of :data:`_FRONTIER_CHUNK` rows, and each
+    chunk's successor codes from every kernel are deduplicated together:
+    through the byte bitmap when the space fits
+    :data:`_BITMAP_SPACE_LIMIT`, else by one sorted anti-join (their
+    distinct values, one ``searchsorted`` against the sorted seen set,
+    which absorbs the level's fresh codes when the level ends).
+    """
+    total = int(start_codes.shape[0])
+    _check_cap(total, max_states, name)
     use_bitmap = layout.space <= _BITMAP_SPACE_LIMIT
     if use_bitmap:
         seen_map = _np.zeros(layout.space, dtype=bool)
         seen_map[start_codes] = True
     else:
         seen_sorted = start_codes
-    total = int(start_codes.shape[0])
     frontier = start_codes
     levels = 0
     edges = 0
@@ -1120,50 +1180,53 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
             chunk = frontier[lo:lo + _FRONTIER_CHUNK]
             cols = layout.columns_from_codes(chunk)
             memo = {}  # guard terms shared across the chunk's kernels
+            found = []
             for kernel in kernels:
-                idx, codes = kernel(chunk, cols, memo)
-                if codes is None:
-                    continue
-                edges += int(idx.shape[0])
-                if use_bitmap:
-                    # mark between actions/chunks: later rows anti-join
-                    # against everything earlier ones discovered
-                    fresh = codes[~seen_map[codes]]
-                    if fresh.size:
-                        fresh = _np.unique(fresh)
-                        seen_map[fresh] = True
-                        fresh_parts.append(fresh)
-                else:
-                    pos = _np.searchsorted(seen_sorted, codes)
-                    pos[pos == seen_sorted.shape[0]] = 0
-                    fresh = codes[seen_sorted[pos] != codes]
-                    if fresh.size:
-                        fresh_parts.append(fresh)
+                _, codes = kernel(chunk, cols, memo)
+                if codes is not None:
+                    found.append(codes)
+            if not found:
+                continue
+            codes = _np.concatenate(found)
+            edges += int(codes.shape[0])
+            if use_bitmap:
+                # marked per chunk: later chunks anti-join against
+                # everything earlier ones discovered
+                fresh = codes[~seen_map.take(codes)]
+                if fresh.size:
+                    fresh = _distinct(fresh)
+                    seen_map[fresh] = True
+            else:
+                codes = _distinct(codes)
+                pos = _np.searchsorted(seen_sorted, codes)
+                fresh = codes[seen_sorted.take(pos, mode="clip") != codes]
+            if fresh.size:
+                fresh_parts.append(fresh)
         if not fresh_parts:
             break
         if use_bitmap:
             frontier = _np.concatenate(fresh_parts)
         else:
-            frontier = _np.unique(_np.concatenate(fresh_parts))
+            # two chunks of one level may discover the same code
+            frontier = _distinct(_np.concatenate(fresh_parts))
             positions = _np.searchsorted(seen_sorted, frontier)
             seen_sorted = _np.insert(seen_sorted, positions, frontier)
         total += int(frontier.shape[0])
-        if total > max_states:
-            raise RuntimeError(
-                f"code-space exploration exceeds max_states={max_states} "
-                f"for {name!r}"
-            )
+        _check_cap(total, max_states, name)
     reached = None
     if collect:
         reached = _np.flatnonzero(seen_map) if use_bitmap else seen_sorted
     return CodeReach(total, levels, edges, reached)
 
 
-def census_start_codes(program, start_states: Iterable[State]):
+def census_start_codes(program, start_states: Iterable[State],
+                       max_states: Optional[int] = None):
     """Resolve a census start set to ``(layout, sorted unique codes)`` —
     the scheduler half of a sharded census (slice the codes with
     ``numpy.array_split`` and hand each slice to
-    :func:`explore_code_shard`)."""
+    :func:`explore_code_shard`).  With ``max_states``, an ``"all"``
+    space larger than the cap raises the cap's ``RuntimeError`` before
+    its codes are allocated."""
     if isinstance(start_states, str):
         _require(
             start_states == "all",
@@ -1172,6 +1235,8 @@ def census_start_codes(program, start_states: Iterable[State]):
         first = next(iter(state_space(program.variables)), None)
         _require(first is not None, f"{program.name!r} has an empty space")
         layout = _census_layout(program, first._schema)
+        if max_states is not None:
+            _check_cap(layout.space, max_states, program.name)
         return layout, _np.arange(layout.space, dtype=_np.int64)
     starts = list(start_states)
     _require(bool(starts), "census_start_codes needs at least one start")
@@ -1182,7 +1247,7 @@ def census_start_codes(program, start_states: Iterable[State]):
             "explore_codes start states must share one schema",
         )
     layout = _census_layout(program, schema)
-    codes = _np.unique(
+    codes = _distinct(
         _np.array(
             [layout.pack_values(s._values) for s in starts],
             dtype=_np.int64,
@@ -1212,8 +1277,12 @@ def explore_codes(
     string ``"all"`` for the program's entire state space — the codes
     ``0..space-1`` are synthesized directly, so a multimillion-state
     full-space sweep (e.g. a self-stabilization census) never builds a
-    single ``State``.  Frontiers are expanded in bounded chunks, so peak
-    memory stays proportional to the chunk, not the frontier.
+    single ``State``.  Each level is expanded in cache-sized chunks of
+    :data:`_FRONTIER_CHUNK` rows, so beyond the frontier and the seen
+    set (a bitmap or a sorted code array) peak memory holds one chunk's
+    rank columns and successor codes, whatever the frontier's size.
+    ``max_states`` caps the start set and the census alike, raising
+    ``RuntimeError`` when either exceeds it.
     ``collect_codes=True`` additionally returns the sorted reachable
     code set on the result.
     """
@@ -1228,7 +1297,9 @@ def explore_codes(
         start_states = list(start_states)
         if not start_states:
             return CodeReach(0, 0, 0)
-    layout, start_codes = census_start_codes(program, start_states)
+    layout, start_codes = census_start_codes(
+        program, start_states, max_states
+    )
     kernels = _census_kernels(program, fault_actions, layout)
     return _code_bfs(
         layout, kernels, start_codes, max_states, program.name, collect_codes
@@ -1253,7 +1324,7 @@ def explore_code_shard(
     first = next(iter(state_space(program.variables)), None)
     _require(first is not None, f"{program.name!r} has an empty space")
     layout = _census_layout(program, first._schema)
-    codes = _np.unique(_np.asarray(start_codes, dtype=_np.int64))
+    codes = _distinct(_np.asarray(start_codes, dtype=_np.int64))
     if codes.size:
         _require(
             0 <= int(codes[0]) and int(codes[-1]) < layout.space,
@@ -1283,7 +1354,7 @@ def merge_code_reaches(reaches) -> CodeReach:
         arrays.append(reach.codes)
     if not arrays:
         return CodeReach(0, 0, 0, _np.empty(0, dtype=_np.int64))
-    union = _np.unique(_np.concatenate(arrays))
+    union = _distinct(_np.concatenate(arrays))
     return CodeReach(
         int(union.shape[0]),
         max(reach.levels for reach in reaches),

@@ -55,6 +55,7 @@ from typing import (
 
 import numpy as _np
 
+from .kernels import _distinct, layout_for
 from .predicate import Predicate, TRUE
 from .state import State, Variable, state_space
 
@@ -152,16 +153,6 @@ def _pack_bits(mask) -> int:
     return int.from_bytes(
         _np.packbits(mask, bitorder="little").tobytes(), "little"
     )
-
-
-def _distinct(ids):
-    """The distinct values of a nonnegative int array, ascending:
-    ``np.unique`` without its masked-array check, whose first call in a
-    process imports ``numpy.ma``."""
-    ids = _np.sort(ids)
-    keep = _np.ones(ids.shape[0], dtype=bool)
-    keep[1:] = ids[1:] != ids[:-1]
-    return ids[keep]
 
 
 def _data_to_mask(data: bytes, n: int):
@@ -941,10 +932,7 @@ def universe_index(program) -> Optional[StateIndex]:
             states = tuple(state_space(program.variables))
             layout = None
             if states:
-                from . import kernels as _kernels
-                layout = _kernels.layout_for(
-                    states[0].schema, program._domains
-                )
+                layout = layout_for(states[0].schema, program._domains)
             index = StateIndex(states, _distinct=True, layout=layout)
         _UNIVERSE_CACHE[signature] = index
         if len(_UNIVERSE_CACHE) > _UNIVERSE_CACHE_MAXSIZE:

@@ -162,3 +162,17 @@ class TestCampaign:
             out=out,
         ) == 0
         assert "masking-tolerant in 2/2 trials" in out.getvalue()
+
+
+class TestCensus:
+    def test_start_set_above_the_cap_fails(self):
+        """The 1,024 start codes of the 5/4 ring exceed a cap of 100:
+        the census fails instead of printing them."""
+        out = io.StringIO()
+        code = main(
+            ["census", "token_ring", "--size", "5", "--k", "4",
+             "--shards", "1", "--max-states", "100"],
+            out=out,
+        )
+        assert code == 1
+        assert out.getvalue().startswith("census failed:")

@@ -20,6 +20,7 @@ the State-object explorer on instances small enough to run both.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import kernels
@@ -396,6 +397,103 @@ def test_explore_codes_requires_plans():
     starts = [next(iter(state_space(model.program.variables)))]
     with pytest.raises(KernelError, match="'fix1'"):
         explore_codes(model.program, starts)
+
+
+def test_explore_codes_cap_counts_the_start_set():
+    """1,024 start codes exceed a cap of 100 even though the census
+    finds nothing beyond them — on a whole census and on a shard."""
+    model = token_ring.build(5, 4)
+    with pytest.raises(RuntimeError, match="max_states=100"):
+        explore_codes(model.ring, "all", max_states=100)
+    with pytest.raises(RuntimeError, match="max_states=100"):
+        kernels.explore_code_shard(model.ring, range(1024), max_states=100)
+
+
+def test_explore_codes_cap_refuses_an_all_space_before_allocating():
+    """The k = 11 Byzantine space holds far more codes than memory: the
+    cap refuses it instead of allocating ``0..space-1``."""
+    model = byzantine.build_family(tuple(range(1, 12)))
+    with pytest.raises(RuntimeError, match="max_states=1000"):
+        explore_codes(model.ib, "all", max_states=1000)
+
+
+def _census_cases():
+    ring = token_ring.build(5, 4)
+    ngs = (1, 2, 3)
+    family = byzantine.build_family(ngs)
+    return {
+        "ring_all": (ring.ring, "all", ()),
+        "ring_faults": (
+            ring.ring, [next(iter(state_space(ring.ring.variables)))],
+            tuple(ring.faults.actions),
+        ),
+        "byzantine_lies": (
+            family.masking, byzantine.initial_states(ngs),
+            tuple(family.faults.actions),
+        ),
+        "pick": (
+            Program(_PICK_VARIABLES, [_pick()], name="pick"),
+            [State(x=3, y=0), State(x=0, y=20)], (),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["ring_all", "ring_faults", "byzantine_lies", "pick"]
+)
+def test_census_agrees_over_dedup_paths_and_chunks(case, monkeypatch):
+    """The byte bitmap and the sorted anti-join, with one frontier chunk
+    or many, give the same states, levels, edges and reachable codes;
+    so does the union of three shards."""
+    program, starts, faults = _census_cases()[case]
+    default_limit = kernels._BITMAP_SPACE_LIMIT
+    default_chunk = kernels._FRONTIER_CHUNK
+    start_codes = kernels.census_start_codes(program, starts)[1]
+    results = []
+    for limit in (default_limit, 0):
+        for chunk in (default_chunk, 7):
+            monkeypatch.setattr(kernels, "_BITMAP_SPACE_LIMIT", limit)
+            monkeypatch.setattr(kernels, "_FRONTIER_CHUNK", chunk)
+            reach = explore_codes(program, starts, faults, collect_codes=True)
+            results.append(
+                (reach.states, reach.levels, reach.edges,
+                 reach.codes.tolist())
+            )
+            merged = kernels.merge_code_reaches(
+                kernels.explore_code_shard(program, part, faults)
+                for part in np.array_split(start_codes, 3)
+            )
+            assert merged.states == reach.states
+            assert merged.codes.tolist() == reach.codes.tolist()
+    assert all(result == results[0] for result in results)
+
+
+@pytest.mark.parametrize("sizes", [
+    (2, 3, 7, 40),
+    (5,),
+    (7, 40, 3) + (2,) * 52,  # 840 * 2^52: within a factor 2 of 2^62
+])
+def test_columns_from_codes_round_trips(sizes):
+    """Unpacking random codes (and the extreme ones) to rank columns
+    inverts :meth:`Layout.pack_columns`, and column j holds the rank of
+    variable j's value in :meth:`Layout.unpack`."""
+    domains = {
+        f"v{i:02d}": tuple(range(size))[::-1]  # a rank is not its value
+        for i, size in enumerate(sizes)
+    }
+    layout = kernels.layout_for(Schema.of(tuple(domains)), domains)
+    assert layout is not None  # packs into 62-bit codes
+    codes = np.concatenate((
+        np.array([0, layout.space - 1], dtype=np.int64),
+        np.random.default_rng(0).integers(0, layout.space, 300),
+    ))
+    cols = layout.columns_from_codes(codes)
+    assert layout.pack_columns(cols).tolist() == codes.tolist()
+    want = [
+        [layout.ranks[j][value] for j, value in enumerate(layout.unpack(c))]
+        for c in codes.tolist()
+    ]
+    assert cols.T.tolist() == want
 
 
 # ---------------------------------------------------------------------------
