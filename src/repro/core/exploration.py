@@ -19,19 +19,24 @@ while liveness is judged over program edges only.
 
 Performance notes (see ``docs/performance.md``):
 
-- every explored state is canonicalized through a
-  :class:`~repro.core.state.StateInterner`, so the states held by a
-  system are pointer-equal iff value-equal and duplicate successors
-  collapse before touching the frontier;
+- the ids are the registry: :attr:`TransitionSystem.states` is a tuple
+  in id order, every explored state registered once, so the states
+  held by a system are pointer-equal iff value-equal.  The columnar
+  engine registers states by packed code and hashes none; the
+  state-by-state engines canonicalize successors through a
+  :class:`~repro.core.state.StateInterner` (or an orbit
+  canonicalizer) seeded with the start states;
 - the id-level graph is one set of edge arrays per system
   (``_edge_arrays``), left by every engine and by the store's loaders;
-  per-state State-level edge lists are tuples handed out *unsliced* —
-  :meth:`TransitionSystem.edges_from` only concatenates when a state
-  actually has fault edges to merge in;
+  State-level edge lists are built from them on first use, as tuples
+  handed out *unsliced* — :meth:`TransitionSystem.edges_from` only
+  concatenates when a state actually has fault edges to merge in;
 - :meth:`deadlock_states` reads the recorded program edges instead of
   re-evaluating every guard;
 - :func:`explored_system` memoizes whole systems in a bounded LRU keyed
-  on (program, start states, fault actions, max_states), so tolerance
+  on (program, start states, fault actions, max_states), a start set
+  ``p | T`` being a universe :class:`~repro.core.regions.Region` keyed
+  by its bits (:func:`system_from`), so tolerance
   certificates and synthesis pipelines that interrogate the same
   ``p [] F`` repeatedly explore it once.  ``clear_system_cache`` resets
   the table (programs and actions are keyed by identity, so the cache
@@ -48,11 +53,11 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    KeysView,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -61,7 +66,10 @@ from . import kernels as _kernels
 from .action import Action
 from .predicate import Predicate
 from .program import Program
-from .regions import first_bit, iter_bits, paused_gc, system_index
+from .regions import (
+    Region, StateIndex, first_bit, iter_bits, paused_gc, system_index,
+    universe_index,
+)
 from .results import CheckResult, Counterexample
 from .state import Schema, State, StateInterner, _state_of
 from .symmetry import SymmetryError
@@ -70,6 +78,7 @@ __all__ = [
     "Edge",
     "TransitionSystem",
     "explored_system",
+    "system_from",
     "clear_system_cache",
     "clear_all_caches",
     "set_default_workers",
@@ -119,8 +128,11 @@ class TransitionSystem:
     program:
         The program whose actions drive (fair) computation steps.
     start_states:
-        Iterable of states exploration begins from.  Typically the states
-        satisfying an invariant or fault-span predicate.
+        Iterable of states exploration begins from, deduplicated by
+        value in order; or a :class:`~repro.core.regions.Region` of a
+        :class:`~repro.core.regions.StateIndex`, whose states are taken
+        in index order with nothing hashed (the universe region of an
+        invariant or fault-span predicate, see :func:`system_from`).
     fault_actions:
         Optional extra actions representing a fault-class ``F``;
         their edges are recorded but marked as fault edges.
@@ -168,13 +180,26 @@ class TransitionSystem:
         if overlap:
             raise ValueError(f"fault actions share names with program: {overlap}")
 
-        self.start_states: Tuple[State, ...] = tuple(dict.fromkeys(start_states))
-        #: outgoing program edges per state: state -> ((action, next), ...)
-        #: (insertion-ordered over *every* explored state, making it double
-        #: as the deterministic BFS-order state registry)
-        self._program_edges: Dict[State, Tuple[Tuple[str, State], ...]] = {}
-        #: outgoing fault edges per state (only states that have some)
-        self._fault_edges: Dict[State, Tuple[Tuple[str, State], ...]] = {}
+        universe = None
+        if isinstance(start_states, Region) and isinstance(
+            start_states.index, StateIndex
+        ):
+            # a region of a state index: its states are unique and in
+            # index order already, so none is hashed
+            universe = (start_states.index, start_states.id_array())
+            self.start_states: Tuple[State, ...] = tuple(map(
+                start_states.index.states.__getitem__, universe[1].tolist()
+            ))
+        else:
+            self.start_states = tuple(dict.fromkeys(start_states))
+        #: the state registry (see :attr:`states`); engines grow it as a
+        #: list and leave a tuple
+        self._states: Sequence[State] = ()
+        #: outgoing program and fault edges per source state, ``state ->
+        #: ((action, next), ...)``; ``None`` until a consumer walks
+        #: State-level edges (:meth:`_materialize_edges`)
+        self._program_edges: Optional[Dict[State, Tuple]] = None
+        self._fault_edges: Optional[Dict[State, Tuple]] = None
         #: the id-level graph, left by every engine (and by the store's
         #: loaders): ((src ids, dst ids, action positions) for program
         #: and fault edges, program names, fault names), each group's
@@ -182,104 +207,109 @@ class TransitionSystem:
         #: order.  ``SystemIndex`` derives successors, predecessors,
         #: deadlocks and enabledness from it
         self._edge_arrays = None
-        #: True while State-level edge tuples are deferred: the columnar
-        #: engine (and store-loaded graphs) hold only the edge arrays,
-        #: and the first consumer that walks State-level edges pays one
-        #: materialization pass (:meth:`_materialize_edges`).  Closure
-        #: and region analyses never trigger it — they read the arrays.
-        self._edges_lazy = False
         #: (layout, rank-column matrix) of the explored states in id
         #: order, retained by the columnar engine for vectorized
         #: predicate sweeps (:meth:`~repro.core.regions.StateIndex`)
         self._state_cols = None
         if workers is None:
             workers = _DEFAULT_WORKERS
-        self._explore(max_states, workers)
+        self._explore(max_states, workers, universe)
 
     # -- construction ------------------------------------------------------
     @property
-    def states(self) -> KeysView[State]:
-        """All explored states, in deterministic BFS discovery order."""
-        return self._program_edges.keys()
+    def states(self) -> Tuple[State, ...]:
+        """All explored states in id order: the deterministic BFS
+        discovery order, start states first, so ``states[i]`` is the
+        state the edge arrays and region bitsets call ``i``."""
+        return self._states
 
-    def _explore(self, max_states: int, workers: Optional[int] = None) -> None:
-        # the tiny-space path is interpreted: no arrays for it to set up
-        layout = None
-        if self.program.state_count() > _SMALL_SPACE_STATES:
-            layout = self._start_layout()
-        canon_cols = None
+    def _explore(self, max_states: int, workers: Optional[int], universe
+                 ) -> None:
+        layout, cols = self._start_columns(universe)
+        canonicalizer = canon_cols = None
         if self.symmetry is not None:
-            # orbit canonicalization: each state maps to the pooled
-            # minimal representative of its symmetry orbit, so the BFS
+            # orbit canonicalization: each state maps to the minimal
+            # representative of its symmetry orbit, so the BFS
             # materializes the quotient graph directly.  The array
             # engine canonicalizes whole successor blocks as rank
             # columns (``canon_cols``); the interpreted and sharded
             # engines go state by state
             canonicalizer = self.symmetry.canonicalizer(self.program)
-            canonical = canonicalizer.canonical
-            canonical_many = canonicalizer.canonical_many
             if layout is not None:
                 canon_cols = self.symmetry._compile_columns(layout)
-            self.start_states = self._canonical_starts(
-                canonicalizer, layout, canon_cols
-            )
-        else:
-            # canonicalization is one C-level dict op: setdefault(s, s)
-            # returns the pooled representative (inserting s if unseen),
-            # exactly StateInterner.canonical without the method frames
-            interner = StateInterner()
-            canonical = interner._pool.setdefault
-            canonical_many = interner.canonical_many
-            self.start_states = tuple(
-                dict.fromkeys(canonical_many(self.start_states))
-            )
+                self.start_states, cols = self._canonical_starts(
+                    layout, cols, canon_cols
+                )
+            else:
+                self.start_states = tuple(dict.fromkeys(
+                    canonicalizer.canonical_many(self.start_states)
+                ))
         # Three engines, one transition graph: sharded (process pool,
-        # opt-in), columnar (whole frontier levels as rank-column
-        # arrays), and interpreted (the oracle).  All three register
-        # states and edges in the exact same order and leave the same
-        # edge arrays, so which engine ran is unobservable from the
-        # finished system (pinned by tests).
+        # opt-in), columnar (whole frontier levels as code and
+        # rank-column arrays), and interpreted (the oracle).  All three
+        # register states and edges in the exact same order and leave
+        # the same edge arrays, so which engine ran is unobservable from
+        # the finished system (pinned by tests).
         self._register_starts()
-        # Pause generational GC for the build: edge tuples hold State
-        # references, so they stay gc-tracked, and letting collections
-        # rescan the growing graph costs more than the whole expansion
+        # Pause generational GC for the build: the registry and the
+        # interpreted engines' pools hold every State, and letting
+        # collections rescan them costs more than the whole expansion
         with paused_gc():
             if workers is not None and workers > 1 and self.start_states:
-                if self._explore_sharded(
-                    max_states, canonical_many, workers
-                ):
+                if self._explore_sharded(max_states, canonicalizer, workers):
                     return
             if layout is not None and self._explore_columnar(
-                max_states, layout, canon_cols
+                max_states, layout, cols, canon_cols
             ):
                 return
-            self._explore_interpreted(max_states, canonical)
+            self._explore_interpreted(max_states, canonicalizer)
 
     def _register_starts(self) -> None:
-        """Reset the state registry to the start states alone, each with
-        no edges yet and ids in start order."""
-        self._program_edges = dict.fromkeys(self.start_states, _EMPTY_EDGES)
+        """Reset the state registry to the start states alone, ids in
+        start order."""
+        self._states = self.start_states
+
+    def _pool(self, canonicalizer):
+        """``(canonical, canonical_many)`` for the engines that go state
+        by state: orbit representatives through ``canonicalizer`` on a
+        quotient, else a fresh interner (``setdefault(s, s)`` returns
+        the pooled state, exactly ``StateInterner.canonical`` without
+        the method frames).  The pool is seeded with the start states,
+        so successors equal to one resolve to it."""
+        if canonicalizer is None:
+            interner = StateInterner()
+            pool = canonical = interner._pool.setdefault
+            canonical_many = interner.canonical_many
+        else:
+            pool = canonicalizer.pool
+            canonical = canonicalizer.canonical
+            canonical_many = canonicalizer.canonical_many
+        for state in self.start_states:
+            pool(state, state)
+        return canonical, canonical_many
 
     def _edge_lists(self):
-        """The accumulators :meth:`_assemble_level` fills: the state ->
-        id map (the start states so far), action name -> declaration
-        position, and per group (program, fault) the src, dst and act
-        id lists."""
+        """The accumulators :meth:`_assemble_level` fills: the registry
+        (as a list, now the start states), the state -> id map, action
+        name -> declaration position, and per group (program, fault)
+        the src, dst and act id lists."""
         position = {
             action.name: pos
             for actions in (self.program.actions, self.fault_actions)
             for pos, action in enumerate(actions)
         }
         starts = self.start_states
+        self._states = list(starts)
         return (
-            {state: i for i, state in enumerate(starts)}, position,
-            ([], [], []), ([], [], []),
+            self._states, {state: i for i, state in enumerate(starts)},
+            position, ([], [], []), ([], [], []),
         )
 
     def _set_edge_arrays(self, program_ids, fault_ids) -> None:
         """Record the id-level graph from per-group ``(src, dst, act)``
         sequences, each sorted by source id with actions in declaration
-        order (see ``_edge_arrays``)."""
+        order (see ``_edge_arrays``), and freeze the registry."""
+        self._states = tuple(self._states)
         self._edge_arrays = (
             tuple(np.asarray(part, dtype=np.int64) for part in program_ids),
             tuple(np.asarray(part, dtype=np.int64) for part in fault_ids),
@@ -287,37 +317,44 @@ class TransitionSystem:
             [a.name for a in self.fault_actions],
         )
 
-    def _start_layout(self):
-        """The packing layout the array engine expands the start set
-        with: numpy backend, one start schema, every variable with a
-        declared domain; ``None`` otherwise."""
+    def _start_columns(self, universe):
+        """``(layout, rank columns of the start states)`` for the array
+        engine, or ``(None, None)``: it needs the numpy backend, a space
+        above :data:`_SMALL_SPACE_STATES` (the tiny-space path is
+        interpreted: no arrays for it to set up), one start schema and
+        every start value inside its declared domain.  Starts from a
+        universe index slice its rank matrix by their ids."""
         starts = self.start_states
-        if not starts or _kernels.resolved_backend() != "numpy":
-            return None
+        if (
+            not starts or _kernels.resolved_backend() != "numpy"
+            or self.program.state_count() <= _SMALL_SPACE_STATES
+        ):
+            return None, None
+        if universe is not None:
+            index, ids = universe
+            cols = index._columns(ids)
+            if cols is not None:
+                return index._layout, cols
         schema = starts[0]._schema
-        for state in starts:
-            if state._schema is not schema:
-                return None
-        return _kernels.layout_for(schema, self.program._domains)
-
-    def _canonical_starts(self, canonicalizer, layout, canon_cols):
-        """The orbit representatives of the (value-deduplicated) start
-        states, in order of first occurrence.
-
-        With a column canonicalizer this is one array pass: a start
-        state that is already canonical represents its own orbit, and a
-        State is built only for orbits no start state represents.
-        Every representative is pooled in ``canonicalizer``, so the
-        per-state paths of the BFS return the same objects."""
-        starts = self.start_states
-        cols = None
-        if canon_cols is not None:
+        if any(state._schema is not schema for state in starts):
+            return None, None
+        layout = _kernels.layout_for(schema, self.program._domains)
+        if layout is not None:
             try:
-                cols = layout.columns_from_states(starts)
+                return layout, layout.columns_from_states(starts)
             except KeyError:
-                pass  # a value outside its domain: only plans handle it
-        if cols is None:
-            return tuple(dict.fromkeys(canonicalizer.canonical_many(starts)))
+                pass  # a start value outside its domain: only plans hold it
+        return None, None
+
+    def _canonical_starts(self, layout, cols, canon_cols):
+        """The orbit representatives of the (value-deduplicated) start
+        states, in order of first occurrence, and their rank columns.
+
+        One array pass: a start state that is already canonical
+        represents its own orbit, and a State is built only for orbits
+        no start state represents.  Nothing is pooled; the engines that
+        pool seed their pool with the result (:meth:`_pool`)."""
+        starts = self.start_states
         canon = canon_cols(cols)
         canon_codes = layout.pack_columns(canon)
         codes, first = np.unique(canon_codes, return_index=True)
@@ -325,18 +362,14 @@ class TransitionSystem:
         fixed = np.flatnonzero(layout.pack_columns(cols) == canon_codes)
         own[np.searchsorted(codes, canon_codes[fixed])] = fixed
         order = np.argsort(first)
-        schema = layout.schema
-        values_of = layout.values_from_column
-        pool = canonicalizer.pool
+        own = own[order]
+        reps = canon[:, first[order]]
+        built = iter(layout.states_from_columns(reps[:, own < 0]))
         return tuple(
-            pool(
-                starts[i] if i >= 0
-                else _state_of(schema, values_of(canon, j))
-            )
-            for i, j in zip(own[order].tolist(), first[order].tolist())
-        )
+            starts[i] if i >= 0 else next(built) for i in own.tolist()
+        ), reps
 
-    def _explore_interpreted(self, max_states: int, canonical) -> None:
+    def _explore_interpreted(self, max_states: int, canonicalizer) -> None:
         """The interpreted engine, and the oracle every other engine is
         tested against: level-synchronous BFS, one ``Action.successors``
         call per (state, action) pair, each level folded by
@@ -348,6 +381,7 @@ class TransitionSystem:
         per action — costs more than the whole expansion), for programs
         with no planned action, and for start sets or successors no
         layout can hold."""
+        canonical, _ = self._pool(canonicalizer)
         frontier: List[State] = list(self.start_states)
         program_actions = self.program.actions
         fault_actions = self.fault_actions
@@ -369,7 +403,7 @@ class TransitionSystem:
             frontier = self._assemble_level(
                 frontier, program_buckets, fault_buckets, max_states, lists
             )
-        self._set_edge_arrays(*lists[2:])
+        self._set_edge_arrays(*lists[3:])
 
     def _assemble_level(
         self,
@@ -379,7 +413,8 @@ class TransitionSystem:
         max_states: int,
         lists,
     ) -> List[State]:
-        """Fold one expanded frontier level into the edge tables.
+        """Fold one expanded frontier level into the registry and the
+        id lists.
 
         Buckets hold each frontier state's edges in program-then-fault,
         action-major order, and new states are registered per source
@@ -397,29 +432,21 @@ class TransitionSystem:
         appending each expanded state's edges to the id ``lists`` (see
         :meth:`_edge_lists`) keeps them sorted by source id with actions
         in declaration order: the edge arrays of the columnar engine."""
-        program_edges_of = self._program_edges
-        fault_edges_of = self._fault_edges
-        id_of, position, program_ids, fault_ids = lists
+        registry, id_of, position, program_ids, fault_ids = lists
         next_frontier: List[State] = []
         for i, state in enumerate(frontier):
-            program_edges = program_buckets[i]
-            fault_edges = fault_buckets[i]
-            if len(program_edges) > 1:
-                program_edges = list(dict.fromkeys(program_edges))
-            if len(fault_edges) > 1:
-                fault_edges = list(dict.fromkeys(fault_edges))
-            program_edges_of[state] = tuple(program_edges)
-            if fault_edges:
-                fault_edges_of[state] = tuple(fault_edges)
             u = id_of[state]
             for edges, (src, dst, act) in (
-                (program_edges, program_ids), (fault_edges, fault_ids)
+                (program_buckets[i], program_ids),
+                (fault_buckets[i], fault_ids),
             ):
+                if len(edges) > 1:
+                    edges = dict.fromkeys(edges)
                 for name, nxt in edges:
                     v = id_of.get(nxt)
                     if v is None:
-                        v = id_of[nxt] = len(id_of)
-                        program_edges_of[nxt] = _EMPTY_EDGES
+                        v = id_of[nxt] = len(registry)
+                        registry.append(nxt)
                         next_frontier.append(nxt)
                         if v >= max_states:
                             raise RuntimeError(
@@ -431,31 +458,34 @@ class TransitionSystem:
                     act.append(position[name])
         return next_frontier
 
-    def _explore_columnar(self, max_states: int, layout, canon_cols) -> bool:
+    def _explore_columnar(self, max_states: int, layout, cols, canon_cols
+                          ) -> bool:
         """The array engine: levels expand, dedup, and id-assign as
         numpy arrays, and each level's edges join the edge arrays as
         they are, with no per-edge Python object.
 
-        Planned actions expand a whole level per kernel call, with one
-        memo per level so the guard terms several actions repeat are
-        computed once.  Unplanned ones run their interpreted
-        ``successors`` over the level's states, and all of a level's
-        unplanned successors become rank columns in one conversion.  On
-        a symmetry quotient a level's successor columns are stacked and
-        pass through the column canonicalizer ``canon_cols`` once before
-        they are packed, so codes, ids and states are orbit
-        representatives throughout; unreduced levels pack each kernel's
-        block as it comes.  Codes map to dense ids through
-        :class:`_CodeIds`, so interning, dedup, and discovery-order id
-        assignment are all vectorized; the interpreted engine's FIFO
-        order is reproduced by a stable sort on (source,
-        program-before-fault, action position), which keeps the order a
-        nondeterministic action gives its successors in.
+        A level is its packed codes next to its rank columns.  Planned
+        actions expand it with their code kernels (one call per action,
+        one memo per level so the guard terms several actions repeat
+        are computed once), which return successor codes directly.
+        Unplanned ones run their interpreted ``successors`` over the
+        level's states, and all of a level's unplanned successors are
+        packed in one conversion.  On a symmetry quotient the level's
+        stacked successor codes are unpacked once, pass through the
+        column canonicalizer ``canon_cols`` and are packed again, so
+        codes, ids and states are orbit representatives throughout.
+        Codes map to dense ids through :class:`_CodeIds`, so interning,
+        dedup, and discovery-order id assignment are all vectorized;
+        the interpreted engine's FIFO order is reproduced by a stable
+        sort on (source, program-before-fault, action position), which
+        keeps the order a nondeterministic action gives its successors
+        in.  A level's new codes are unpacked once, and their States
+        built in bulk from the columns.
 
         Returns ``False``, with the registry reset to the start states,
-        when no action has a kernel for ``layout`` or a start state or
-        successor escapes it (a value outside its declared domain, a
-        state of another schema); the interpreted engine then runs."""
+        when no action has a kernel for ``layout`` or a successor
+        escapes it (a value outside its declared domain, a state of
+        another schema); the interpreted engine then runs."""
         # per group (program, fault): (position, kernel, choices) of the
         # planned actions and (position, action) of the unplanned ones
         planned: Tuple[List, List] = ([], [])
@@ -464,7 +494,7 @@ class TransitionSystem:
             (self.program.actions, self.fault_actions)
         ):
             for pos, action in enumerate(actions):
-                kernel = _kernels.batch_kernel(action, layout)
+                kernel = _kernels.code_kernel(action, layout)
                 if kernel is None:
                     unplanned[group].append((pos, action))
                 else:
@@ -473,16 +503,10 @@ class TransitionSystem:
                     )
         if not (planned[0] or planned[1]):
             return False
-        starts = self.start_states
-        try:
-            cols = layout.columns_from_states(starts)
-        except KeyError:
-            return False  # a start value escaped its declared domain
         schema = layout.schema
-        code_ids = _CodeIds(layout.space, layout.pack_columns(cols))
-        states_list: List[State] = list(starts)
-        program_edges_of = self._program_edges
-        values_of = layout.values_from_column
+        codes = layout.pack_columns(cols)
+        code_ids = _CodeIds(layout.space, codes)
+        registry = self._states = list(self.start_states)
         empty = np.empty(0, dtype=np.int64)
         acc_p: List = []
         acc_f: List = []
@@ -491,28 +515,26 @@ class TransitionSystem:
         while True:
             n = cols.shape[1]
             # edges as (key, code, action position) arrays, with key =
-            # 2 * source + group (program 0, fault 1); on a quotient the
-            # successor columns wait in ``blocks`` for one canonicalization
+            # 2 * source + group (program 0, fault 1)
             keys, dsts, acts = [empty], [empty], [empty]
-            blocks: List = []
             memo: Dict = {}
             repeats = False
             for group, kernels_g in enumerate(planned):
                 for pos, kernel, choices in kernels_g:
-                    idx, out = kernel(cols, memo)
+                    idx, out = kernel(codes, cols, memo)
                     if out is None:
                         continue
                     keys.append(idx * 2 + group)
                     acts.append(np.full(idx.shape[0], pos, dtype=np.int64))
-                    if canon_cols is None:
-                        dsts.append(layout.pack_columns(out))
-                    else:
-                        blocks.append(out)
-                        # two values of one choice may share an orbit
-                        repeats = repeats or choices > 1
+                    dsts.append(out)
+                    # on a quotient two values of one choice may share
+                    # an orbit
+                    repeats = repeats or (
+                        canon_cols is not None and choices > 1
+                    )
             found: List[State] = []
             if unplanned[0] or unplanned[1]:
-                level = states_list[frontier_lo:frontier_lo + n]
+                level = registry[frontier_lo:frontier_lo + n]
             for group, actions_g in enumerate(unplanned):
                 for pos, action in actions_g:
                     successors = list(map(action.successors, level))
@@ -539,16 +561,14 @@ class TransitionSystem:
                     # a successor the layout cannot hold: start over
                     self._register_starts()
                     return False
-                if canon_cols is None:
-                    dsts.append(layout.pack_columns(out))
-                else:
-                    blocks.append(out)
-            if blocks:
-                block = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-                dsts.append(layout.pack_columns(canon_cols(block)))
+                dsts.append(layout.pack_columns(out))
             key = np.concatenate(keys)
             dst = np.concatenate(dsts)
             act = np.concatenate(acts)
+            if canon_cols is not None and dst.size:
+                dst = layout.pack_columns(
+                    canon_cols(layout.columns_from_codes(dst))
+                )
             # FIFO order: source-major, program edges before fault
             # edges, actions in declaration order; lexsort is stable,
             # so a nondeterministic action's successors keep their order
@@ -569,12 +589,12 @@ class TransitionSystem:
             # id assignment: new codes get ids in discovery order
             ids = code_ids.lookup(dst)
             new_mask = ids < 0
-            new_cols = None
+            new_codes = None
             if new_mask.any():
                 uniq, first, inverse = np.unique(
                     dst[new_mask], return_index=True, return_inverse=True
                 )
-                next_id = len(states_list)
+                next_id = len(registry)
                 count = uniq.shape[0]
                 if next_id + count > max_states:
                     raise RuntimeError(
@@ -586,15 +606,8 @@ class TransitionSystem:
                 uniq_ids[discovered] = np.arange(next_id, next_id + count)
                 code_ids.add(uniq, uniq_ids)
                 ids[new_mask] = uniq_ids[inverse]
-                new_cols = layout.columns_from_codes(uniq[discovered])
-                for j in range(count):
-                    state = _state_of(schema, values_of(new_cols, j))
-                    states_list.append(state)
-                    program_edges_of[state] = _EMPTY_EDGES
+                new_codes = uniq[discovered]
 
-            # the State-level edge tuples stay unmaterialized until a
-            # consumer actually walks them (closure/region/tolerance
-            # sweeps never do)
             fault = (key & 1).astype(bool)
             for acc, mask in ((acc_p, ~fault), (acc_f, fault)):
                 acc.append(
@@ -602,19 +615,20 @@ class TransitionSystem:
                 )
 
             frontier_lo += n
-            if new_cols is None:
+            if new_codes is None:
                 self._set_edge_arrays(*(
                     tuple(np.concatenate(part) for part in zip(*acc))
                     for acc in (acc_p, acc_f)
                 ))
                 self._state_cols = (layout, np.hstack(col_acc))
-                self._edges_lazy = True
                 return True
-            col_acc.append(new_cols)
-            cols = new_cols
+            codes = new_codes
+            cols = layout.columns_from_codes(codes)
+            col_acc.append(cols)
+            registry.extend(layout.states_from_columns(cols))
 
     def _explore_sharded(
-        self, max_states: int, canonical_many, workers: int
+        self, max_states: int, canonicalizer, workers: int
     ) -> bool:
         """Level-synchronous BFS over a fork process pool.
 
@@ -636,6 +650,7 @@ class TransitionSystem:
             context = multiprocessing.get_context("fork")
         except ValueError:
             return False
+        _, canonical_many = self._pool(canonicalizer)
         _SHARD_ACTIONS = (self.program.actions, self.fault_actions)
         pool = context.Pool(processes=workers)
         lists = self._edge_lists()
@@ -673,24 +688,25 @@ class TransitionSystem:
             _SHARD_ACTIONS = None
             pool.terminate()
             pool.join()
-        self._set_edge_arrays(*lists[2:])
+        self._set_edge_arrays(*lists[3:])
         return True
 
     # -- views ---------------------------------------------------------------
     def _materialize_edges(self) -> None:
-        """Build the State-level edge tuples from the edge arrays.
+        """Build the State-level edge tuples from the edge arrays, the
+        only place they are built.
 
-        The columnar engine and store-loaded graphs defer this: region,
-        closure, and tolerance machinery work on the edge arrays and
-        never ask for State-level tuples, so most systems live and die
-        without ever paying for them.  The first consumer that does ask
-        (path finding, spec transition sweeps, direct ``edges_from``
-        callers) triggers one whole-graph pass."""
-        states = list(self._program_edges)
+        No engine builds them: region, closure, and tolerance machinery
+        work on the edge arrays and never ask for State-level tuples, so
+        most systems live and die without ever paying for them.  The
+        first consumer that does ask (path finding, spec transition
+        sweeps, direct ``edges_from`` callers) triggers one whole-graph
+        pass."""
+        states = self._states
         program_ids, fault_ids, names_p, names_f = self._edge_arrays
-        for edges_of, (src, dst, act), names in (
-            (self._program_edges, program_ids, names_p),
-            (self._fault_edges, fault_ids, names_f),
+        tables = []
+        for (src, dst, act), names in (
+            (program_ids, names_p), (fault_ids, names_f)
         ):
             bounds = np.searchsorted(
                 src, np.arange(len(states) + 1, dtype=np.int64)
@@ -701,17 +717,19 @@ class TransitionSystem:
             ))
             sources = np.flatnonzero(np.diff(bounds)).tolist()
             bounds = bounds.tolist()
-            for u in sources:
-                edges_of[states[u]] = tuple(edges[bounds[u]:bounds[u + 1]])
-        self._edges_lazy = False
+            tables.append({
+                states[u]: tuple(edges[bounds[u]:bounds[u + 1]])
+                for u in sources
+            })
+        self._program_edges, self._fault_edges = tables
 
     def program_edges_from(self, state: State) -> Sequence[Tuple[str, State]]:
-        if self._edges_lazy:
+        if self._program_edges is None:
             self._materialize_edges()
         return self._program_edges.get(state, _EMPTY_EDGES)
 
     def fault_edges_from(self, state: State) -> Sequence[Tuple[str, State]]:
-        if self._edges_lazy:
+        if self._program_edges is None:
             self._materialize_edges()
         return self._fault_edges.get(state, _EMPTY_EDGES)
 
@@ -724,7 +742,7 @@ class TransitionSystem:
         edges to merge with its program edges, so the common case inside
         closure checks' inner loops allocates nothing.
         """
-        if self._edges_lazy:
+        if self._program_edges is None:
             self._materialize_edges()
         program_edges = self._program_edges.get(state, _EMPTY_EDGES)
         if not include_faults:
@@ -735,7 +753,7 @@ class TransitionSystem:
         return program_edges + fault_edges
 
     def all_edges(self, include_faults: bool = True) -> Iterable[Edge]:
-        if self._edges_lazy:
+        if self._program_edges is None:
             self._materialize_edges()
         for state, edges in self._program_edges.items():
             for action_name, nxt in edges:
@@ -973,15 +991,16 @@ def _reconstruct(
 
 #: (program, start states, fault actions, max_states) -> TransitionSystem.
 #: Programs and actions are keyed by identity (they are never mutated);
-#: start states by value.  Entries hold strong references, so a cached
-#: program cannot be garbage-collected out from under its key.
+#: start states by value, or a start Region by itself.  Entries hold
+#: strong references, so a cached program cannot be garbage-collected
+#: out from under its key.
 _SYSTEM_CACHE: "OrderedDict[Tuple, TransitionSystem]" = OrderedDict()
 _SYSTEM_CACHE_MAXSIZE = 128
 
 
 def explored_system(
     program: Program,
-    start_states: Iterable[State],
+    start_states: Union[Iterable[State], Region],
     fault_actions: Sequence[Action] = (),
     max_states: int = DEFAULT_MAX_STATES,
     symmetric: bool = False,
@@ -996,6 +1015,12 @@ def explored_system(
     the first call pays for exploration.  The cache is a bounded LRU of
     :data:`_SYSTEM_CACHE_MAXSIZE` systems; evict explicitly with
     :func:`clear_system_cache`.
+
+    ``start_states`` is either an iterable of states, keyed by value
+    (deduplicated, in order), or a :class:`~repro.core.regions.Region`
+    of the universe index (:func:`system_from` passes one), keyed by
+    itself: ``(index, bits)``, one big-int hash and no State hash.  The
+    two forms never share an entry, even for equal start sets.
 
     ``symmetric=True`` explores the quotient graph under the program's
     declared symmetry (see :class:`TransitionSystem`); the declared
@@ -1014,14 +1039,18 @@ def explored_system(
     exploring; fresh explorations are recorded for later runs.  The
     interpreted oracle always explores for real.
     """
-    starts = tuple(dict.fromkeys(start_states))
+    if isinstance(start_states, Region):
+        starts = start_states
+    else:
+        starts = tuple(dict.fromkeys(start_states))
     faults = tuple(fault_actions)
     engine = (
         "interpreted" if _kernels.get_backend() == "interpreted"
         else _kernels.resolved_backend()
     )
     # Program and Action objects hash/compare by identity (they are never
-    # mutated after construction); start states compare by value.
+    # mutated after construction); start states compare by value, and a
+    # start Region by (index identity, bits).
     key = (
         program, starts, faults, max_states,
         program.symmetry if symmetric else None,
@@ -1045,6 +1074,33 @@ def explored_system(
     if len(_SYSTEM_CACHE) > _SYSTEM_CACHE_MAXSIZE:
         _SYSTEM_CACHE.popitem(last=False)
     return system
+
+
+def system_from(
+    program: Program,
+    from_: Predicate,
+    fault_actions: Sequence[Action] = (),
+    max_states: int = DEFAULT_MAX_STATES,
+    symmetric: bool = False,
+) -> TransitionSystem:
+    """The memoized reachable system of ``program [] faults`` from
+    ``program | from_``, the states satisfying ``from_`` (the start set
+    of every certificate of Section 2.4).
+
+    The start set is the predicate's region of the program's universe
+    index when the space is materialized, so neither keying nor
+    starting the exploration hashes a State, and the plain state list
+    otherwise.  ``symmetric=True`` builds the quotient under the
+    program's declared symmetry; the caller must ensure ``from_`` is a
+    union of orbits (the tolerance checkers validate this)."""
+    index = universe_index(program)
+    if index is None:
+        starts = program.states_satisfying(from_)
+    else:
+        starts = index.region(from_)
+    return explored_system(
+        program, starts, fault_actions, max_states, symmetric
+    )
 
 
 def _store_load(program, starts, faults, max_states, symmetric):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .action import Action, assign
-from .exploration import TransitionSystem, explored_system
+from .exploration import DEFAULT_MAX_STATES, TransitionSystem, system_from
 from .kernels import Plan
 from .predicate import Predicate, TRUE, var_ne
 from .program import Program
@@ -63,25 +63,24 @@ class FaultClass:
         self,
         program: Program,
         from_: Predicate,
-        max_states: int = 2_000_000,
+        max_states: int = DEFAULT_MAX_STATES,
         symmetric: bool = False,
     ) -> TransitionSystem:
         """The reachable transition system of ``program [] F`` from the
         states of ``program`` satisfying ``from_``.
 
-        Memoized end to end: the start set comes from the program's
-        per-predicate cache and the exploration from the shared system
-        LRU, so the repeated ``faults.system(p, span)`` calls inside a
-        tolerance certificate all resolve to one explored graph.
+        Memoized end to end (:func:`~repro.core.exploration.system_from`):
+        the start set is the predicate's memoized universe region and
+        the exploration comes from the shared system LRU, so the
+        repeated ``faults.system(p, span)`` calls inside a tolerance
+        certificate all resolve to one explored graph.
 
         ``symmetric=True`` builds the quotient system under the program's
         declared symmetry; the caller is responsible for ``from_`` being
         a union of orbits (the tolerance checkers validate this).
         """
-        starts = program.states_satisfying(from_)
-        return explored_system(
-            program, starts, fault_actions=self.actions, max_states=max_states,
-            symmetric=symmetric,
+        return system_from(
+            program, from_, self.actions, max_states, symmetric
         )
 
     def check_span(

@@ -11,11 +11,13 @@ Everything else about the action is compiled from it here:
   :func:`row_effects`) and the ``reads``/``writes`` frame
   (:func:`plan_reads`, :func:`plan_targets`), which
   :class:`~repro.core.action.Action` derives from ``plan=``;
-- *batch kernels* that evaluate one action over an entire BFS frontier
+- *code kernels* that evaluate one action over an entire BFS frontier
   at once: the frontier is a ``(vars, N)`` matrix of domain *ranks* (a
-  value's position in its declared domain), guards and effects evaluate
-  as vectorized numpy column arithmetic, and each successor packs into
-  a single mixed-radix ``int64`` code for O(1) interning;
+  value's position in its declared domain) next to its mixed-radix
+  ``int64`` codes, guards evaluate as vectorized numpy column
+  arithmetic, and each successor comes out as a code for O(1)
+  interning (:func:`code_kernel`; :func:`batch_kernel` unpacks them
+  back into rank columns);
 - a per-row successor closure over raw values-tuples
   (:func:`row_kernel`), which the symbolic analyzer tabulates.
 
@@ -32,8 +34,8 @@ column is only ever read, never written in place.
 
 Actions without a plan (statements the grammar cannot say) run their
 interpreted ``successors`` inside the same array engine, whose
-successors are converted to rank columns alongside the kernels' output,
-so kernels are an accelerator, never a constraint.
+successors are packed into codes alongside the kernels' output, so
+kernels are an accelerator, never a constraint.
 ``tests/test_kernels.py`` pins kernel/interpreted parity (state sets,
 edges, deadlocks) across every bundled program and fault builder, under
 symmetry quotients.
@@ -85,7 +87,7 @@ from typing import (
 
 import numpy as _np
 
-from .state import State, state_space
+from .state import State, _state_of, state_space
 
 __all__ = [
     "ENGINE_VERSION",
@@ -344,7 +346,7 @@ class Layout:
 
     __slots__ = (
         "schema", "domains", "sizes", "strides", "ranks", "space",
-        "index", "_strides_arr",
+        "index", "_strides_arr", "_plain",
     )
 
     def __init__(self, schema, domains: Tuple[Tuple[Hashable, ...], ...]):
@@ -364,6 +366,12 @@ class Layout:
             for domain in domains
         )
         self._strides_arr = _np.array(strides, dtype=_np.int64)
+        #: per position: the domain is ``0..size-1`` as ints, so a rank
+        #: is its own value (``type`` keeps ``(False, True)`` out)
+        self._plain = tuple(
+            all(type(v) is int and v == i for i, v in enumerate(domain))
+            for domain in domains
+        )
 
     # -- scalar paths ------------------------------------------------------
     def pack_values(self, values: Tuple[Hashable, ...]) -> int:
@@ -398,31 +406,58 @@ class Layout:
         )
 
     def columns_from_codes(self, codes) -> "object":
-        """``(vars, N)`` int64 rank matrix of codes in ``[0, space)``.
-        Digits peel off the least significant end as ``q - (q // size)
-        * size``: numpy divides int64 by a scalar through libdivide for
-        ``//`` but not for ``%`` or ``divmod``, which cost about 3x
-        more."""
-        sizes = self.sizes
-        cols = _np.empty((len(sizes), codes.shape[0]), dtype=_np.int64)
-        q = codes
-        for i in range(len(sizes) - 1, 0, -1):
-            row = cols[i]
-            nq = q // sizes[i]
-            _np.multiply(nq, sizes[i], out=row)
-            _np.subtract(q, row, out=row)
-            q = nq
-        if sizes:
-            cols[0] = q
+        """``(vars, N)`` int64 rank matrix of codes in ``[0, space)``."""
+        return _digits(codes, self.sizes)
+
+    def universe_columns(self, names, ids=None) -> "object":
+        """The rank matrix of the product enumeration of the variables
+        ``names`` (declaration order, each domain in its declared order,
+        as :func:`~repro.core.state.state_space` enumerates them), or of
+        its states ``ids`` only: the ranks of state ``i`` are the
+        mixed-radix digits of ``i`` over the sizes in declaration order,
+        placed at the schema positions."""
+        positions = [self.index[name] for name in names]
+        if ids is None:
+            ids = _np.arange(self.space, dtype=_np.int64)
+        digits = _digits(ids, [self.sizes[p] for p in positions])
+        cols = _np.empty_like(digits)
+        cols[positions] = digits
         return cols
 
     def pack_columns(self, cols) -> "object":
         return self._strides_arr @ cols
 
-    def values_from_column(self, cols, j: int) -> Tuple[Hashable, ...]:
-        return tuple(
-            domain[cols[i, j]] for i, domain in enumerate(self.domains)
-        )
+    def states_from_columns(self, cols) -> List[State]:
+        """The states of a ``(vars, N)`` rank matrix, in column order:
+        one ``tolist`` for the matrix, and a domain lookup only where
+        the domain is not ``0..size-1``."""
+        rows = [
+            ranks if plain else list(map(domain.__getitem__, ranks))
+            for domain, plain, ranks in zip(
+                self.domains, self._plain, cols.tolist()
+            )
+        ]
+        schema = self.schema
+        return [_state_of(schema, values) for values in zip(*rows)]
+
+
+def _digits(codes, sizes):
+    """``(len(sizes), N)`` int64 matrix of the mixed-radix digits of
+    ``codes`` (most significant first).  Digits peel off the least
+    significant end as ``q - (q // size) * size``: numpy divides int64
+    by a scalar through libdivide for ``//`` but not for ``%`` or
+    ``divmod``, which cost about 3x more."""
+    cols = _np.empty((len(sizes), codes.shape[0]), dtype=_np.int64)
+    q = codes
+    for i in range(len(sizes) - 1, 0, -1):
+        row = cols[i]
+        nq = q // sizes[i]
+        _np.multiply(nq, sizes[i], out=row)
+        _np.subtract(q, row, out=row)
+        q = nq
+    if sizes:
+        cols[0] = q
+    return cols
 
 
 #: (schema, domains signature) -> Layout (or None when unpackable)
@@ -830,52 +865,6 @@ def column_guard(expr: Tuple, layout: Layout) -> Callable:
     return fn
 
 
-def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
-    """The plan's deterministic effects as column steps ``step(pre,
-    out)``; a ``set_any`` choice is expanded by the kernel itself."""
-    index = layout.index
-    steps: List[Callable] = []
-    for effect in plan.effects:
-        op = effect[0]
-        if op == "set_const":
-            p = index[effect[1]]
-            r = layout.ranks[p][effect[2]]
-            steps.append(lambda pre, out, p=p, r=r: out.__setitem__(p, r))
-        elif op == "copy":
-            d, s = index[effect[1]], index[effect[2]]
-            if layout.domains[d] == layout.domains[s]:
-                steps.append(
-                    lambda pre, out, d=d, s=s: out.__setitem__(d, pre[s])
-                )
-            else:
-                lut = _value_lut(layout, effect[2], effect[1])
-                _require(
-                    bool((lut >= 0).all()),
-                    f"copy {effect[2]!r} -> {effect[1]!r}: source domain "
-                    f"not contained in destination domain",
-                )
-                steps.append(
-                    lambda pre, out, d=d, s=s, lut=lut:
-                    out.__setitem__(d, lut[pre[s]])
-                )
-        elif op == "inc_mod":
-            d, s, m = index[effect[1]], index[effect[2]], effect[3]
-            steps.append(
-                lambda pre, out, d=d, s=s, m=m:
-                out.__setitem__(d, (pre[s] + 1) % m)
-            )
-        elif op == "set_majority":
-            d = index[effect[1]]
-            r0 = layout.ranks[d][0]
-            r1 = layout.ranks[d][1]
-            majority_is_one = _majority_column(layout, effect[2], effect[3])
-            steps.append(
-                lambda pre, out, d=d, r0=r0, r1=r1, m=majority_is_one:
-                out.__setitem__(d, _np.where(m(pre), r1, r0))
-            )
-    return tuple(steps)
-
-
 def _choice_ranks(plan: Plan, layout: Layout):
     """``(position, value ranks)`` of the plan's ``set_any`` choice, or
     ``None`` for a deterministic plan."""
@@ -894,64 +883,23 @@ _BATCH_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def batch_kernel(action, layout: Layout) -> Optional[Callable]:
-    """A vectorized evaluator of ``action``'s plan over a ``(vars, N)``
-    rank matrix: ``kernel(cols, memo=None)`` returns ``(source column
-    indices, successor rank matrix)`` — or the kernel is ``None`` when
-    the action has no plan or the plan does not fit.
+    """:func:`code_kernel` over rank columns alone: ``kernel(cols,
+    memo=None)`` returns ``(source column indices, successor rank
+    matrix)``, the successors in the code kernel's order — or the
+    kernel is ``None`` when the action has no compilable plan.  The
+    exploration engines run code kernels; this adapter packs the
+    sources and unpacks the successor codes, for callers that want
+    columns."""
+    per_action = _BATCH_KERNELS.setdefault(action, {})
+    if layout not in per_action:
+        code = code_kernel(action, layout)
 
-    The successor matrix has one column per enabled source column and
-    value of the plan's choice (one per enabled source for a
-    deterministic plan), source-major in source order, with the choice's
-    values in their declared order; the index array names each column's
-    source, so callers can zip the two results directly.  ``memo`` is
-    the caller's per-matrix dict of shared guard terms (see the module
-    docstring).
-    """
-    plan = getattr(action, "plan", None)
-    if plan is None:
-        return None
-    per_action = _BATCH_KERNELS.get(action)
-    if per_action is None:
-        per_action = _BATCH_KERNELS[action] = {}
-    found = per_action.get(layout, _BATCH_KERNELS)
-    if found is not _BATCH_KERNELS:
-        return found
-    kernel: Optional[Callable] = None
-    try:
-        domains = {
-            name: layout.domains[i]
-            for i, name in enumerate(layout.schema.names)
-        }
-        _validate_plan(plan, layout.index, domains)
-        guard = _compile_guard_numpy(plan.guard, layout)
-        steps = _compile_effects_numpy(plan, layout)
-        choice = _choice_ranks(plan, layout)
-        empty = _np.empty(0, dtype=_np.int64)
+        def kernel(cols, memo=None):
+            idx, out = code(layout.pack_columns(cols), cols, memo)
+            return idx, None if out is None else layout.columns_from_codes(out)
 
-        def kernel(cols, memo=None, guard=guard, steps=steps,
-                   choice=choice, empty=empty):
-            if guard is None:
-                idx = _np.arange(cols.shape[1], dtype=_np.int64)
-                pre = cols
-            else:
-                idx = _np.flatnonzero(guard(cols, memo))
-                if idx.size == 0:
-                    return empty, None
-                pre = cols[:, idx]
-            out = pre.copy()
-            for step in steps:
-                step(pre, out)
-            if choice is not None:
-                d, ranks = choice
-                m = ranks.shape[0]
-                idx = _np.repeat(idx, m)
-                out = _np.repeat(out, m, axis=1)
-                out[d] = _np.tile(ranks, idx.shape[0] // m)
-            return idx, out
-    except KernelError:
-        kernel = None
-    per_action[layout] = kernel
-    return kernel
+        per_action[layout] = None if code is None else kernel
+    return per_action[layout]
 
 
 #: action -> {layout: code kernel or None}
@@ -962,8 +910,12 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
     """A successor evaluator that stays entirely in code space:
     ``kernel(codes, cols, memo=None)`` returns ``(source column indices,
     successor codes)`` — or ``None`` when the action has no compilable
-    plan.  Successors come in :func:`batch_kernel`'s order, one per
-    enabled source and value of the plan's choice.
+    plan.  There is one successor per enabled source and value of the
+    plan's choice (one per enabled source for a deterministic plan),
+    source-major in source order, with the choice's values in their
+    declared order; the index array names each successor's source.
+    ``memo`` is the caller's per-matrix dict of shared guard terms (see
+    the module docstring).
 
     Because a plan's effects assign distinct variables and codes are
     mixed-radix sums, the successor code is the source code plus
@@ -971,8 +923,8 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
     successor rank matrix is ever materialized and no repacking happens,
     so the per-edge cost is independent of the number of variables.
     Each column an effect reads is gathered once per call, for the
-    enabled sources only.  :func:`explore_codes` prefers this over
-    :func:`batch_kernel`.
+    enabled sources only.  The columnar exploration engine and
+    :func:`explore_codes` both expand their levels with it.
     """
     plan = getattr(action, "plan", None)
     if plan is None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .exploration import TransitionSystem, explored_system
+from .exploration import TransitionSystem, system_from
 from .fairness import fair_recurrent_sccs
 from .predicate import Predicate
 from .regions import system_index
@@ -67,27 +67,6 @@ def start_states_of(program: Program, predicate: Predicate) -> List[State]:
     ``p | S`` start set), enumerated over the full state space (and
     memoized per (program, predicate) — see ``Program.states_satisfying``)."""
     return program.states_satisfying(predicate)
-
-
-def system_from(
-    program: Program,
-    from_: Predicate,
-    fault_actions: Sequence = (),
-    max_states: int = 2_000_000,
-    symmetric: bool = False,
-) -> TransitionSystem:
-    """Build the reachable transition system of ``program [] faults`` from
-    the states satisfying ``from_`` (memoized; see :func:`explored_system`).
-
-    ``symmetric=True`` builds the quotient under the program's declared
-    symmetry; the caller must ensure ``from_`` is a union of orbits."""
-    return explored_system(
-        program,
-        start_states_of(program, from_),
-        fault_actions=fault_actions,
-        max_states=max_states,
-        symmetric=symmetric,
-    )
 
 
 def refines_spec(

@@ -42,6 +42,8 @@ from __future__ import annotations
 import gc
 from collections import deque
 from contextlib import contextmanager
+from itertools import compress
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -162,6 +164,25 @@ def _data_to_mask(data: bytes, n: int):
     )[:n].astype(bool)
 
 
+_values_of = attrgetter("_values")
+
+
+def _sweep(predicate: Predicate, states: Tuple[State, ...], schema
+           ) -> Tuple[Tuple[State, ...], int]:
+    """One pass of ``predicate`` over ``states``: the states where it
+    holds, in order, and their positions as a bitset — no id lookup.
+    A schema-compiled predicate (``values_builder``) over states that
+    all share ``schema`` evaluates raw values-tuples, skipping the
+    per-state ``State`` dispatch."""
+    builder = predicate.values_builder
+    if builder is not None and schema is not None:
+        flags = list(map(builder(schema.index), map(_values_of, states)))
+    else:
+        flags = list(map(predicate.fn, states))
+    mask = _np.fromiter(flags, dtype=bool, count=len(flags))  # truthiness
+    return tuple(compress(states, flags)), _pack_bits(mask)
+
+
 #: adjacency of one action over an index: (per-state tuples of successor
 #: ids, sparse map of state id -> successors that fall outside the index)
 ActionEdges = Tuple[Tuple[Tuple[int, ...], ...], Dict[int, Tuple[State, ...]]]
@@ -172,7 +193,8 @@ class Region:
 
     Immutable; the boolean operators build new regions over the same
     index.  ``len`` is a popcount, ``in`` is a byte probe on a lazily
-    materialized byte view of the bits.
+    materialized byte view of the bits, and iteration yields the member
+    states in id order.
     """
 
     __slots__ = ("index", "bits", "_data")
@@ -231,6 +253,13 @@ class Region:
         states = self.index.states
         return (states[i] for i in self.ids())
 
+    def __iter__(self) -> Iterator[State]:
+        return self.states()
+
+    def id_array(self):
+        """The member ids, ascending, as an int64 array."""
+        return _np.flatnonzero(_unpack_bits(self.bits, self.index.n))
+
     def to_set(self) -> set:
         return set(self.states())
 
@@ -253,25 +282,28 @@ class StateIndex:
     __slots__ = (
         "states", "n", "full_bits", "_id_of",
         "_satisfying", "_region_bits", "_edges",
-        "_schema", "_id_of_values", "_layout", "_cols",
+        "_schema", "_id_of_values", "_layout", "_order", "_cols",
     )
 
     def __init__(
         self,
         states: Iterable[State],
         _distinct: bool = False,
-        layout=None,
+        universe=None,
     ):
         """``_distinct=True`` promises the states are already unique
         (e.g. a Cartesian-product enumeration) and skips the dedup pass
         — hashing tens of thousands of ``State`` objects is a measurable
         share of index construction.
 
-        ``layout`` is an optional :class:`repro.core.kernels.Layout`
-        covering every indexed state; when given, expression predicates
-        (:meth:`Predicate.columns_for`) sweep a lazily built rank-column
-        matrix in a few numpy operations instead of one Python call per
-        state."""
+        ``universe`` is ``(layout, variable names)`` when ``states`` is
+        exactly the product enumeration of those variables
+        (:func:`~repro.core.state.state_space`) and ``layout`` (a
+        :class:`repro.core.kernels.Layout`) packs them.  Expression
+        predicates (:meth:`Predicate.columns_for`) then sweep a lazily
+        built rank-column matrix in a few numpy operations instead of
+        one Python call per state, and explorations from a region of
+        the index take its start columns from the same matrix."""
         states = tuple(states)
         if not _distinct:
             states = tuple(dict.fromkeys(states))
@@ -286,32 +318,27 @@ class StateIndex:
         # be resolved through a values-tuple table, skipping the
         # Python-level State.__hash__/__eq__ of a fresh successor object.
         schema = states[0].schema if states else None
-        if schema is not None and all(s.schema is schema for s in states):
+        if schema is not None and all(s._schema is schema for s in states):
             self._schema = schema
         else:
             self._schema = None
         self._id_of_values: Optional[Dict[Tuple, int]] = None
-        self._layout = layout if self._schema is not None else None
+        self._layout, self._order = universe or (None, None)
         #: lazily built (vars, n) rank-column matrix in id order
         self._cols = None
 
-    def _columns(self):
-        """The rank-column matrix of the indexed states (lazy), or
-        ``None`` when no layout was supplied."""
-        layout = self._layout
-        if layout is None:
+    def _columns(self, ids=None):
+        """The rank-column matrix of the indexed states (lazy, built
+        from the enumeration's digits), or its columns ``ids`` alone
+        (digits of those ids unless the matrix exists); ``None`` when
+        the index is not a universe."""
+        if self._layout is None:
             return None
-        cols = self._cols
-        if cols is None:
-            try:
-                cols = layout.columns_from_states(self.states)
-            except KeyError:
-                # a state value escaped its declared domain; columnar
-                # sweeps cannot represent it
-                self._layout = None
-                return None
-            self._cols = cols
-        return cols
+        if self._cols is None:
+            if ids is not None:
+                return self._layout.universe_columns(self._order, ids)
+            self._cols = self._layout.universe_columns(self._order)
+        return self._cols if ids is None else self._cols[:, ids]
 
     @property
     def id_of(self) -> Dict[State, int]:
@@ -372,26 +399,9 @@ class StateIndex:
                 )
                 cached = _pack_bits(mask)
             else:
-                # one fused sweep fills both memos without id lookups
-                buf = bytearray((self.n + 7) >> 3)
-                hits: List[State] = []
-                builder = predicate.values_builder
-                if builder is not None and self._schema is not None:
-                    # schema-compiled predicate on a single-schema
-                    # index: compile once, sweep raw values-tuples
-                    vfn = builder(self._schema.index)
-                    for i, s in enumerate(self.states):
-                        if vfn(s._values):
-                            buf[i >> 3] |= 1 << (i & 7)
-                            hits.append(s)
-                else:
-                    fn = predicate.fn
-                    for i, s in enumerate(self.states):
-                        if fn(s):
-                            buf[i >> 3] |= 1 << (i & 7)
-                            hits.append(s)
-                self._satisfying[predicate] = tuple(hits)
-                cached = int.from_bytes(buf, "little")
+                self._satisfying[predicate], cached = _sweep(
+                    predicate, self.states, self._schema
+                )
             self._region_bits[predicate] = cached
         return cached
 
@@ -743,27 +753,18 @@ class SystemIndex:
                     bits = self._column_bits(predicate)
                     if bits is not None:
                         self._region_bits[predicate] = bits
-                if bits is not None:
+                if bits is None:
+                    cached, bits = _sweep(
+                        predicate, self.states, self._schema() or None
+                    )
+                    self._region_bits[predicate] = bits
+                else:
                     # derive from the (columnar or previously computed)
                     # bitset: ascending id order equals state order
                     states = self.states
                     cached = tuple(
                         states[i] for i in iter_bits(bits, self.n)
                     )
-                else:
-                    # schema-compiled predicates sweep raw values-tuples,
-                    # skipping the per-state State wrapper dispatch
-                    evaluate = None
-                    if predicate.values_builder is not None:
-                        schema = self._schema()
-                        if schema is not False:
-                            evaluate = predicate.values_builder(schema.index)
-                    if evaluate is not None:
-                        cached = tuple(
-                            s for s in self.states if evaluate(s._values)
-                        )
-                    else:
-                        cached = tuple(filter(predicate.fn, self.states))
             self._satisfying[predicate] = cached
         return cached
 
@@ -773,13 +774,10 @@ class SystemIndex:
             if predicate is TRUE:
                 cached = self.full_bits
             else:
-                if predicate not in self._satisfying:
-                    cached = self._column_bits(predicate)
+                cached = self._column_bits(predicate)
                 if cached is None:
-                    id_of = self.id_of
-                    cached = bits_of_ids(
-                        (id_of[s] for s in self.satisfying(predicate)),
-                        self.n,
+                    self._satisfying[predicate], cached = _sweep(
+                        predicate, self.states, self._schema() or None
                     )
             self._region_bits[predicate] = cached
         return cached
@@ -930,10 +928,12 @@ def universe_index(program) -> Optional[StateIndex]:
             # otherwise triggers generational collections that rescan
             # everything already explored
             states = tuple(state_space(program.variables))
-            layout = None
+            universe = None
             if states:
                 layout = layout_for(states[0].schema, program._domains)
-            index = StateIndex(states, _distinct=True, layout=layout)
+                if layout is not None:
+                    universe = (layout, [v.name for v in program.variables])
+            index = StateIndex(states, _distinct=True, universe=universe)
         _UNIVERSE_CACHE[signature] = index
         if len(_UNIVERSE_CACHE) > _UNIVERSE_CACHE_MAXSIZE:
             _UNIVERSE_CACHE.pop(next(iter(_UNIVERSE_CACHE)))

@@ -55,9 +55,6 @@ __all__ = [
 #: systems go through (and are served by) whole-graph artifacts only
 ROWS_STATE_LIMIT = 200_000
 
-_EMPTY: Tuple = ()
-
-
 def system_key(program, starts_digest: str, fault_actions, max_states: int,
                symmetric: bool) -> str:
     return _keys.digest("system", (
@@ -124,27 +121,35 @@ def _blank_system(program, fault_actions, symmetric: bool, states,
     ts.fault_actions = tuple(fault_actions)
     ts.fault_action_names = frozenset(a.name for a in ts.fault_actions)
     ts.start_states = tuple(states[:n_starts])
-    ts._program_edges = dict.fromkeys(states, _EMPTY)
-    ts._fault_edges = {}
+    ts._states = tuple(states)
+    ts._program_edges = ts._fault_edges = None
     ts._edge_arrays = None
-    ts._edges_lazy = True
     ts._state_cols = None
     return ts
 
 
 def _decode_system(payload: bytes, program, fault_actions, symmetric: bool):
     """The system a ``"v": 2`` graph payload describes, or ``None`` when
-    the payload is of another version or fails a structural check: per
-    group one length for ``src``, ``dst`` and ``act``, ids inside the
-    state table with sources nondecreasing, action positions inside the
-    group's names, at most as many start states as states, and names
-    equal to the program's and the faults' in declaration order."""
+    the payload is of another version or fails a structural check: a
+    state table of distinct ``(schema, values)`` pairs, each schema
+    index inside ``schemas`` and each values tuple as long as its
+    schema; per group one length for ``src``, ``dst`` and ``act``, ids
+    inside the state table with sources nondecreasing, action positions
+    inside the group's names, at most as many start states as states,
+    and names equal to the program's and the faults' in declaration
+    order.  A repeated state would take two ids in the registry."""
     from ..core.state import Schema, _state_of
 
     data = _backend.loads(payload)
     if data.get("v") != 2:
         return None
     n = len(data["states"])
+    widths = [len(fields) for fields in data["schemas"]]
+    if len(set(map(tuple, data["states"]))) != n or not all(
+        0 <= idx < len(widths) and len(values) == widths[idx]
+        for idx, values in data["states"]
+    ):
+        return None
     names = [
         [a.name for a in program.actions], [a.name for a in fault_actions]
     ]

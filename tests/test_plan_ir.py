@@ -168,8 +168,8 @@ def test_derived_statement_matches_the_batch_kernel():
         layout.columns_from_states(states)
     )
     batch = {
-        states[i]: layout.values_from_column(out, j)
-        for j, i in enumerate(idx.tolist())
+        states[i]: succ.values_tuple
+        for i, succ in zip(idx.tolist(), layout.states_from_columns(out))
     }
     interpreted = {
         s: succ.values_tuple

@@ -334,10 +334,15 @@ class TestGraphArtifactChecks:
         # the program's and the faults' names, in declaration order
         lambda data: data.update(names=(["dec"], [])),
         lambda data: data.update(names=(["inc"], ["reset"])),
+        # a state table of distinct states, each fitting its schema
+        lambda data: data["states"].__setitem__(0, (1, (0,))),
+        lambda data: data["states"].__setitem__(-1, (0, ())),
+        lambda data: data["states"].__setitem__(-1, data["states"][0]),
     ], ids=[
         "v1", "lengths", "src_high", "src_negative", "dst_high",
         "dst_negative", "src_order", "act_high", "act_negative",
-        "n_starts", "program_names", "fault_names",
+        "n_starts", "program_names", "fault_names", "schema_index",
+        "values_length", "repeated_state",
     ])
     def test_malformed_graph_is_explored_again(self, corrupt):
         program = self._counter()
