@@ -12,7 +12,7 @@ module implements that decision procedure and the glue that turns its
 verdicts into diagnostics and :class:`~.diagnostics.Proof` records:
 
 - :class:`GuardSolver` — a finite-domain constraint solver for the plan
-  guard grammar (``eq/ne/majority/and/or/not``).  Small expressions get
+  guard grammar (``eq/ne/majority/count/and/or/not``).  Small expressions get
   an exact truth table over their support product; oversized ones fall
   back to a three-valued value-set abstraction that still proves many
   unsatisfiability/tautology facts.  Used for dead guards (``DC301``
@@ -44,6 +44,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.action import Action
 from ..core.kernels import (
+    COMPARISONS,
     Plan,
     guard_support,
     plan_support,
@@ -215,6 +216,16 @@ class GuardSolver:
                 return None
             comparison = "eq_const" if op == "eq_majority" else "ne_const"
             return self._abstract((comparison, expr[1], majority), env)
+        if op == "count":
+            # the count lies between the operands that surely hold and
+            # those that may hold; decided when every count in that
+            # range compares alike
+            verdicts = [self._abstract(sub, env) for sub in expr[1]]
+            low = sum(1 for v in verdicts if v is True)
+            high = low + sum(1 for v in verdicts if v is None)
+            test = COMPARISONS[expr[2]]
+            outcomes = {test(n, expr[3]) for n in range(low, high + 1)}
+            return outcomes.pop() if len(outcomes) == 1 else None
         if op == "not":
             verdict = self._abstract(expr[1], env)
             return None if verdict is None else not verdict
@@ -415,16 +426,18 @@ def _subexpression_diagnostics(
 
     Walks top-down and does not descend into an already-flagged
     sub-expression, so one dead disjunct yields one finding, not one
-    per literal inside it.
+    per literal inside it.  A tautological operand of a ``count`` is
+    not flagged: it adds one to the count, so it does constrain the
+    guard.
     """
     diagnostics: List[Diagnostic] = []
     flagged: set = set()
 
-    def visit(expr: Tuple, is_root: bool) -> None:
+    def visit(expr: Tuple, is_root: bool, counted: bool = False) -> None:
         op = expr[0]
         if op == "true" or expr in flagged:
             return
-        if not is_root or op in ("and", "or", "not"):
+        if not is_root or op in ("and", "or", "not", "count"):
             satisfiable = solver.satisfiable(expr)
             if satisfiable is False and not is_root and root_satisfiable:
                 flagged.add(expr)
@@ -444,7 +457,7 @@ def _subexpression_diagnostics(
                          "means a typo",
                 ))
                 return
-            if solver.tautological(expr) is True:
+            if not counted and solver.tautological(expr) is True:
                 flagged.add(expr)
                 where = "guard" if is_root else "guard sub-expression"
                 diagnostics.append(Diagnostic(
@@ -468,6 +481,9 @@ def _subexpression_diagnostics(
                 visit(sub, False)
         elif op == "not":
             visit(expr[1], False)
+        elif op == "count":
+            for sub in expr[1]:
+                visit(sub, False, counted=True)
 
     visit(guard, True)
     return diagnostics

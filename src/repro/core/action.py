@@ -27,10 +27,11 @@ An action is best written as data: ``Action(name, plan=Plan(guard,
 effects))`` (see :mod:`repro.core.kernels`).  The plan is then the
 action's only description — its guard, statement and ``reads``/
 ``writes`` frame are all derived from it, and the batch kernels compile
-it to whole-frontier evaluators.  Plans say deterministic assignments
-and one nondeterministic choice of a variable's value (``set_any``,
-the Byzantine lies); lambda guards and statements stay for what the
-grammar cannot say (count guards, a choice that depends on the state).
+it to whole-frontier evaluators.  Plans say deterministic assignments,
+one nondeterministic choice of a variable's value (``set_any``, the
+Byzantine lies) and threshold guards (``count``, e.g. "exactly one
+token"); lambda guards and statements stay for what the grammar cannot
+say (a maximum or an argmin, a choice that depends on the state).
 """
 
 from __future__ import annotations
@@ -301,7 +302,16 @@ class Action:
         return found
 
     def restrict(self, predicate: Predicate) -> "Action":
-        """The paper's ``Z ∧ ac``: the action ``Z ∧ g --> st``."""
+        """The paper's ``Z ∧ ac``: the action ``Z ∧ g --> st``.
+
+        A planned action restricted by an expression predicate is
+        planned too — its guard is the conjunction, so its frame and
+        kernels derive as for any plan.  Any other restriction delegates
+        to this action's successor memo where ``Z`` holds."""
+        if self.plan is not None and predicate.expr is not None:
+            return Action(self.name, plan=Plan(
+                ("and", predicate.expr, self.plan.guard), self.plan.effects
+            ))
         restricted = Action(
             name=self.name,
             guard=predicate & self.guard,

@@ -27,8 +27,9 @@ The guard grammar is also the state-predicate language: a
 rank-column evaluator (:func:`column_guard`) from the same compilers.
 
 Kernels take an optional per-level *memo*: the terms several guards of
-one program repeat (``all_ne_const`` and the majority count behind the
-majority ops) are computed once per frontier level and shared.  The
+one program repeat (``all_ne_const``, the majority count behind the
+majority ops, and a ``count`` term's total) are computed once per
+frontier level and shared.  The
 caller owns the memo — one dict per matrix of columns — and a memoized
 column is only ever read, never written in place.
 
@@ -59,9 +60,16 @@ Guards::
     ("all_ne_const", names, value)             # every name  != value
     ("eq_majority", name, names, k)            # name == majority(names)
     ("ne_majority", name, names, k)            # (strict 0/1 majority)
+    ("count", exprs, cmp, k)                   # #{e in exprs | e} cmp k
     ("and", *exprs)  ("or", *exprs)  ("not", expr)
 
-``("and",)`` is true and ``("or",)`` is false.
+``("and",)`` is true and ``("or",)`` is false.  ``count`` is the
+threshold guard of threshold automata: how many of the guards ``exprs``
+(a tuple) hold, compared with the int ``k`` by ``cmp``, one of ``==``,
+``!=``, ``<=``, ``<``, ``>=``, ``>`` — "exactly one token" is
+``("count", tokens, "==", 1)``.  Name tuples may be empty: ``all_ne_const``
+over ``()`` is true, the majority of ``()`` is ``1`` iff ``0 > k``, and a
+count over ``()`` compares 0 with ``k``.
 
 Effects (applied atomically — every right-hand side reads the
 pre-state; no two effects of a plan assign the same variable)::
@@ -80,6 +88,7 @@ repeats no value, and a plan has at most one ``set_any``.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from typing import (
     Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
@@ -152,8 +161,13 @@ class KernelError(ValueError):
 #: op -> number of operands (``None``: any number of sub-expressions)
 _GUARD_ARITY = {
     "true": 0, "eq_const": 2, "ne_const": 2, "eq_var": 2, "ne_var": 2,
-    "all_ne_const": 2, "eq_majority": 3, "ne_majority": 3,
+    "all_ne_const": 2, "eq_majority": 3, "ne_majority": 3, "count": 3,
     "and": None, "or": None, "not": 1,
+}
+#: a count term's comparisons; each works on ints and on numpy columns
+COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<=": operator.le,
+    "<": operator.lt, ">=": operator.ge, ">": operator.gt,
 }
 _EFFECT_ARITY = {
     "set_const": 2, "copy": 2, "inc_mod": 3, "set_majority": 3, "set_any": 2,
@@ -161,7 +175,7 @@ _EFFECT_ARITY = {
 
 
 def _check_op(kind: str, term: Tuple, arities: Dict[str, Optional[int]]) -> None:
-    if not term or term[0] not in arities:
+    if not isinstance(term, tuple) or not term or term[0] not in arities:
         raise KernelError(f"unknown {kind} op: {term!r}")
     arity = arities[term[0]]
     if arity is not None and len(term) != arity + 1:
@@ -177,6 +191,16 @@ def check_guard(expr: Tuple) -> None:
     _check_op("guard", expr, _GUARD_ARITY)
     if expr[0] in ("and", "or", "not"):
         for sub in expr[1:]:
+            check_guard(sub)
+    elif expr[0] == "count":
+        _, exprs, cmp, k = expr
+        if not isinstance(exprs, tuple):
+            raise KernelError(f"count operands must be a tuple: {expr!r}")
+        if cmp not in COMPARISONS:
+            raise KernelError(f"count comparison {cmp!r} unknown: {expr!r}")
+        if type(k) is not int:
+            raise KernelError(f"count bound must be an int: {expr!r}")
+        for sub in exprs:
             check_guard(sub)
 
 
@@ -241,9 +265,9 @@ def guard_support(expr: Tuple) -> FrozenSet[str]:
         return frozenset(expr[1])
     if op in ("eq_majority", "ne_majority"):
         return frozenset((expr[1],)) | frozenset(expr[2])
-    # "true" / "and" / "or" / "not"
+    # "true" / "and" / "or" / "not" / "count"
     support: FrozenSet[str] = frozenset()
-    for sub in expr[1:]:
+    for sub in expr[1] if op == "count" else expr[1:]:
         support |= guard_support(sub)
     return support
 
@@ -294,6 +318,9 @@ def render_guard(expr: Tuple) -> str:
     if op in ("eq_majority", "ne_majority"):
         rel = "=" if op == "eq_majority" else "≠"
         return f"{expr[1]}{rel}maj({', '.join(expr[2])})"
+    if op == "count":
+        body = ", ".join(render_guard(sub) for sub in expr[1])
+        return f"#[{body}]{expr[2]}{expr[3]}"
     if op == "not":
         return "¬" + render_guard(expr[1])
     if len(expr) == 1:
@@ -593,6 +620,22 @@ def _compile_guard_pure(expr: Tuple, index) -> Optional[Callable]:
         if op == "eq_majority":
             return lambda values, p=p, m=majority: values[p] == m(values)
         return lambda values, p=p, m=majority: values[p] != m(values)
+    if op == "count":
+        subs = [_compile_guard_pure(sub, index) for sub in expr[1]]
+        fns = tuple(f for f in subs if f is not None)
+        # always-true operands count without being evaluated
+        k = expr[3] - (len(subs) - len(fns))
+        test = COMPARISONS[expr[2]]
+        if not fns:
+            return None if test(0, k) else (lambda values: False)
+
+        def count(values, fns=fns, k=k, test=test):
+            n = 0
+            for fn in fns:
+                if fn(values):
+                    n += 1
+            return test(n, k)
+        return count
     if op == "not":
         sub = _compile_guard_pure(expr[1], index)
         if sub is None:
@@ -740,35 +783,45 @@ def _value_lut(layout: Layout, src: str, dst: str):
 
 
 def _shared(key: Tuple, fn: Callable) -> Callable:
-    """``fn`` as a term several guards share: with a memo (one dict per
-    column matrix, owned by the caller) it is computed once under
-    ``key`` and its column handed to every guard that repeats it —
-    which is why no compiled guard writes a sub-result in place."""
+    """``fn(cols, memo)`` as a term several guards share: with a memo
+    (one dict per column matrix, owned by the caller) it is computed
+    once under ``key`` and its column handed to every guard that
+    repeats it — which is why no compiled guard writes a sub-result in
+    place."""
     def shared(cols, memo=None, key=key, fn=fn):
         if memo is None:
-            return fn(cols)
+            return fn(cols, None)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = fn(cols)
+            found = memo[key] = fn(cols, memo)
         return found
     return shared
+
+
+def _constant(value: bool) -> Callable:
+    """The column evaluator of a guard that is ``value`` everywhere."""
+    def constant(cols, memo=None, value=value):
+        return _np.full(cols.shape[1], value, dtype=bool)
+    return constant
+
+
+_never = _constant(False)
 
 
 def _majority_column(layout: Layout, names, k: int):
     positions = tuple(layout.index[n] for n in names)
     ones = tuple(_rank_or_sentinel(layout, n, 1) for n in names)
+    if not positions:  # the majority of no copies: 2 * 0 > k
+        return _constant(0 > k)
 
-    def majority_is_one(cols, positions=positions, ones=ones, k=k):
+    def majority_is_one(cols, memo=None, positions=positions, ones=ones,
+                        k=k):
         count = (cols[positions[0]] == ones[0]).astype(_np.int64)
         for p, r1 in zip(positions[1:], ones[1:]):
             count += cols[p] == r1
         return 2 * count > k
 
     return _shared(("majority", tuple(names), k), majority_is_one)
-
-
-def _never(cols, memo=None):
-    return _np.zeros(cols.shape[1], dtype=bool)
 
 
 def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
@@ -802,7 +855,10 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
             (index[n], _rank_or_sentinel(layout, n, expr[2]))
             for n in expr[1]
         )
-        def all_ne(cols, pairs=pairs):
+        if not pairs:
+            return None
+
+        def all_ne(cols, memo=None, pairs=pairs):
             acc = cols[pairs[0][0]] != pairs[0][1]
             for p, r in pairs[1:]:
                 acc &= cols[p] != r
@@ -819,6 +875,23 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
         if op == "eq_majority":
             return eq_majority
         return lambda cols, memo=None, f=eq_majority: ~f(cols, memo)
+    if op == "count":
+        subs = [_compile_guard_numpy(sub, layout) for sub in expr[1]]
+        fns = tuple(f for f in subs if f is not None)
+        k = expr[3] - (len(subs) - len(fns))
+        test = COMPARISONS[expr[2]]
+        if not fns:
+            return None if test(0, k) else _never
+
+        def total(cols, memo=None, fns=fns):
+            acc = fns[0](cols, memo).astype(_np.int64)
+            for fn in fns[1:]:
+                acc += fn(cols, memo)
+            return acc
+        total = _shared(("count", tuple(expr[1])), total)
+        return lambda cols, memo=None, t=total, k=k, test=test: test(
+            t(cols, memo), k
+        )
     if op == "not":
         sub = _compile_guard_numpy(expr[1], layout)
         if sub is None:

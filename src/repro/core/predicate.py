@@ -6,8 +6,9 @@ states in which it holds (Section 2.1).  :class:`Predicate` captures both
 views:
 
 - intensionally, a predicate is an expression in the guard grammar of
-  :mod:`repro.core.kernels` (``expr=``), a schema compiler over raw
-  values-tuples (``values_builder=``), or a function ``State -> bool``;
+  :mod:`repro.core.kernels` (``expr=``; counts included), a schema
+  compiler over raw values-tuples (``values_builder=``), or a function
+  ``State -> bool``;
 - extensionally, :meth:`Predicate.from_states` builds a predicate from an
   explicit set of states, and :meth:`Predicate.states_in` evaluates a
   predicate over an iterable of states.
@@ -58,26 +59,6 @@ def _per_schema(build: Callable) -> Callable[[State], bool]:
     return holds
 
 
-def _compose_values(a, b, combine: str):
-    """Compose two ``values_builder`` compilers under and/or (``None``
-    when either operand is not schema-compilable)."""
-    if a is None or b is None:
-        return None
-    if combine == "and":
-        return lambda index, _a=a, _b=b: (
-            lambda values, fa=_a(index), fb=_b(index): fa(values) and fb(values)
-        )
-    return lambda index, _a=a, _b=b: (
-        lambda values, fa=_a(index), fb=_b(index): fa(values) or fb(values)
-    )
-
-
-def _negate_values(a):
-    return None if a is None else (
-        lambda index, _a=a: (lambda values, fa=_a(index): not fa(values))
-    )
-
-
 class Predicate:
     """A state predicate: a named boolean function of a :class:`State`.
 
@@ -91,8 +72,10 @@ class Predicate:
     ``values_builder``
         A schema compiler: ``values_builder(schema.index)`` returns an
         evaluator over raw values-tuples.  ``fn`` compiles it once per
-        schema.  The escape hatch for predicates the grammar cannot
-        express (counts such as "exactly one token").
+        schema.  A faster per-state sweep for a predicate written as
+        code; an expression (counts such as "exactly one token" are a
+        ``count`` term) also sweeps as rank columns and keys by its
+        content, so prefer ``expr=`` wherever the grammar says it.
     ``fn``
         A function ``State -> bool``, optionally with a
         ``values_builder`` equivalent to it on every schema.
@@ -162,35 +145,21 @@ class Predicate:
         name = f"({self.name} ∧ {other.name})"
         if self.expr is not None and other.expr is not None:
             return Predicate(expr=("and", self.expr, other.expr), name=name)
-        return Predicate(
-            lambda s, a=self.fn, b=other.fn: a(s) and b(s),
-            name=name,
-            values_builder=_compose_values(
-                self.values_builder, other.values_builder, "and"
-            ),
-        )
+        return Predicate(lambda s, a=self.fn, b=other.fn: a(s) and b(s),
+                         name=name)
 
     def __or__(self, other: "Predicate") -> "Predicate":
         name = f"({self.name} ∨ {other.name})"
         if self.expr is not None and other.expr is not None:
             return Predicate(expr=("or", self.expr, other.expr), name=name)
-        return Predicate(
-            lambda s, a=self.fn, b=other.fn: a(s) or b(s),
-            name=name,
-            values_builder=_compose_values(
-                self.values_builder, other.values_builder, "or"
-            ),
-        )
+        return Predicate(lambda s, a=self.fn, b=other.fn: a(s) or b(s),
+                         name=name)
 
     def __invert__(self) -> "Predicate":
         name = f"¬{self.name}"
         if self.expr is not None:
             return Predicate(expr=("not", self.expr), name=name)
-        return Predicate(
-            lambda s, a=self.fn: not a(s),
-            name=name,
-            values_builder=_negate_values(self.values_builder),
-        )
+        return Predicate(lambda s, a=self.fn: not a(s), name=name)
 
     def implies(self, other: "Predicate") -> "Predicate":
         """The predicate ``self ⇒ other`` (pointwise implication)."""
@@ -200,12 +169,7 @@ class Predicate:
                 expr=("or", ("not", self.expr), other.expr), name=name
             )
         return Predicate(
-            lambda s, a=self.fn, b=other.fn: (not a(s)) or b(s),
-            name=name,
-            values_builder=_compose_values(
-                _negate_values(self.values_builder), other.values_builder,
-                "or",
-            ),
+            lambda s, a=self.fn, b=other.fn: (not a(s)) or b(s), name=name
         )
 
     def rename(self, name: str) -> "Predicate":

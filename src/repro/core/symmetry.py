@@ -65,6 +65,7 @@ from typing import (
 
 import numpy as _np
 
+from .kernels import layout_for
 from .state import State, Variable, _state_of, state_space
 
 __all__ = [
@@ -135,6 +136,28 @@ class Generator:
         return f"Generator({self.name})"
 
 
+def _image_columns(generator: Generator, layout, cols):
+    """The rank matrix of ``generator`` applied to each column of
+    ``cols``, or ``None`` when it sends a value outside its
+    destination's domain."""
+    index = layout.index
+    image = cols.copy()
+    for dest, (source, fn) in generator.moves.items():
+        if dest not in index:
+            continue  # Generator.apply fixes what the schema lacks
+        if source not in index:
+            return None
+        d, s = index[dest], index[source]
+        lut = [
+            layout.ranks[d].get(value if fn is None else fn(value))
+            for value in layout.domains[s]
+        ]
+        if None in lut:
+            return None
+        image[d] = _np.array(lut, dtype=_np.int64)[cols[s]]
+    return image
+
+
 def _sample_states(
     variables: Sequence[Variable], limit: int = 512, seed: int = 0
 ) -> Tuple[State, ...]:
@@ -196,6 +219,9 @@ class Symmetry:
         #: id(variables) -> (variables, validation sample), held and
         #: hit on identity for the same reason
         self._samples: Dict[int, Tuple[object, Tuple[State, ...]]] = {}
+        #: id(variables) -> (variables, the sample's rank columns and
+        #: their image under each generator, or None), held likewise
+        self._sample_columns: Dict[int, Tuple[object, Optional[Tuple]]] = {}
         #: declared orbits of *action names* under the group.  A group
         #: element that permutes replica blocks also permutes the
         #: per-replica actions, so on the quotient graph the weak-
@@ -273,6 +299,29 @@ class Symmetry:
         self._samples[id(variables)] = (variables, states)
         return states
 
+    def _validation_columns(self, variables: Sequence[Variable]):
+        """``(layout, columns, images)``: the validation sample's rank
+        matrix and, per generator, the rank matrix of its image — or
+        ``None`` when the sample has no layout or a generator sends a
+        value outside its destination's domain.  Memoized and held like
+        the sample."""
+        found = self._sample_columns.get(id(variables))
+        if found is not None and found[0] is variables:
+            return found[1]
+        states = self._validation_states(variables)
+        result = None
+        layout = states and layout_for(
+            states[0]._schema, {v.name: tuple(v.domain) for v in variables}
+        )
+        if layout and all(s._schema is layout.schema for s in states):
+            cols = layout.columns_from_states(states)
+            images = [_image_columns(g, layout, cols)
+                      for g in self.generators()]
+            if all(image is not None for image in images):
+                result = (layout, cols, images)
+        self._sample_columns[id(variables)] = (variables, result)
+        return result
+
     def find_asymmetric_state(
         self, fn: Callable[[State], bool], states: Iterable[State]
     ) -> Optional[Tuple[Generator, State]]:
@@ -294,14 +343,32 @@ class Symmetry:
         The check sweeps the full space when it is small and a
         deterministic sample otherwise — it is a refusal heuristic, not
         a proof; the exhaustive nets are DC106 and the parity suite.
-        Results are memoized per predicate object.
+        An expression predicate is evaluated on the sample's rank
+        columns and their images under each generator (both memoized
+        per variables); any other goes state by state.  Results are
+        memoized per predicate object.
         """
         key = ("pred", id(predicate))
         if self._validated.get(key) is predicate:
             return
-        witness = self.find_asymmetric_state(
-            predicate.fn, self._validation_states(variables)
-        )
+        states = self._validation_states(variables)
+        columns = evaluate = None
+        if predicate.expr is not None:
+            columns = self._validation_columns(variables)
+            if columns is not None:
+                evaluate = predicate.columns_for(columns[0])
+        if evaluate is None:
+            witness = self.find_asymmetric_state(predicate.fn, states)
+        else:
+            # the first (generator, state) the per-state scan would meet
+            _, cols, images = columns
+            mask = evaluate(cols)
+            witness = None
+            for generator, image in zip(self.generators(), images):
+                differs = _np.flatnonzero(mask != evaluate(image))
+                if differs.size:
+                    witness = (generator, states[int(differs[0])])
+                    break
         if witness is not None:
             generator, state = witness
             raise SymmetryError(

@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from ..core import (
     Action,
     FaultClass,
+    Plan,
     Predicate,
     Program,
-    TRUE,
     Variable,
-    assign,
     crash_variable,
 )
 
@@ -73,32 +72,35 @@ def build(limit: int = 2) -> FailureDetectorModel:
         Variable("suspect", [False, True]),
     ]
 
-    crashed = Predicate(lambda s: s["crashed"], name="crashed")
-    alive_bit = Predicate(lambda s: s["alive"], name="alive")
-    suspected = Predicate(lambda s: s["suspect"], name="suspect")
+    crashed = Predicate(expr=("eq_const", "crashed", True), name="crashed")
+    silent = ("eq_const", "alive", False)
+    suspected = Predicate(expr=("eq_const", "suspect", True), name="suspect")
+    # missed ranges over 0..limit, so missed ≥ limit is missed = limit
     timed_out = Predicate(
-        lambda s, lim=limit: s["missed"] >= lim, name=f"missed≥{limit}"
+        expr=("eq_const", "missed", limit), name=f"missed≥{limit}"
     )
 
     program = Program(
         variables,
         [
-            Action("heartbeat", ~crashed & ~alive_bit, assign(alive=True),
-                   reads={"crashed", "alive"}, writes={"alive"}),
-            Action(
-                "consume",
-                alive_bit,
-                assign(alive=False, missed=0, suspect=False),
-                reads={"alive"}, writes={"alive", "missed", "suspect"},
-            ),
-            Action(
-                "count",
-                ~alive_bit & ~timed_out,
-                assign(missed=lambda s: s["missed"] + 1),
-                reads={"alive", "missed"}, writes={"missed"},
-            ),
-            Action("suspect", timed_out & ~suspected, assign(suspect=True),
-                   reads={"missed", "suspect"}, writes={"suspect"}),
+            Action("heartbeat", plan=Plan(
+                ("and", ("not", crashed.expr), silent),
+                [("set_const", "alive", True)],
+            )),
+            Action("consume", plan=Plan(
+                ("not", silent),
+                [("set_const", "alive", False), ("set_const", "missed", 0),
+                 ("set_const", "suspect", False)],
+            )),
+            Action("count", plan=Plan(
+                ("and", silent, ("not", timed_out.expr)),
+                # missed < limit under the guard, so missed + 1 never wraps
+                [("inc_mod", "missed", "missed", limit + 1)],
+            )),
+            Action("suspect", plan=Plan(
+                ("and", timed_out.expr, ("not", suspected.expr)),
+                [("set_const", "suspect", True)],
+            )),
         ],
         name=f"heartbeat_fd(limit={limit})",
     )

@@ -30,18 +30,18 @@ overclaim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..core import (
     Action,
     FaultClass,
     LeadsTo,
+    Plan,
     Predicate,
     Program,
     Spec,
     TransitionInvariant,
     Variable,
-    assign,
 )
 
 __all__ = ["BarrierModel", "build"]
@@ -72,50 +72,35 @@ def build(size: int = 3) -> BarrierModel:
         variables.append(Variable(f"pc{i}", [WORKING, ARRIVED]))
         variables.append(Variable(f"a{i}", [False, True]))
 
-    def all_flags(state) -> bool:
-        return all(state[f"a{i}"] for i in range(size))
-
     def all_arrived(state) -> bool:
         return all(state[f"pc{i}"] == ARRIVED for i in range(size))
 
+    def flag(i: int, up: bool = True) -> Tuple:
+        return ("eq_const", f"a{i}", up)
+
+    def at_barrier(i: int) -> Tuple:
+        return ("eq_const", f"pc{i}", ARRIVED)
+
     actions: List[Action] = []
     for i in range(size):
-        actions.append(
-            Action(
-                f"arrive{i}",
-                Predicate(lambda s, i=i: s[f"pc{i}"] == WORKING,
-                          name=f"pc{i}=working"),
-                assign(**{f"pc{i}": ARRIVED, f"a{i}": True}),
-                reads={f"pc{i}"}, writes={f"pc{i}", f"a{i}"},
-            )
-        )
-    release_updates = {"round": lambda s: 1 - s["round"]}
+        actions.append(Action(f"arrive{i}", plan=Plan(
+            ("eq_const", f"pc{i}", WORKING),
+            [("set_const", f"pc{i}", ARRIVED), ("set_const", f"a{i}", True)],
+        )))
+    release = [("inc_mod", "round", "round", 2)]  # round := 1 - round
     for i in range(size):
-        release_updates[f"pc{i}"] = WORKING
-        release_updates[f"a{i}"] = False
-    actions.append(
-        Action(
-            "release",
-            Predicate(all_flags, name="all flags up"),
-            assign(**release_updates),
-            reads={"round"} | {f"a{i}" for i in range(size)},
-            writes={"round"}
-            | {f"pc{i}" for i in range(size)}
-            | {f"a{i}" for i in range(size)},
-        )
-    )
+        release.append(("set_const", f"pc{i}", WORKING))
+        release.append(("set_const", f"a{i}", False))
+    actions.append(Action("release", plan=Plan(
+        ("and", *(flag(i) for i in range(size))), release,
+    )))
     intolerant = Program(variables, actions, name=f"barrier(n={size})")
 
     correctors = [
-        Action(
-            f"re_announce{i}",
-            Predicate(
-                lambda s, i=i: s[f"pc{i}"] == ARRIVED and not s[f"a{i}"],
-                name=f"arrived{i} ∧ ¬a{i}",
-            ),
-            assign(**{f"a{i}": True}),
-            reads={f"pc{i}", f"a{i}"}, writes={f"a{i}"},
-        )
+        Action(f"re_announce{i}", plan=Plan(
+            ("and", at_barrier(i), flag(i, False)),
+            [("set_const", f"a{i}", True)],
+        ))
         for i in range(size)
     ]
     tolerant = Program(
@@ -132,8 +117,8 @@ def build(size: int = 3) -> BarrierModel:
         [never_early_release]
         + [
             LeadsTo(
-                Predicate(lambda s, r=r: s["round"] == r, name=f"round={r}"),
-                Predicate(lambda s, r=r: s["round"] != r, name=f"round≠{r}"),
+                Predicate(expr=("eq_const", "round", r), name=f"round={r}"),
+                Predicate(expr=("ne_const", "round", r), name=f"round≠{r}"),
                 name=f"round {r} eventually completes",
             )
             for r in (0, 1)
@@ -142,15 +127,14 @@ def build(size: int = 3) -> BarrierModel:
     )
 
     truthful = Predicate(
-        lambda s, n=size: all(
-            (not s[f"a{i}"]) or s[f"pc{i}"] == ARRIVED for i in range(n)
-        ),
+        expr=("and", *(("or", flag(i, False), at_barrier(i))
+                       for i in range(size))),
         name="flags truthful",
     )
     mirrored = Predicate(
-        lambda s, n=size: all(
-            s[f"a{i}"] == (s[f"pc{i}"] == ARRIVED) for i in range(n)
-        ),
+        expr=("and", *(("or", ("and", flag(i), at_barrier(i)),
+                        ("and", flag(i, False), ("not", at_barrier(i))))
+                       for i in range(size))),
         name="flags mirror arrival",
     )
     invariant = (truthful & mirrored).rename("S_barrier")
@@ -158,12 +142,9 @@ def build(size: int = 3) -> BarrierModel:
 
     faults = FaultClass(
         [
-            Action(
-                f"lose_flag{i}",
-                Predicate(lambda s, i=i: s[f"a{i}"], name=f"a{i}"),
-                assign(**{f"a{i}": False}),
-                reads={f"a{i}"}, writes={f"a{i}"},
-            )
+            Action(f"lose_flag{i}", plan=Plan(
+                flag(i), [("set_const", f"a{i}", False)],
+            ))
             for i in range(size)
         ],
         name="arrival-flag loss",

@@ -43,9 +43,9 @@ State variables: ``dg``/``bg`` for the general; per non-general ``j``:
 ``k`` of non-generals; :func:`build` is its paper instance, ``k = 3``.
 Every action is a :class:`~repro.core.kernels.Plan` — the Byzantine
 lies are nondeterministic ``set_any`` writes, one successor per value —
-and the witness and detection predicates are expressions in the same
-grammar; only the count predicates (spec, invariants, span) are written
-as code.
+and every predicate is an expression in the same grammar: the witness
+and detection predicates, the spec, the invariants, and the span, whose
+"at most one Byzantine process" is a ``count`` term.
 """
 
 from __future__ import annotations
@@ -169,11 +169,6 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
         variables.append(Variable(f"out{j}", [BOTTOM, *VALUES]))
         variables.append(Variable(f"b{j}", [False, True]))
 
-    # binary strict majority of k odd copies: 1 iff more than half are 1
-    # (callers guarantee no copy is ⊥)
-    def majority_of(copies, k=k):
-        return 1 if 2 * sum(copies) > k else 0
-
     def witness_terms(j: int) -> Tuple[Tuple, ...]:
         """DB.j / CB.j witness: every non-general has copied a value and
         ``d.j`` equals their majority."""
@@ -243,167 +238,80 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
             )))
         return FaultClass(actions, name="BYZ (≤1 process)")
 
-    bo_names = tuple(zip(b_names, out_names))
+    def honest(j: int) -> Tuple:
+        return ("eq_const", f"b{j}", False)
+
+    def carries_dg(name: str) -> Tuple:
+        """``name`` is ``⊥`` or ``d.g``."""
+        return ("or", ("eq_const", name, BOTTOM), ("eq_var", name, "dg"))
+
+    def honest_outputs(value) -> Tuple:
+        """One guard per non-general: it is honest and outputs
+        ``value`` (operands of a count)."""
+        return tuple(
+            ("and", honest(j), ("eq_const", f"out{j}", value)) for j in ngs
+        )
 
     def spec() -> Spec:
-        def build_validity(index):
-            bg_at, dg_at = index["bg"], index["dg"]
-            pairs = tuple((index[b], index[o]) for b, o in bo_names)
-
-            def fn(values, bg_at=bg_at, dg_at=dg_at, pairs=pairs):
-                if values[bg_at]:
-                    return True
-                dg = values[dg_at]
-                for bi, oi in pairs:
-                    if values[bi]:
-                        continue
-                    out = values[oi]
-                    if out is not BOTTOM and out != dg:
-                        return False
-                return True
-
-            return fn
-
-        def build_agreement(index):
-            pairs = tuple((index[b], index[o]) for b, o in bo_names)
-
-            def fn(values, pairs=pairs):
-                seen = None
-                for bi, oi in pairs:
-                    if values[bi]:
-                        continue
-                    out = values[oi]
-                    if out is BOTTOM:
-                        continue
-                    if seen is None:
-                        seen = out
-                    elif out != seen:
-                        return False
-                return True
-
-            return fn
-
-        def build_all_decided(index):
-            pairs = tuple((index[b], index[o]) for b, o in bo_names)
-
-            def fn(values, pairs=pairs):
-                for bi, oi in pairs:
-                    if not values[bi] and values[oi] is BOTTOM:
-                        return False
-                return True
-
-            return fn
-
+        validity = ("or", ("eq_const", "bg", True), ("and", *(
+            ("or", ("not", honest(j)), ("eq_const", f"out{j}", BOTTOM),
+             ("eq_var", f"out{j}", "dg"))
+            for j in ngs
+        )))
+        # over binary values, the honest outputs agree iff one of the
+        # two values is output by no honest process
+        agreement = ("or", *(
+            ("count", honest_outputs(value), "==", 0) for value in VALUES
+        ))
+        all_decided = ("and", *(
+            ("or", ("not", honest(j)), ("ne_const", f"out{j}", BOTTOM))
+            for j in ngs
+        ))
         return Spec(
             [
                 StateInvariant(
-                    Predicate(name="validity", values_builder=build_validity),
+                    Predicate(expr=validity, name="validity"),
                     name="validity",
                 ),
                 StateInvariant(
-                    Predicate(name="agreement",
-                              values_builder=build_agreement),
+                    Predicate(expr=agreement, name="agreement"),
                     name="agreement",
                 ),
                 LeadsTo(
                     TRUE,
-                    Predicate(name="all honest processes decided",
-                              values_builder=build_all_decided),
+                    Predicate(expr=all_decided,
+                              name="all honest processes decided"),
                     name="every honest process eventually outputs",
                 ),
             ],
             name=f"SPEC_byz{suffix}",
         )
 
-    def build_invariant_ib(index):
-        """Nobody Byzantine, every copy/output either ``⊥`` or ``d.g``."""
-        bg_at, dg_at = index["bg"], index["dg"]
-        b_at = tuple(index[n] for n in b_names)
-        do_at = tuple((index[d], index[o]) for d, o in zip(d_names, out_names))
-
-        def fn(values, bg_at=bg_at, dg_at=dg_at, b_at=b_at, do_at=do_at):
-            if values[bg_at]:
-                return False
-            for i in b_at:
-                if values[i]:
-                    return False
-            honest = (BOTTOM, values[dg_at])
-            for di, oi in do_at:
-                if values[di] not in honest:
-                    return False
-                if values[oi] not in honest:
-                    return False
-            return True
-
-        return fn
-
-    def build_invariant(index):
-        """S_ib, and any output implies every copy is present."""
-        ib_fn = build_invariant_ib(index)
-        out_at = tuple(index[n] for n in out_names)
-        d_at = tuple(index[n] for n in d_names)
-
-        def fn(values, ib_fn=ib_fn, out_at=out_at, d_at=d_at):
-            if not ib_fn(values):
-                return False
-            for i in out_at:
-                if values[i] is not BOTTOM:
-                    break
-            else:
-                return True
-            for i in d_at:
-                if values[i] is BOTTOM:
-                    return False
-            return True
-
-        return fn
-
-    def build_span(index):
-        """T_byz: at most one Byzantine process; every honest output was
-        emitted under the witness — all copies present and the output
-        equals their (thereafter stable) majority; under an honest
-        general, honest copies and outputs carry only ``d.g``."""
-        bg_at, dg_at = index["bg"], index["dg"]
-        b_at = tuple(index[n] for n in b_names)
-        d_at = tuple(index[n] for n in d_names)
-        out_at = tuple(index[n] for n in out_names)
-        bo_at = tuple(zip(b_at, out_at))
-        bdo_at = tuple(zip(b_at, d_at, out_at))
-
-        def fn(values, bg_at=bg_at, dg_at=dg_at, b_at=b_at, d_at=d_at,
-               bo_at=bo_at, bdo_at=bdo_at):
-            count = 1 if values[bg_at] else 0
-            for i in b_at:
-                if values[i]:
-                    count += 1
-            if count > 1:
-                return False
-            witness = None  # the stable majority, computed at most once
-            for bi, oi in bo_at:
-                if values[bi]:
-                    continue
-                out = values[oi]
-                if out is BOTTOM:
-                    continue
-                if witness is None:
-                    copies = [values[i] for i in d_at]
-                    if BOTTOM in copies:
-                        return False
-                    witness = majority_of(copies)
-                if out != witness:
-                    return False
-            if not values[bg_at]:
-                honest = (BOTTOM, values[dg_at])
-                for bi, di, oi in bdo_at:
-                    if values[bi]:
-                        continue
-                    if values[di] not in honest:
-                        return False
-                    if values[oi] not in honest:
-                        return False
-            return True
-
-        return fn
+    # S_ib: nobody Byzantine, every copy/output either ⊥ or d.g
+    invariant_ib = ("and", ("eq_const", "bg", False),
+                    ("all_ne_const", b_names, True),
+                    *(carries_dg(n) for n in d_names + out_names))
+    # S_byz: S_ib, and any output implies every copy is present
+    invariant = ("and", invariant_ib, ("or",
+        ("and", *(("eq_const", n, BOTTOM) for n in out_names)),
+        ("all_ne_const", d_names, BOTTOM),
+    ))
+    # T_byz: at most one Byzantine process; every honest output was
+    # emitted under the witness — all copies present and the output
+    # equals their (thereafter stable) majority; under an honest
+    # general, honest copies and outputs carry only d.g
+    span = ("and",
+        ("count", (("eq_const", "bg", True),
+                   *(("eq_const", n, True) for n in b_names)), "<=", 1),
+        *(("or", ("not", honest(j)), ("eq_const", f"out{j}", BOTTOM),
+           ("and", ("all_ne_const", d_names, BOTTOM),
+            ("eq_majority", f"out{j}", d_names, k)))
+          for j in ngs),
+        ("or", ("eq_const", "bg", True),
+         ("and", *(("or", ("not", honest(j)),
+                    ("and", carries_dg(f"d{j}"), carries_dg(f"out{j}")))
+                   for j in ngs))),
+    )
 
     def witness(j: int) -> Predicate:
         return Predicate(
@@ -453,11 +361,9 @@ def build_family(non_generals: Sequence[int] = NON_GENERALS) -> ByzantineModel:
         failsafe=failsafe,
         masking=masking,
         spec=spec(),
-        invariant_ib=Predicate(name=f"S_ib{suffix}",
-                               values_builder=build_invariant_ib),
-        invariant=Predicate(name=f"S_byz{suffix}",
-                            values_builder=build_invariant),
-        span=Predicate(name=f"T_byz{suffix}", values_builder=build_span),
+        invariant_ib=Predicate(expr=invariant_ib, name=f"S_ib{suffix}"),
+        invariant=Predicate(expr=invariant, name=f"S_byz{suffix}"),
+        span=Predicate(expr=span, name=f"T_byz{suffix}"),
         faults=fault_latches(),
         witnesses={j: witness(j) for j in ngs},
         detections={j: detection(j) for j in ngs},

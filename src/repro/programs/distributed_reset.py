@@ -28,18 +28,18 @@ requires the full machinery of [10]; see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..core import (
     Action,
     FaultClass,
     LeadsTo,
+    Plan,
     Predicate,
     Program,
     Spec,
     TRUE,
     Variable,
-    assign,
 )
 
 __all__ = ["DistributedResetModel", "build"]
@@ -72,33 +72,25 @@ def build(size: int = 3, sessions: int = 2) -> DistributedResetModel:
         variables.append(Variable(f"req{i}", [False, True]))
         variables.append(Variable(f"sn{i}", list(range(sessions))))
 
+    def x_clean(i: int) -> Tuple:
+        return ("eq_const", f"x{i}", 0)
+
+    def req(i: int, value: bool = True) -> Tuple:
+        return ("eq_const", f"req{i}", value)
+
     actions: List[Action] = []
     for i in range(size):
         # detector: locally corrupt state raises the request bit
-        actions.append(
-            Action(
-                f"request{i}",
-                Predicate(
-                    lambda s, i=i: s[f"x{i}"] != 0 and not s[f"req{i}"],
-                    name=f"x{i} corrupt ∧ ¬req{i}",
-                ),
-                assign(**{f"req{i}": True}),
-                reads={f"x{i}", f"req{i}"}, writes={f"req{i}"},
-            )
-        )
+        actions.append(Action(f"request{i}", plan=Plan(
+            ("and", ("not", x_clean(i)), req(i, False)),
+            [("set_const", f"req{i}", True)],
+        )))
     for i in range(1, size):
         # requests propagate toward the root
-        actions.append(
-            Action(
-                f"forward{i}",
-                Predicate(
-                    lambda s, i=i: s[f"req{i}"] and not s[f"req{i - 1}"],
-                    name=f"req{i} ∧ ¬req{i-1}",
-                ),
-                assign(**{f"req{i - 1}": True}),
-                reads={f"req{i}", f"req{i - 1}"}, writes={f"req{i - 1}"},
-            )
-        )
+        actions.append(Action(f"forward{i}", plan=Plan(
+            ("and", req(i), req(i - 1, False)),
+            [("set_const", f"req{i - 1}", True)],
+        )))
     # The root starts a new session — but only once the previous wave
     # has completed (all sessions agree).  Without this guard the root
     # can keep flipping its session number while a lagging process is
@@ -107,60 +99,32 @@ def build(size: int = 3, sessions: int = 2) -> DistributedResetModel:
     # exhibits if the conjunct is dropped).  In [10] this completion
     # test is a diffusing computation; at this abstraction it is a
     # global guard.
-    wave_done = Predicate(
-        lambda s, n=size: all(s[f"sn{i}"] == s["sn0"] for i in range(n)),
-        name="wave complete",
-    )
-    actions.append(
-        Action(
-            "reset_root",
-            Predicate(lambda s: s["req0"], name="req0") & wave_done,
-            assign(
-                sn0=lambda s, k=sessions: (s["sn0"] + 1) % k,
-                x0=0,
-                req0=False,
-            ),
-            reads={"req0"} | {f"sn{i}" for i in range(size)},
-            writes={"sn0", "x0", "req0"},
-        )
-    )
+    wave_done = tuple(("eq_var", f"sn{i}", "sn0") for i in range(1, size))
+    actions.append(Action("reset_root", plan=Plan(
+        ("and", req(0), *wave_done),
+        [("inc_mod", "sn0", "sn0", sessions), ("set_const", "x0", 0),
+         ("set_const", "req0", False)],
+    )))
     for i in range(1, size):
         # the wave: adopt the parent's newer session, clean up
-        actions.append(
-            Action(
-                f"adopt{i}",
-                Predicate(
-                    lambda s, i=i: s[f"sn{i}"] != s[f"sn{i - 1}"],
-                    name=f"sn{i}≠sn{i-1}",
-                ),
-                assign(
-                    **{
-                        f"sn{i}": lambda s, i=i: s[f"sn{i - 1}"],
-                        f"x{i}": 0,
-                        f"req{i}": False,
-                    }
-                ),
-                reads={f"sn{i}", f"sn{i - 1}"},
-                writes={f"sn{i}", f"x{i}", f"req{i}"},
-            )
-        )
+        actions.append(Action(f"adopt{i}", plan=Plan(
+            ("ne_var", f"sn{i}", f"sn{i - 1}"),
+            [("copy", f"sn{i}", f"sn{i - 1}"), ("set_const", f"x{i}", 0),
+             ("set_const", f"req{i}", False)],
+        )))
     program = Program(variables, actions, name=f"distributed_reset(n={size})")
 
     clean = Predicate(
-        lambda s, n=size: all(
-            s[f"x{i}"] == 0 and not s[f"req{i}"] for i in range(n)
-        )
-        and all(s[f"sn{i}"] == s["sn0"] for i in range(n)),
+        expr=("and", *(("and", x_clean(i), req(i, False))
+                       for i in range(size)), *wave_done),
         name="all clean, sessions agree",
     )
     spec = Spec(
         [
             LeadsTo(
                 TRUE,
-                Predicate(
-                    lambda s, n=size: all(s[f"x{i}"] == 0 for i in range(n)),
-                    name="all states clean",
-                ),
+                Predicate(expr=("and", *(x_clean(i) for i in range(size))),
+                          name="all states clean"),
                 name="every corruption is eventually reset",
             )
         ],
@@ -171,31 +135,25 @@ def build(size: int = 3, sessions: int = 2) -> DistributedResetModel:
     # wave: each process's session equals its parent's or the parent is
     # one step ahead (mod K); x/req arbitrary.
     span = Predicate(
-        lambda s, n=size: all(
-            s[f"sn{i}"] in (s[f"sn{i - 1}"], (s[f"sn{i - 1}"] - 1) % sessions)
-            for i in range(1, n)
-        ),
+        expr=("and", *(
+            ("or", ("eq_var", f"sn{i}", f"sn{i - 1}"), *(
+                ("and", ("eq_const", f"sn{i - 1}", v),
+                 ("eq_const", f"sn{i}", (v - 1) % sessions))
+                for v in range(sessions)
+            ))
+            for i in range(1, size)
+        )),
         name="T_reset (session prefix pattern)",
     )
 
     fault_actions: List[Action] = []
     for i in range(size):
-        fault_actions.append(
-            Action(
-                f"corrupt_x{i}",
-                Predicate(lambda s, i=i: s[f"x{i}"] == 0, name=f"x{i}=0"),
-                assign(**{f"x{i}": 1}),
-                reads={f"x{i}"}, writes={f"x{i}"},
-            )
-        )
-        fault_actions.append(
-            Action(
-                f"spurious_req{i}",
-                Predicate(lambda s, i=i: not s[f"req{i}"], name=f"¬req{i}"),
-                assign(**{f"req{i}": True}),
-                reads={f"req{i}"}, writes={f"req{i}"},
-            )
-        )
+        fault_actions.append(Action(f"corrupt_x{i}", plan=Plan(
+            x_clean(i), [("set_const", f"x{i}", 1)],
+        )))
+        fault_actions.append(Action(f"spurious_req{i}", plan=Plan(
+            req(i, False), [("set_const", f"req{i}", True)],
+        )))
 
     return DistributedResetModel(
         size=size,

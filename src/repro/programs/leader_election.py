@@ -15,7 +15,9 @@ fault-span ``true`` (self-stabilizing leader election).
 
 The detector flavour is also present: the predicate "my candidate is at
 least as large as my neighbours'" is each action's guard complement —
-an action fires exactly when local inconsistency is *detected*.
+an action fires exactly when local inconsistency is *detected*.  The
+actions take a maximum, which the plan grammar cannot say, so they are
+code; the predicates are expressions.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def build(ids: Sequence[int] = (3, 1, 2)) -> LeaderElectionModel:
     program = Program(variables, actions, name=f"leader_election({ids})")
 
     elected = Predicate(
-        lambda s, n=size, m=leader: all(s[f"ldr{i}"] == m for i in range(n)),
+        expr=("and", *(("eq_const", f"ldr{i}", leader) for i in range(size))),
         name="everyone elects the maximum id",
     )
     spec = Spec(

@@ -52,13 +52,13 @@ from ..core import (
     Action,
     FaultClass,
     LeadsTo,
+    Plan,
     Predicate,
     Program,
     Spec,
     TRUE,
     TransitionInvariant,
     Variable,
-    assign,
 )
 
 __all__ = ["MemoryAccessModel", "build"]
@@ -127,15 +127,24 @@ def build(
     data = Variable("data", [BOTTOM, *data_domain])
     z1 = Variable("Z1", [False, True])
 
-    x1 = Predicate(lambda s: s["mem"] is not BOTTOM, name="X1")
-    z1_pred = Predicate(lambda s: s["Z1"], name="Z1")
-    u1 = Predicate(
-        lambda s: (not s["Z1"]) or s["mem"] is not BOTTOM, name="U1"
-    )
+    present = ("ne_const", "mem", BOTTOM)
+    unwitnessed = ("eq_const", "Z1", False)
+    x1 = Predicate(expr=present, name="X1")
+    z1_pred = Predicate(expr=("eq_const", "Z1", True), name="Z1")
+    u1 = Predicate(expr=("or", unwitnessed, present), name="U1")
     read = _read_statement(data_domain)
 
+    def detect() -> Plan:
+        """``X1 ∧ ¬Z1 --> Z1 := true``: the detector sets the witness."""
+        return Plan(("and", present, unwitnessed), [("set_const", "Z1", True)])
+
+    def restore() -> Plan:
+        """``¬X1 --> MEM := MEM ∪ {⟨addr, val⟩}``: the corrector."""
+        return Plan(("eq_const", "mem", BOTTOM), [("set_const", "mem", value)])
+
     # -- the intolerant program p (Section 3.3) ---------------------------------
-    # the read actions neither consult nor keep ``data`` (it is
+    # the read actions choose a value only when the entry is absent, so
+    # they are code; they neither consult nor keep ``data`` (it is
     # overwritten wholesale), so declaring the frame lets the action
     # collapse successor computation across all ``data`` values
     p = Program(
@@ -150,12 +159,7 @@ def build(
     pf = Program(
         variables=[mem, data, z1],
         actions=[
-            Action(
-                "pf1",
-                x1 & Predicate(lambda s: not s["Z1"], name="¬Z1"),
-                assign(Z1=True),
-                reads={"mem", "Z1"}, writes={"Z1"},
-            ),
+            Action("pf1", plan=detect()),
             Action(
                 "pf2", z1_pred, read,
                 reads={"mem", "Z1"}, writes={"data"},
@@ -168,8 +172,7 @@ def build(
     pn = Program(
         variables=[mem, data],
         actions=[
-            Action("pn1", ~x1, assign(mem=value),
-                   reads={"mem"}, writes={"mem"}),
+            Action("pn1", plan=restore()),
             Action("pn2", TRUE, read, reads={"mem"}, writes={"data"}),
         ],
         name="pn",
@@ -179,14 +182,8 @@ def build(
     pm = Program(
         variables=[mem, data, z1],
         actions=[
-            Action("pm1", ~x1, assign(mem=value),
-                   reads={"mem"}, writes={"mem"}),
-            Action(
-                "pm2",
-                x1 & Predicate(lambda s: not s["Z1"], name="¬Z1"),
-                assign(Z1=True),
-                reads={"mem", "Z1"}, writes={"Z1"},
-            ),
+            Action("pm1", plan=restore()),
+            Action("pm2", plan=detect()),
             Action(
                 "pm3", z1_pred, read,
                 reads={"mem", "Z1"}, writes={"data"},
@@ -202,32 +199,22 @@ def build(
     )
     eventually_correct = LeadsTo(
         TRUE,
-        Predicate(lambda s, v=value: s["data"] == v, name="data=val"),
+        Predicate(expr=("eq_const", "data", value), name="data=val"),
         name="data eventually set to val",
     )
     spec = Spec([never_wrong, eventually_correct], name="SPEC_mem")
 
     # -- faults ---------------------------------------------------------------------
     fault_anytime = FaultClass(
-        [
-            Action(
-                "page_fault",
-                x1,
-                assign(mem=BOTTOM),
-                reads={"mem"}, writes={"mem"},
-            )
-        ],
+        [Action("page_fault", plan=Plan(
+            present, [("set_const", "mem", BOTTOM)],
+        ))],
         name="page-fault",
     )
     fault_before_witness = FaultClass(
-        [
-            Action(
-                "page_fault",
-                x1 & Predicate(lambda s: not s["Z1"], name="¬Z1"),
-                assign(mem=BOTTOM),
-                reads={"mem", "Z1"}, writes={"mem"},
-            )
-        ],
+        [Action("page_fault", plan=Plan(
+            ("and", present, unwitnessed), [("set_const", "mem", BOTTOM)],
+        ))],
         name="page-fault(¬Z1)",
     )
 

@@ -28,19 +28,19 @@ re-enter its critical section forever and starve the pass action).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..core import (
     Action,
     FaultClass,
     LeadsTo,
+    Plan,
     Predicate,
     Program,
     Spec,
     StateInvariant,
     TRUE,
     Variable,
-    assign,
 )
 
 __all__ = ["MutexModel", "build"]
@@ -66,10 +66,6 @@ class MutexModel:
     span_duplication: Predicate #: ≤2 tokens, ≤1 CS, cs implies token
 
 
-def _token_count(state, size: int) -> int:
-    return sum(1 for i in range(size) if state[f"tok{i}"])
-
-
 def build(size: int = 3) -> MutexModel:
     """Construct the mutual-exclusion family for ``size`` processes."""
     if size < 2:
@@ -84,52 +80,43 @@ def build(size: int = 3) -> MutexModel:
         )
     ]
 
+    def flag(name: str, i: int, value: bool = True) -> Tuple:
+        return ("eq_const", f"{name}{i}", value)
+
+    tokens = tuple(flag("tok", i) for i in range(size))
+
+    def tokens_are(cmp: str, k: int) -> Tuple:
+        return ("count", tokens, cmp, k)
+
     actions: List[Action] = []
     for i in range(size):
         nxt = (i + 1) % size
-        holds = Predicate(lambda s, i=i: s[f"tok{i}"], name=f"tok{i}")
-        inside = Predicate(lambda s, i=i: s[f"cs{i}"], name=f"cs{i}")
-        used = Predicate(lambda s, i=i: s[f"done{i}"], name=f"done{i}")
-        actions.append(
-            Action(
-                f"enter{i}", holds & ~inside & ~used, assign(**{f"cs{i}": True}),
-                reads={f"tok{i}", f"cs{i}", f"done{i}"}, writes={f"cs{i}"},
-            )
-        )
-        actions.append(
-            Action(
-                f"exit{i}",
-                holds & inside,
-                assign(**{f"cs{i}": False, f"done{i}": True}),
-                reads={f"tok{i}", f"cs{i}"},
-                writes={f"cs{i}", f"done{i}"},
-            )
-        )
-        actions.append(
-            Action(
-                f"pass{i}",
-                holds & ~inside & used,
-                assign(
-                    **{f"tok{i}": False, f"done{i}": False, f"tok{nxt}": True}
-                ),
-                reads={f"tok{i}", f"cs{i}", f"done{i}"},
-                writes={f"tok{i}", f"done{i}", f"tok{nxt}"},
-            )
-        )
+        actions.append(Action(f"enter{i}", plan=Plan(
+            ("and", flag("tok", i), flag("cs", i, False),
+             flag("done", i, False)),
+            [("set_const", f"cs{i}", True)],
+        )))
+        actions.append(Action(f"exit{i}", plan=Plan(
+            ("and", flag("tok", i), flag("cs", i)),
+            [("set_const", f"cs{i}", False), ("set_const", f"done{i}", True)],
+        )))
+        actions.append(Action(f"pass{i}", plan=Plan(
+            ("and", flag("tok", i), flag("cs", i, False), flag("done", i)),
+            [("set_const", f"tok{i}", False), ("set_const", f"done{i}", False),
+             ("set_const", f"tok{nxt}", True)],
+        )))
     intolerant = Program(variables, actions, name=f"mutex(n={size})")
 
-    no_token = Predicate(
-        lambda s, n=size: _token_count(s, n) == 0, name="no token"
-    )
-    all_tokens = frozenset(f"tok{i}" for i in range(size))
-    regenerate = Action("regenerate", no_token, assign(tok0=True),
-                        reads=all_tokens, writes={"tok0"})
+    no_token = Predicate(expr=tokens_are("==", 0), name="no token")
+    regenerate = Action("regenerate", plan=Plan(
+        no_token.expr, [("set_const", "tok0", True)],
+    ))
     tolerant = Program(
         variables, actions + [regenerate], name=f"mutex+corrector(n={size})"
     )
 
     exclusion = Predicate(
-        lambda s, n=size: sum(1 for i in range(n) if s[f"cs{i}"]) <= 1,
+        expr=("count", tuple(flag("cs", i) for i in range(size)), "<=", 1),
         name="≤1 in critical section",
     )
     spec = Spec(
@@ -137,7 +124,7 @@ def build(size: int = 3) -> MutexModel:
         + [
             LeadsTo(
                 TRUE,
-                Predicate(lambda s, i=i: s[f"tok{i}"], name=f"tok{i}"),
+                Predicate(expr=flag("tok", i), name=f"tok{i}"),
                 name=f"process {i} eventually acquires the token",
             )
             for i in range(size)
@@ -145,41 +132,33 @@ def build(size: int = 3) -> MutexModel:
         name="SPEC_mutex",
     )
 
-    one_token = Predicate(
-        lambda s, n=size: _token_count(s, n) == 1, name="exactly one token"
-    )
+    def cs_implies_token(i: int) -> Tuple:
+        return ("or", flag("cs", i, False), flag("tok", i))
+
+    one_token = Predicate(expr=tokens_are("==", 1), name="exactly one token")
     holder_consistent = Predicate(
-        lambda s, n=size: all(
-            (not s[f"cs{i}"] or s[f"tok{i}"])
-            and (not s[f"done{i}"] or s[f"tok{i}"])
-            for i in range(n)
-        ),
+        expr=("and", *(
+            ("and", cs_implies_token(i),
+             ("or", flag("done", i, False), flag("tok", i)))
+            for i in range(size)
+        )),
         name="cs/done imply the token",
     )
     invariant = (one_token & holder_consistent).rename("S_mutex")
-    at_most_one = Predicate(
-        lambda s, n=size: _token_count(s, n) <= 1, name="≤1 token"
-    )
+    at_most_one = Predicate(expr=tokens_are("<=", 1), name="≤1 token")
     cs_needs_token = Predicate(
-        lambda s, n=size: all(
-            not s[f"cs{i}"] or s[f"tok{i}"] for i in range(n)
-        ),
+        expr=("and", *(cs_implies_token(i) for i in range(size))),
         name="CS implies token",
     )
     span = (at_most_one & cs_needs_token).rename("T_mutex")
 
     faults = FaultClass(
         [
-            Action(
-                f"lose{i}",
-                Predicate(
-                    lambda s, i=i: s[f"tok{i}"] and not s[f"cs{i}"],
-                    name=f"tok{i} ∧ ¬cs{i}",
-                ),
-                assign(**{f"tok{i}": False, f"done{i}": False}),
-                reads={f"tok{i}", f"cs{i}"},
-                writes={f"tok{i}", f"done{i}"},
-            )
+            Action(f"lose{i}", plan=Plan(
+                ("and", flag("tok", i), flag("cs", i, False)),
+                [("set_const", f"tok{i}", False),
+                 ("set_const", f"done{i}", False)],
+            ))
             for i in range(size)
         ],
         name="token loss",
@@ -195,13 +174,11 @@ def build(size: int = 3) -> MutexModel:
     # in their critical sections simultaneously.
     duplication = FaultClass(
         [
-            Action(
-                f"duplicate{i}",
-                one_token
-                & Predicate(lambda s, i=i: not s[f"tok{i}"], name=f"¬tok{i}"),
-                assign(**{f"tok{i}": True, f"done{i}": False}),
-                reads=all_tokens, writes={f"tok{i}", f"done{i}"},
-            )
+            Action(f"duplicate{i}", plan=Plan(
+                ("and", one_token.expr, flag("tok", i, False)),
+                [("set_const", f"tok{i}", True),
+                 ("set_const", f"done{i}", False)],
+            ))
             for i in range(size)
         ],
         name="token duplication",
@@ -218,20 +195,21 @@ def build(size: int = 3) -> MutexModel:
                 updates[f"done{holder}"] = False
         return state.assign(**updates)
 
-    many_tokens = Predicate(
-        lambda s, n=size: _token_count(s, n) >= 2, name="≥2 tokens"
-    )
-    some_holder_out = Predicate(
-        lambda s, n=size: any(
-            s[f"tok{i}"] and not s[f"cs{i}"] for i in range(n)
-        ),
-        name="a holder is outside its CS",
-    )
-    # done{keep} survives dedup untouched, so the done-variables must
+    # which token dedup keeps depends on the state, so its statement is
+    # code; done{keep} survives untouched, so the done-variables must
     # sit in *reads* (a masked variable must be overwritten regardless
     # of its current value, which done{keep} is not)
+    all_tokens = frozenset(f"tok{i}" for i in range(size))
     dedup = Action(
-        "dedup", many_tokens & some_holder_out, dedup_statement,
+        "dedup",
+        Predicate(
+            expr=("and", tokens_are(">=", 2), ("or", *(
+                ("and", flag("tok", i), flag("cs", i, False))
+                for i in range(size)
+            ))),
+            name="(≥2 tokens ∧ a holder is outside its CS)",
+        ),
+        dedup_statement,
         reads=all_tokens
         | frozenset(f"cs{i}" for i in range(size))
         | frozenset(f"done{i}" for i in range(size)),
@@ -255,7 +233,7 @@ def build(size: int = 3) -> MutexModel:
             [
                 LeadsTo(
                     TRUE,
-                    Predicate(lambda s, i=i: s[f"cs{i}"], name=f"cs{i}"),
+                    Predicate(expr=flag("cs", i), name=f"cs{i}"),
                     name=f"process {i} eventually enters its critical section",
                 )
                 for i in range(size)
@@ -265,9 +243,7 @@ def build(size: int = 3) -> MutexModel:
         name="SPEC_mutex+",
     )
 
-    at_most_two = Predicate(
-        lambda s, n=size: _token_count(s, n) <= 2, name="≤2 tokens"
-    )
+    at_most_two = Predicate(expr=tokens_are("<=", 2), name="≤2 tokens")
     span_duplication = (
         at_most_two & cs_needs_token & exclusion
     ).rename("T_dup")

@@ -33,16 +33,16 @@ tolerance is always relative to a fault-class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..core import (
     Action,
     FaultClass,
+    Plan,
     Predicate,
     Program,
     Spec,
     Variable,
-    assign,
     detects_spec,
 )
 
@@ -75,86 +75,62 @@ def build(size: int = 3) -> TerminationModel:
         Variable("done", [False, True]),
     ]
 
+    def active(i: int, value: bool = True) -> Tuple:
+        return ("eq_const", f"active{i}", value)
+
+    def at_cursor(indices, value: bool = True) -> Tuple:
+        """``active{idx} = value`` with the cursor at one of ``indices``:
+        an ``or`` over the values of ``idx``."""
+        return ("or", *(
+            ("and", ("eq_const", "idx", i), active(i, value))
+            for i in indices
+        ))
+
     computation: List[Action] = []
     for i in range(size):
-        computation.append(
-            Action(
-                f"deactivate{i}",
-                Predicate(lambda s, i=i: s[f"active{i}"], name=f"active{i}"),
-                assign(**{f"active{i}": False}),
-                reads={f"active{i}"}, writes={f"active{i}"},
-            )
-        )
+        computation.append(Action(f"deactivate{i}", plan=Plan(
+            active(i), [("set_const", f"active{i}", False)],
+        )))
         for j in range(size):
             if j == i:
                 continue
-            computation.append(
-                Action(
-                    f"activate{i}_{j}",
-                    Predicate(
-                        lambda s, i=i, j=j: s[f"active{i}"]
-                        and not s[f"active{j}"],
-                        name=f"active{i} ∧ ¬active{j}",
-                    ),
-                    assign(**{f"active{j}": True, "dirty": True}),
-                    reads={f"active{i}", f"active{j}"},
-                    writes={f"active{j}", "dirty"},
-                )
-            )
+            computation.append(Action(f"activate{i}_{j}", plan=Plan(
+                ("and", active(i), active(j, False)),
+                [("set_const", f"active{j}", True),
+                 ("set_const", "dirty", True)],
+            )))
 
     def scanner(sound: bool) -> List[Action]:
-        at_cursor_active = Predicate(
-            lambda s, n=size: s["idx"] < n and s[f"active{s['idx']}"],
-            name="active at cursor",
-        )
-        dirty = Predicate(lambda s: s["dirty"], name="dirty")
-        restart_trigger = (
-            (at_cursor_active | dirty) if sound else at_cursor_active
-        )
         suffix = "" if sound else "_unsound"
-        # the cursor actions read active{idx} — which active variable
-        # depends on idx, so the read frame covers all of them
-        cursor_reads = frozenset(
-            {"idx", "dirty"} | {f"active{i}" for i in range(size)}
-        )
-        actions = [
-            Action(
-                f"scan_advance{suffix}",
-                Predicate(
-                    lambda s, n=size, sound=sound: (
-                        s["idx"] < n
-                        and not s[f"active{s['idx']}"]
-                        and not (sound and s["dirty"])
-                    ),
-                    name="idle at cursor",
-                ),
-                assign(idx=lambda s: s["idx"] + 1),
-                reads=cursor_reads, writes={"idx"},
-            ),
-            Action(
-                f"scan_restart{suffix}",
-                restart_trigger
-                & Predicate(
-                    lambda s: s["idx"] > 0 or s["dirty"], name="progress to undo"
-                ),
-                assign(idx=0, dirty=False),
-                reads=cursor_reads, writes={"idx", "dirty"},
-            ),
-            Action(
-                f"scan_report{suffix}",
-                Predicate(
-                    lambda s, n=size, sound=sound: (
-                        s["idx"] == n
-                        and not s["done"]
-                        and not (sound and s["dirty"])
-                    ),
-                    name="clean sweep complete",
-                ),
-                assign(done=True),
-                reads={"idx", "dirty", "done"}, writes={"done"},
-            ),
+        # restart when there is progress to undo (idx > 0 or the dirty
+        # bit up) and a reason to: an active process at the cursor or,
+        # for the sound scanner, the bit.  So the sound guard is "dirty,
+        # or active at a cursor past 0" and never reads active0, while
+        # the unsound one restarts at idx = 0 only with the bit up
+        if sound:
+            restart = ("or", ("eq_const", "dirty", True),
+                       at_cursor(range(1, size)))
+        else:
+            restart = ("and", at_cursor(range(size)),
+                       ("or", ("ne_const", "idx", 0),
+                        ("eq_const", "dirty", True)))
+        unless_dirty = (("eq_const", "dirty", False),) if sound else ()
+        return [
+            Action(f"scan_advance{suffix}", plan=Plan(
+                ("and", at_cursor(range(size), False), *unless_dirty),
+                # idx < size under the guard, so idx + 1 never wraps
+                [("inc_mod", "idx", "idx", size + 1)],
+            )),
+            Action(f"scan_restart{suffix}", plan=Plan(
+                restart,
+                [("set_const", "idx", 0), ("set_const", "dirty", False)],
+            )),
+            Action(f"scan_report{suffix}", plan=Plan(
+                ("and", ("eq_const", "idx", size), ("eq_const", "done", False),
+                 *unless_dirty),
+                [("set_const", "done", True)],
+            )),
         ]
-        return actions
 
     detector = Program(
         variables, computation + scanner(sound=True),
@@ -166,24 +142,22 @@ def build(size: int = 3) -> TerminationModel:
     )
 
     terminated = Predicate(
-        lambda s, n=size: not any(s[f"active{i}"] for i in range(n)),
+        expr=("and", *(active(i, False) for i in range(size))),
         name="terminated",
     )
-    done = Predicate(lambda s: s["done"], name="done")
-
-    def consistent(state) -> bool:
-        # everything the cursor has passed was idle, unless an
-        # activation has been flagged since the sweep began
-        if state["dirty"]:
-            prefix_clean = True
-        else:
-            prefix_clean = all(
-                not state[f"active{i}"] for i in range(state["idx"])
-            )
-        claim_ok = (not state["done"]) or terminated(state)
-        return prefix_clean and claim_ok
-
-    from_ = Predicate(consistent, name="U_td")
+    done = Predicate(expr=("eq_const", "done", True), name="done")
+    # everything the cursor has passed was idle, unless an activation
+    # has been flagged since the sweep began; a claim means termination
+    prefix_clean = ("and", *(
+        ("or", active(i, False), *(("eq_const", "idx", v)
+                                   for v in range(i + 1)))
+        for i in range(size)
+    ))
+    from_ = Predicate(
+        expr=("and", ("or", ("eq_const", "dirty", True), prefix_clean),
+              ("or", ("eq_const", "done", False), terminated.expr)),
+        name="U_td",
+    )
 
     return TerminationModel(
         size=size,
@@ -195,14 +169,9 @@ def build(size: int = 3) -> TerminationModel:
         spec=detects_spec(done, terminated),
         faults=FaultClass(
             [
-                Action(
-                    f"spurious{i}",
-                    Predicate(
-                        lambda s, i=i: not s[f"active{i}"], name=f"¬active{i}"
-                    ),
-                    assign(**{f"active{i}": True}),
-                    reads={f"active{i}"}, writes={f"active{i}"},
-                )
+                Action(f"spurious{i}", plan=Plan(
+                    active(i, False), [("set_const", f"active{i}", True)],
+                ))
                 for i in range(size)
             ],
             name="spurious activation",

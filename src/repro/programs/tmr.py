@@ -28,13 +28,14 @@ action on all inputs being currently uncorrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Sequence, Tuple
 
 from ..core import (
     BOTTOM,
     Action,
     FaultClass,
     LeadsTo,
+    Plan,
     Predicate,
     Program,
     ReplicaSymmetry,
@@ -42,10 +43,23 @@ from ..core import (
     TRUE,
     TransitionInvariant,
     Variable,
-    assign,
 )
 
 __all__ = ["TmrModel", "NmrModel", "build", "build_nmr"]
+
+
+def _out_ok(uncor: Hashable) -> Predicate:
+    return Predicate(
+        expr=("or", ("eq_const", "out", BOTTOM), ("eq_const", "out", uncor)),
+        name="out∈{⊥,uncor}",
+    )
+
+
+def _corrupted(names: Sequence[str], uncor: Hashable, cmp: str, k: int
+               ) -> Tuple:
+    """How many of the inputs ``names`` are corrupted, compared with
+    ``k``."""
+    return ("count", tuple(("ne_const", n, uncor) for n in names), cmp, k)
 
 
 @dataclass(frozen=True)
@@ -79,44 +93,36 @@ def build(uncor: Hashable = 1, corrupted: Hashable = 0) -> TmrModel:
     z = Variable("z", domain)
     out = Variable("out", [BOTTOM, *domain])
 
-    unset = Predicate(lambda s: s["out"] is BOTTOM, name="out=⊥")
+    unset = ("eq_const", "out", BOTTOM)
     witness_dr = Predicate(
-        lambda s: s["x"] == s["y"] or s["x"] == s["z"], name="x=y ∨ x=z"
+        expr=("or", ("eq_var", "x", "y"), ("eq_var", "x", "z")),
+        name="x=y ∨ x=z",
     )
-    detection_dr = Predicate(lambda s, u=uncor: s["x"] == u, name="x=uncor")
-    witness_cr = Predicate(lambda s, u=uncor: s["out"] == u, name="out=uncor")
+    detection_dr = Predicate(expr=("eq_const", "x", uncor), name="x=uncor")
+    witness_cr = Predicate(expr=("eq_const", "out", uncor), name="out=uncor")
 
     ir = Program(
         variables=[x, y, z, out],
-        actions=[Action("IR1", unset, assign(out=lambda s: s["x"]),
-                        reads={"out", "x"}, writes={"out"})],
+        actions=[Action("IR1", plan=Plan(unset, [("copy", "out", "x")]))],
         name="IR",
     )
 
     # DR ; IR — the detector restricts IR to its witness predicate.
     dr_ir = ir.restrict(witness_dr, name="DR;IR")
 
+    def vote(name: str, first: str, second: str) -> Plan:
+        """``out := name`` once ``first`` or ``second`` confirms it."""
+        return Plan(
+            ("and", unset, ("or", ("eq_var", name, first),
+                            ("eq_var", name, second))),
+            [("copy", "out", name)],
+        )
+
     cr = Program(
         variables=[x, y, z, out],
         actions=[
-            Action(
-                "CR1",
-                unset & Predicate(
-                    lambda s: s["y"] == s["z"] or s["y"] == s["x"],
-                    name="y=z ∨ y=x",
-                ),
-                assign(out=lambda s: s["y"]),
-                reads={"out", "x", "y", "z"}, writes={"out"},
-            ),
-            Action(
-                "CR2",
-                unset & Predicate(
-                    lambda s: s["z"] == s["x"] or s["z"] == s["y"],
-                    name="z=x ∨ z=y",
-                ),
-                assign(out=lambda s: s["z"]),
-                reads={"out", "x", "y", "z"}, writes={"out"},
-            ),
+            Action("CR1", plan=vote("y", "z", "x")),
+            Action("CR2", plan=vote("z", "x", "y")),
         ],
         name="CR",
     )
@@ -146,41 +152,29 @@ def build(uncor: Hashable = 1, corrupted: Hashable = 0) -> TmrModel:
     )
     eventually_set = LeadsTo(
         TRUE,
-        Predicate(lambda s, u=uncor: s["out"] == u, name="out=uncor"),
+        Predicate(expr=("eq_const", "out", uncor), name="out=uncor"),
         name="out eventually assigned an uncorrupted input",
     )
     spec = Spec([never_wrong, eventually_set], name="SPEC_io")
 
+    inputs = ("x", "y", "z")
     all_good = Predicate(
-        lambda s, u=uncor: s["x"] == u and s["y"] == u and s["z"] == u,
+        expr=("and", *(("eq_const", n, uncor) for n in inputs)),
         name="no input corrupted",
     )
-    invariant = (
-        all_good
-        & Predicate(
-            lambda s, u=uncor: s["out"] in (BOTTOM, u), name="out∈{⊥,uncor}"
-        )
-    ).rename("S_io")
+    out_ok = _out_ok(uncor)
+    invariant = (all_good & out_ok).rename("S_io")
     span_inputs = Predicate(
-        lambda s, u=uncor: sum(1 for name in ("x", "y", "z") if s[name] != u) <= 1,
-        name="≤1 input corrupted",
+        expr=_corrupted(inputs, uncor, "<=", 1), name="≤1 input corrupted",
     )
-    span = (
-        span_inputs
-        & Predicate(
-            lambda s, u=uncor: s["out"] in (BOTTOM, u), name="out∈{⊥,uncor}"
-        )
-    ).rename("T_io (≤1 corrupted)")
+    span = (span_inputs & out_ok).rename("T_io (≤1 corrupted)")
 
     faults = FaultClass(
         [
-            Action(
-                f"corrupt_{name}",
-                all_good,
-                assign(**{name: corrupted}),
-                reads={"x", "y", "z"}, writes={name},
-            )
-            for name in ("x", "y", "z")
+            Action(f"corrupt_{name}", plan=Plan(
+                all_good.expr, [("set_const", name, corrupted)],
+            ))
+            for name in inputs
         ],
         name="one-input-corruption",
     )
@@ -245,18 +239,13 @@ def build_nmr(
     variables = [Variable(name, domain) for name in names]
     out = Variable("out", [BOTTOM, *domain])
 
-    unset = Predicate(lambda s: s["out"] is BOTTOM, name="out=⊥")
     actions = [
-        Action(
-            f"VOTE{i}",
-            unset & Predicate(
-                lambda s, i=i, ns=names, q=quorum:
-                    sum(1 for name in ns if s[name] == s[f"x{i}"]) >= q,
-                name=f"x{i} has a quorum",
-            ),
-            assign(out=lambda s, i=i: s[f"x{i}"]),
-            reads={"out", *names}, writes={"out"},
-        )
+        Action(f"VOTE{i}", plan=Plan(
+            ("and", ("eq_const", "out", BOTTOM),
+             ("count", tuple(("eq_var", name, f"x{i}") for name in names),
+              ">=", quorum)),
+            [("copy", "out", f"x{i}")],
+        ))
         for i in range(n)
     ]
     nmr = Program(
@@ -277,27 +266,24 @@ def build_nmr(
             ),
             LeadsTo(
                 TRUE,
-                Predicate(lambda s, u=uncor: s["out"] == u, name="out=uncor"),
+                Predicate(expr=("eq_const", "out", uncor), name="out=uncor"),
                 name="out eventually assigned an uncorrupted input",
             ),
         ],
         name=f"SPEC_io(n={n})",
     )
 
-    out_ok = Predicate(
-        lambda s, u=uncor: s["out"] in (BOTTOM, u), name="out∈{⊥,uncor}"
-    )
+    out_ok = _out_ok(uncor)
     invariant = (
         Predicate(
-            lambda s, u=uncor, ns=names: all(s[name] == u for name in ns),
+            expr=("and", *(("eq_const", name, uncor) for name in names)),
             name="no input corrupted",
         )
         & out_ok
     ).rename(f"S_io(n={n})")
     span = (
         Predicate(
-            lambda s, u=uncor, ns=names, f=max_faults:
-                sum(1 for name in ns if s[name] != u) <= f,
+            expr=_corrupted(names, uncor, "<=", max_faults),
             name=f"≤{max_faults} inputs corrupted",
         )
         & out_ok
@@ -305,16 +291,10 @@ def build_nmr(
 
     faults = FaultClass(
         [
-            Action(
-                f"corrupt_{name}",
-                Predicate(
-                    lambda s, u=uncor, ns=names, f=max_faults:
-                        sum(1 for other in ns if s[other] != u) < f,
-                    name=f"<{max_faults} corrupted",
-                ),
-                assign(**{name: corrupted}),
-                reads=set(names), writes={name},
-            )
+            Action(f"corrupt_{name}", plan=Plan(
+                _corrupted(names, uncor, "<", max_faults),
+                [("set_const", name, corrupted)],
+            ))
             for name in names
         ],
         name=f"≤{max_faults}-input-corruption",

@@ -113,20 +113,9 @@ def build(size: int = 4, k: int = None) -> TokenRingModel:
     ring = Program(variables, actions, name=f"token_ring(n={size},K={k})",
                    symmetry=symmetry)
 
-    def _one_token_builder(index, n=size):
-        positions = tuple(index[f"x{i}"] for i in range(n))
-
-        def holds(values, positions=positions, n=n):
-            count = 1 if values[positions[0]] == values[positions[-1]] else 0
-            for i in range(1, n):
-                if values[positions[i]] != values[positions[i - 1]]:
-                    count += 1
-            return count == 1
-
-        return holds
-
     one_token = Predicate(
-        name="exactly one token", values_builder=_one_token_builder
+        expr=("count", tuple(t.expr for t in tokens.values()), "==", 1),
+        name="exactly one token",
     )
     spec = Spec(
         [StateInvariant(one_token, name="mutual exclusion of the token")]

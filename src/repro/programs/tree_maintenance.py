@@ -14,7 +14,9 @@ neighbour's (capped) and its parent attains that minimum.  The single
 action per node re-computes both from the neighbourhood — its guard is
 exactly the local detection predicate, its statement the local
 correction, so each action literally is a detector–corrector pair and
-the paper's thesis reads off the program text.
+the paper's thesis reads off the program text.  The actions take a
+capped minimum and its argmin parent, which the plan grammar cannot
+say, so they are code; the invariant is an expression.
 
 The legitimate states are "every node locally consistent", which on a
 connected graph pins distances to true BFS distances and parents to a
@@ -144,17 +146,18 @@ def build(size: int = 4,
         )
     program = Program(variables, actions, name=f"bfs_tree(n={size})")
 
-    def is_bfs_tree(state) -> bool:
-        for i in range(1, size):
-            if state[f"dist{i}"] != true_distances[i]:
-                return False
-            parent = state[f"parent{i}"]
-            parent_distance = 0 if parent == 0 else true_distances[parent]
-            if parent_distance != true_distances[i] - 1:
-                return False
-        return True
-
-    invariant = Predicate(is_bfs_tree, name="S_tree (exact BFS tree)")
+    # every distance is the true one, and every parent is a neighbour
+    # one step closer to the root
+    invariant = Predicate(
+        expr=("and", *(
+            ("and", ("eq_const", f"dist{i}", true_distances[i]), ("or", *(
+                ("eq_const", f"parent{i}", j) for j in adjacency[i]
+                if true_distances[j] == true_distances[i] - 1
+            )))
+            for i in range(1, size)
+        )),
+        name="S_tree (exact BFS tree)",
+    )
     spec = Spec(
         [LeadsTo(TRUE, invariant,
                  name="the BFS spanning tree is eventually (re)built")],

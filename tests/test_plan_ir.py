@@ -248,6 +248,50 @@ def test_catalogue_frames_are_the_exact_frames():
 
 
 # ---------------------------------------------------------------------------
+# restriction by an expression keeps the plan
+# ---------------------------------------------------------------------------
+
+def test_restriction_by_an_expression_is_planned():
+    """``Z ∧ ac`` for a planned ``ac`` and an expression ``Z`` is the
+    plan whose guard is the conjunction, with the plan-derived frame —
+    TMR's ``DR;IR`` and the multitolerant mutex's guarded entries."""
+    from repro.programs import mutual_exclusion, tmr
+
+    t = tmr.build()
+    base = t.ir.actions[0]
+    restricted = t.dr_ir.actions[0]
+    assert restricted.plan is not None and restricted.name == base.name
+    assert restricted.plan.guard == ("and", t.witness_dr.expr, base.plan.guard)
+    assert restricted.plan.effects == base.plan.effects
+    assert restricted.reads == {"x", "y", "z", "out"}
+    assert restricted.writes == {"out"}
+    x = mutual_exclusion.build(3)
+    enters = [a for a in x.multitolerant.actions if a.name.startswith("enter")]
+    assert len(enters) == 3
+    for action in enters + [restricted]:
+        variables = x.multitolerant.variables if action in enters \
+            else t.tmr.variables
+        schema = Schema.of(tuple(v.name for v in variables))
+        analysis = analyze_action(action, variables, schema)
+        assert (action.reads, action.writes) == (
+            analysis.reads, analysis.writes
+        ), action.name
+
+
+def test_restriction_by_a_lambda_stays_unplanned():
+    base = Action("IR1", plan=Plan(
+        ("eq_const", "c", BOTTOM), [("copy", "c", "x0")],
+    ))
+    restricted = base.restrict(Predicate(lambda s: s["x0"] == 1, name="x0=1"))
+    assert restricted.plan is None
+    assert (restricted.reads, restricted.writes) == (None, None)
+    assert restricted._base is base
+    state = State(x0=1, x1=0, x2=0, c=BOTTOM)
+    assert restricted.successors(state) == base.successors(state)
+    assert restricted.successors(State(x0=0, x1=0, x2=0, c=BOTTOM)) == ()
+
+
+# ---------------------------------------------------------------------------
 # the empty disjunction is false on every engine
 # ---------------------------------------------------------------------------
 

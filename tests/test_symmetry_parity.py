@@ -274,6 +274,34 @@ class TestRefusals:
                 break
         assert len(symmetry._validation_states(second)) == 9
 
+    @pytest.mark.parametrize("case", ["token_ring", "byzantine"])
+    def test_column_sampler_refuses_as_the_state_sampler(self, case):
+        """An expression predicate is sampled on rank columns (the
+        sample's and its images'); its refusal names the same first
+        (generator, state) as the per-state sampler, in the same text."""
+        if case == "token_ring":
+            program, expr = token_ring.build(4).ring, ("eq_const", "x0", 0)
+        else:
+            program, expr = byzantine.build().masking, ("eq_const", "d1", 0)
+        symmetry = program.symmetry
+        messages = []
+        for predicate in (
+            Predicate(expr=expr, name="p"),
+            Predicate(lambda s, n=expr[1], v=expr[2]: s[n] == v, name="p"),
+        ):
+            with pytest.raises(SymmetryError) as refused:
+                symmetry.require_predicate_invariant(
+                    predicate, program.variables, "test"
+                )
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        # the column path ran, and accepts the model's invariant
+        assert symmetry._validation_columns(program.variables) is not None
+        symmetry.require_predicate_invariant(
+            Predicate(expr=("count", (expr,), "<=", 1), name="q"),
+            program.variables, "test",
+        )
+
     def test_asymmetric_tolerance_check_refused(self, tmr_model):
         m = tmr_model
         lopsided = Predicate(lambda s: s["x"] == 1, name="x=uncor")
