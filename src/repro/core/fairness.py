@@ -36,7 +36,6 @@ required to execute them.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .exploration import TransitionSystem
@@ -48,6 +47,8 @@ from .regions import (
     _data_to_mask,
     _np,
     _unpack_bits,
+    closure_mask,
+    csr_of,
     first_bit,
     iter_bits,
     paused_gc,
@@ -187,17 +188,19 @@ def _fair_recurrent_component_ids(
         # every node Tarjan could place in a non-trivial SCC (or a
         # self-loop) survives the trim, so restricting both the roots
         # and the adjacency to the core drops only trivial components
-        # — which the vetting filters out anyway
+        # — which the vetting filters out anyway.  Tarjan walks the
+        # program edges with both ends in the core, as CSR slices
+        # (a repeated target changes neither the DFS nor its components)
         core = _cycle_core(index, region_bits)
-        core_data = _np.packbits(core, bitorder="little").tobytes()
-        psucc = index.psucc
-
-        def internal(u: int) -> List[int]:
-            return [
-                v for v in psucc[u] if core_data[v >> 3] & (1 << (v & 7))
-            ]
-
-        components = _tarjan_ids(_np.flatnonzero(core).tolist(), internal)
+        _, src, dst, _, _ = index._edge_csr(False)
+        inner = core[src] & core[dst]
+        indptr, succ = csr_of(src[inner], dst[inner], index.n)
+        indptr = indptr.tolist()
+        succ = succ.tolist()
+        components = _tarjan_ids(
+            _np.flatnonzero(core).tolist(),
+            lambda u: succ[indptr[u]:indptr[u + 1]],
+        )
         return _vet_components_csr(index, components, obligations)
 
 
@@ -471,51 +474,24 @@ def liveness_violating_states(
     zone.  The violating set is closed under predecessors, so removing
     it from a closed predicate keeps it closed.
 
-    Both backward closures run as bitset worklists over the system
-    index's precomputed predecessor lists.
+    Both backward closures are :func:`~repro.core.regions.closure_mask`
+    calls along the system's reversed program-and-fault edge CSR.
     """
     index = system_index(ts)
     n = index.n
     avoid_bits = index.full_bits & ~index.region_bits(target)
-    avoid_data = avoid_bits.to_bytes((n + 7) >> 3, "little")
 
-    core_ids: List[int] = []
+    core = _unpack_bits(avoid_bits & index.deadlock_bits, n)
     for component in _fair_recurrent_component_ids(ts, index, avoid_bits):
-        core_ids.extend(component)
-    core_ids.extend(iter_bits(avoid_bits & index.deadlock_bits, n))
+        core[component] = True
 
-    predecessors = index.apred
-
+    indptr, preds = index._backward_csr()
     # danger: backward closure of the core within ¬target
-    danger = bytearray((n + 7) >> 3)
-    for i in core_ids:
-        danger[i >> 3] |= 1 << (i & 7)
-    frontier = deque(core_ids)
-    while frontier:
-        v = frontier.popleft()
-        for u in predecessors[v]:
-            k, b = u >> 3, 1 << (u & 7)
-            if not danger[k] & b and avoid_data[k] & b:
-                danger[k] |= b
-                frontier.append(u)
-
-    danger_bits = int.from_bytes(danger, "little")
-    bad_source_bits = danger_bits & index.region_bits(source)
-
-    violating = bytearray(bad_source_bits.to_bytes((n + 7) >> 3, "little"))
-    frontier = deque(iter_bits(bad_source_bits, n))
-    while frontier:
-        v = frontier.popleft()
-        for u in predecessors[v]:
-            k, b = u >> 3, 1 << (u & 7)
-            if not violating[k] & b:
-                violating[k] |= b
-                frontier.append(u)
+    danger = closure_mask(indptr, preds, core, _unpack_bits(avoid_bits, n))
+    bad_source = danger & _unpack_bits(index.region_bits(source), n)
+    violating = closure_mask(indptr, preds, bad_source)
     index_states = index.states
-    return {
-        index_states[i]
-        for i in iter_bits(int.from_bytes(violating, "little"), n)
-    }
+    return {index_states[i] for i in _np.flatnonzero(violating).tolist()}
 
 
 # -- internals ---------------------------------------------------------------

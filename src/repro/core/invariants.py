@@ -112,14 +112,15 @@ def largest_invariant_for_safety(
     is bad or leaves the current set.  (Transitions *leaving* the
     candidate set must be removed because closure of ``S`` is part of
     the paper's definition of refinement from ``S``.)  The fixpoint runs
-    as a backward bitset worklist over the program's indexed adjacency —
+    as one backward closure along the program's indexed edge arrays —
     O(V+E) — instead of rescanning the candidate set until stable.
     """
     state_checks, transition_checks = _safety_checks(spec.safety_part())
     index = universe_index(program) or StateIndex(program.states())
     good_bits = _passing_bits(index, state_checks)
     closed_bits = largest_closed_subset_bits(
-        index, program.actions, good_bits, transition_checks
+        index, [index.action_edges(a) for a in program.actions], good_bits,
+        transition_checks,
     )
     return Region(index, closed_bits).to_predicate(
         name or f"gfp_safe({spec.name})"

@@ -13,21 +13,24 @@ on instead:
   state universe (either a program's full state space, shared
   process-wide across programs with identical variable signatures, or
   the reachable states of one :class:`TransitionSystem`), and exposes
-  CSR-style per-action successor adjacency over those ids — a tuple of
-  id-tuples, one row per state, memoized per action object;
+  each action's edges over those ids as ``(src, dst)`` id arrays,
+  memoized per action object;
 - :class:`Region` is a subset of an index's states backed by one
   arbitrary-precision Python int used as a bitset: union /
   intersection / difference / complement and popcount are single
   O(words) big-int operations at C speed, membership is an O(1) byte
   probe, and iteration touches only the set bits;
 - :class:`SystemIndex` is the per-:class:`TransitionSystem` variant
-  (cached on the system object): successor and predecessor adjacency,
+  (cached on the system object): forward and backward CSR views,
   recorded deadlocks and the enabledness regions of planned actions,
   all derived from the system's edge arrays (split by program vs.
   fault edges), plus memoized per-predicate satisfying regions;
-- the worklist fixpoints themselves: :func:`backward_closure_ids`,
-  :func:`largest_closed_subset_bits` — O(V+E) over precomputed
-  predecessor lists instead of O(V²·A) universe rescans.
+- the fixpoints themselves: :func:`closure_mask` closes a boolean mask
+  along a CSR, one vectorized gather per BFS level, and every fixpoint
+  is one call of it — :func:`largest_closed_subset_bits` and the
+  fault-unsafe region along reversed action edges, the leads-to danger
+  zones along a system's reversed edges, reachability forward — O(V+E)
+  instead of O(V²·A) universe rescans.
 
 Invalidation: all objects here describe immutable inputs (programs,
 actions, and transition systems are never mutated after construction),
@@ -40,9 +43,8 @@ with its transition system.  See ``docs/performance.md``.
 from __future__ import annotations
 
 import gc
-from collections import deque
 from contextlib import contextmanager
-from itertools import compress
+from itertools import chain, compress
 from operator import attrgetter
 from typing import (
     Callable,
@@ -183,9 +185,10 @@ def _sweep(predicate: Predicate, states: Tuple[State, ...], schema
     return tuple(compress(states, flags)), _pack_bits(mask)
 
 
-#: adjacency of one action over an index: (per-state tuples of successor
-#: ids, sparse map of state id -> successors that fall outside the index)
-ActionEdges = Tuple[Tuple[Tuple[int, ...], ...], Dict[int, Tuple[State, ...]]]
+#: edges of one action over an index: (source ids, target ids) as int64
+#: arrays in source order, and a sparse map of state id -> successors
+#: that fall outside the index
+ActionEdges = Tuple[_np.ndarray, _np.ndarray, Dict[int, Tuple[State, ...]]]
 
 
 class Region:
@@ -419,35 +422,42 @@ class StateIndex:
 
     # -- adjacency --------------------------------------------------------
     def action_edges(self, action) -> ActionEdges:
-        """Per-state successor ids of ``action`` over this index.
+        """The edges of ``action`` over this index, ``(src, dst,
+        extern)``: edge ``j`` runs from id ``src[j]`` to id ``dst[j]``,
+        sources ascending and each state's successors in the order the
+        action yields them.
 
         Successors that fall outside the index (possible when the index
         covers only part of a program's space) are returned in the
-        sparse side table so fixpoints can treat them exactly.  Memoized
-        per action object; ``action.successors`` is itself memoized, so
-        rebuilding an index costs dictionary hits, not guard evaluation.
+        sparse side table ``extern`` so fixpoints can treat them exactly.
+        Memoized per action object; ``action.successors`` is itself
+        memoized, so rebuilding an index costs dictionary hits, not
+        guard evaluation.
         """
         cached = self._edges.get(action)
         if cached is None:
             schema = self._schema
             id_of_values = self._values_table()
             id_of = self.id_of if schema is None else None
-            rows: List[Tuple[int, ...]] = []
             extern: Dict[int, Tuple[State, ...]] = {}
             successors = action.successors
             # actions with a reads/writes frame declaration return the
             # *same* successor tuple for every state of an equivalence
             # class, so translation to ids is memoized by tuple identity
-            # (``keep`` pins the keyed tuples for the loop's duration)
-            translated: Dict[int, Tuple[Tuple[int, ...], Tuple[State, ...]]] = {}
+            # (``keep`` pins the keyed tuples for the loop's duration):
+            # ``rows`` holds each distinct translated row once (row 0 is
+            # empty) and ``which`` the row number of every state
+            translated: Dict[int, Tuple[int, Tuple[State, ...]]] = {}
             keep: List[Tuple[State, ...]] = []
+            rows: List[Tuple[int, ...]] = [()]
+            which: List[int] = []
             # direct slot reads (State._schema / State._values) — this
             # loop touches every successor the model can produce and the
             # property indirection was measurable
             for i, state in enumerate(self.states):
                 nxts = successors(state)
                 if not nxts:
-                    rows.append(())
+                    which.append(0)
                     continue
                 hit = translated.get(id(nxts))
                 if hit is None:
@@ -466,140 +476,155 @@ class StateIndex:
                             out.append(nxt)
                         else:
                             row.append(j)
-                    hit = (tuple(row), tuple(out))
+                    hit = (len(rows), tuple(out))
+                    rows.append(tuple(row))
                     translated[id(nxts)] = hit
                     keep.append(nxts)
-                rows.append(hit[0])
+                which.append(hit[0])
                 if hit[1]:
                     extern[i] = hit[1]
-            cached = (tuple(rows), extern)
+            # each state's row copied out of the distinct rows by one
+            # gather, not one Python step per edge
+            lengths = _np.fromiter(
+                map(len, rows), dtype=_np.int64, count=len(rows)
+            )
+            flat = _np.fromiter(
+                chain.from_iterable(rows), dtype=_np.int64,
+                count=int(lengths.sum()),
+            )
+            row_of = _np.fromiter(which, dtype=_np.int64, count=self.n)
+            counts = lengths[row_of]
+            offsets = _np.cumsum(lengths) - lengths
+            src = _np.repeat(_np.arange(self.n, dtype=_np.int64), counts)
+            dst = flat[_slices(offsets[row_of], counts)]
+            cached = (src, dst, extern)
             self._edges[action] = cached
         return cached
-
-    def derive_restricted_edges(
-        self, restricted, base, allowed_data: bytes
-    ) -> ActionEdges:
-        """Seed the adjacency of ``restricted`` (= ``Z ∧ base``) from the
-        base action's rows gated by the bit array of ``Z``.
-
-        ``Z ∧ g --> st`` has exactly the base action's successors at
-        states where ``Z`` holds and none elsewhere, so the synthesis
-        pipeline can install restricted adjacency without re-running a
-        single guard or statement.
-        """
-        cached = self._edges.get(restricted)
-        if cached is None:
-            rows, extern = self.action_edges(base)
-            cached = (
-                tuple(
-                    row if allowed_data[u >> 3] & (1 << (u & 7)) else ()
-                    for u, row in enumerate(rows)
-                ),
-                {
-                    u: out
-                    for u, out in extern.items()
-                    if allowed_data[u >> 3] & (1 << (u & 7))
-                },
-            )
-            self._edges[restricted] = cached
-        return cached
-
-    def predecessor_lists(
-        self, actions: Sequence
-    ) -> List[List[int]]:
-        """Merged predecessor adjacency (lists of source ids per target
-        id) over the given actions' edges within the index."""
-        preds: List[List[int]] = [[] for _ in range(self.n)]
-        for action in actions:
-            rows, _ = self.action_edges(action)
-            for u, row in enumerate(rows):
-                for v in row:
-                    preds[v].append(u)
-        return preds
 
     def __repr__(self) -> str:
         return f"StateIndex({self.n} states)"
 
 
-# -- worklist fixpoints -------------------------------------------------------
+# -- fixpoints ----------------------------------------------------------------
 
-def backward_closure_ids(
-    preds: List[List[int]],
-    seed_data: bytearray,
-    seed_ids: Iterable[int],
-    within_data: Optional[bytes] = None,
-) -> bytearray:
-    """Close ``seed`` under predecessors (optionally confined to
-    ``within``), mutating and returning ``seed_data``.
+def _slices(starts, counts):
+    """The positions ``starts[i]`` to ``starts[i] + counts[i]`` of every
+    slice, concatenated: each slice's offset repeated over its length,
+    plus one ``arange``."""
+    ends = _np.cumsum(counts)
+    positions = _np.repeat(starts - ends + counts, counts)
+    positions += _np.arange(positions.shape[0])
+    return positions
 
-    ``seed_data`` must already have the seed bits set; ``seed_ids`` are
-    the ids to start the worklist from.  O(V+E) — each edge is looked at
-    once, via the precomputed predecessor lists.
-    """
-    worklist = deque(seed_ids)
-    while worklist:
-        v = worklist.popleft()
-        for u in preds[v]:
-            k, b = u >> 3, 1 << (u & 7)
-            if seed_data[k] & b:
-                continue
-            if within_data is not None and not within_data[k] & b:
-                continue
-            seed_data[k] |= b
-            worklist.append(u)
-    return seed_data
+
+def csr_of(keys, values, n: int):
+    """The edges ``keys[j] -> values[j]`` over ``n`` nodes as a CSR
+    ``(indptr, neighbours)``: node ``u``'s neighbours are
+    ``neighbours[indptr[u]:indptr[u + 1]]``, in edge order.  Pass the
+    targets as ``keys`` for the reversed (predecessor) view."""
+    order = _np.argsort(keys, kind="stable")
+    indptr = _np.searchsorted(
+        keys[order], _np.arange(n + 1, dtype=_np.int64)
+    )
+    return indptr, values[order]
+
+
+_NO_IDS = _np.zeros(0, dtype=_np.int64)
+
+
+def predecessor_csr(edges: Sequence[ActionEdges], n: int):
+    """The reversed CSR ``(indptr, sources)`` of the union of ``edges``
+    (:meth:`StateIndex.action_edges` triples)."""
+    return csr_of(
+        _np.concatenate([_NO_IDS] + [dst for _, dst, _ in edges]),
+        _np.concatenate([_NO_IDS] + [src for src, _, _ in edges]),
+        n,
+    )
+
+
+def closure_mask(indptr, neighbours, seed, within=None):
+    """The boolean mask ``seed`` closed along the CSR ``(indptr,
+    neighbours)``, adding only nodes of ``within`` when it is given (the
+    seed itself is kept whole).
+
+    Each BFS level is one vectorized gather of the frontier's neighbour
+    slices, so the cost is O(V+E) element work plus a few numpy calls
+    per level, never a Python step per node."""
+    reached = seed.copy()
+    frontier = _np.flatnonzero(reached)
+    while frontier.size:
+        starts = indptr[frontier]
+        targets = neighbours[_slices(starts, indptr[frontier + 1] - starts)]
+        fresh = ~reached[targets]
+        if within is not None:
+            fresh &= within[targets]
+        frontier = _distinct(targets[fresh])
+        reached[frontier] = True
+    return reached
+
+
+def mark_failing_sources(
+    states: Sequence[State],
+    src,
+    dst,
+    checks: Sequence[Callable[[State, State], bool]],
+    marked,
+) -> None:
+    """Set ``marked`` at each unmarked source of the edges ``src ->
+    dst`` (sorted by source) with a step ``(source, target)`` that one
+    of ``checks`` rejects.
+
+    Each source's edges are checked in order up to its first failure.
+    Ids are read through memoryviews: the checks are Python callables,
+    and converting whole arrays, or reading them element by element,
+    costs more than the few checks that run."""
+    if not checks:
+        return
+    live = ~marked[src]
+    src, dst = src[live], dst[live]
+    if not src.shape[0]:
+        return
+    bounds = [0] + (_np.flatnonzero(src[1:] != src[:-1]) + 1).tolist()
+    bounds.append(src.shape[0])
+    sources, targets = memoryview(src), memoryview(dst)
+    failed: List[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        u = sources[lo]
+        source = states[u]
+        for v in targets[lo:hi]:
+            target = states[v]
+            if not all(check(source, target) for check in checks):
+                failed.append(u)
+                break
+    marked[failed] = True
 
 
 def largest_closed_subset_bits(
     index: StateIndex,
-    actions: Sequence,
+    edges: Sequence[ActionEdges],
     good_bits: int,
     transition_checks: Sequence[Callable[[State, State], bool]] = (),
 ) -> int:
-    """The largest subset of ``good_bits`` closed under ``actions`` whose
-    internal transitions all pass ``transition_checks``.
+    """The largest subset of ``good_bits`` closed under ``edges`` (one
+    :meth:`StateIndex.action_edges` triple per action) whose internal
+    transitions all pass ``transition_checks``.
 
     This is the greatest fixpoint behind ``largest_invariant_for_safety``
-    as a backward worklist: seed the removed set with ¬good, states with
+    as a backward closure: seed the removed set with ¬good, states with
     a transition failing a check, and states with a successor escaping
-    the index; then propagate removal along predecessor edges (a state
-    is removed as soon as any successor is).  Each edge is scanned once.
+    the index; then close it along reversed edges (a state is removed as
+    soon as any successor is).  Checks run only on edges whose source is
+    still a candidate.
     """
-    n = index.n
-    states = index.states
-    removed = bytearray((n + 7) >> 3)
-    worklist: deque = deque()
-    for i in iter_bits(index.full_bits & ~good_bits, n):
-        removed[i >> 3] |= 1 << (i & 7)
-        worklist.append(i)
-
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for action in actions:
-        rows, extern = index.action_edges(action)
-        for u, row in enumerate(rows):
-            for v in row:
-                preds[v].append(u)
-            if transition_checks and row:
-                source = states[u]
-                for v in row:
-                    if not all(
-                        check(source, states[v])
-                        for check in transition_checks
-                    ):
-                        k, b = u >> 3, 1 << (u & 7)
-                        if not removed[k] & b:
-                            removed[k] |= b
-                            worklist.append(u)
-                        break
-        for u in extern:
-            # a successor outside the index can never be in the subset
-            k, b = u >> 3, 1 << (u & 7)
-            if not removed[k] & b:
-                removed[k] |= b
-                worklist.append(u)
-
-    backward_closure_ids(preds, removed, list(worklist))
-    return index.full_bits & ~int.from_bytes(removed, "little")
+    removed = ~_unpack_bits(good_bits, index.n)
+    for src, dst, extern in edges:
+        mark_failing_sources(
+            index.states, src, dst, transition_checks, removed
+        )
+        # a successor outside the index can never be in the subset
+        removed[list(extern)] = True
+    indptr, preds = predecessor_csr(edges, index.n)
+    return _pack_bits(~closure_mask(indptr, preds, removed))
 
 
 # -- per-system index ---------------------------------------------------------
@@ -620,10 +645,9 @@ class SystemIndex:
     """
 
     __slots__ = (
-        "ts", "states", "_id_of", "n", "full_bits",
-        "_psucc", "_apred", "_deadlock_bits",
-        "_satisfying", "_region_bits", "_region_data", "_enabled_data",
-        "_shared_schema", "_csr",
+        "ts", "states", "_id_of", "n", "full_bits", "_deadlock_bits",
+        "_satisfying", "_region_bits", "_enabled_data",
+        "_shared_schema", "_csr", "_backward",
     )
 
     def __init__(self, ts):
@@ -632,14 +656,9 @@ class SystemIndex:
         self._id_of: Optional[Dict[State, int]] = None
         self.n = len(self.states)
         self.full_bits = (1 << self.n) - 1
-        #: per-state deduplicated program successor ids
-        self._psucc: Optional[Tuple[Tuple[int, ...], ...]] = None
-        #: predecessor lists over *all* (program + fault) edges
-        self._apred: Optional[List[List[int]]] = None
         self._deadlock_bits: Optional[int] = None
         self._satisfying: Dict[Predicate, Tuple[State, ...]] = {}
         self._region_bits: Dict[Predicate, int] = {}
-        self._region_data: Dict[Predicate, bytes] = {}
         self._enabled_data: Dict[object, bytes] = {}
         #: the one Schema every state shares (False = mixed, None = not
         #: yet computed); schema-compiled predicate sweeps need it
@@ -647,6 +666,9 @@ class SystemIndex:
         #: include_faults -> (indptr, src, dst, act, names) columnar
         #: edge views (see :meth:`_edge_csr`)
         self._csr: Dict[bool, tuple] = {}
+        #: (indptr, sources) over program and fault edges (see
+        #: :meth:`_backward_csr`)
+        self._backward: Optional[tuple] = None
 
     @property
     def id_of(self) -> Dict[State, int]:
@@ -659,41 +681,6 @@ class SystemIndex:
         return mapping
 
     # -- adjacency (lazy) --------------------------------------------------
-    @property
-    def psucc(self) -> Tuple[Tuple[int, ...], ...]:
-        """Deduplicated program-successor ids per state (SCC fodder),
-        sliced out of the program-edge CSR."""
-        if self._psucc is None:
-            with paused_gc():
-                indptr, _, dst, _, _ = self._edge_csr(False)
-                indptr = indptr.tolist()
-                dst = dst.tolist()
-                self._psucc = tuple(
-                    tuple(dict.fromkeys(dst[indptr[u]:indptr[u + 1]]))
-                    for u in range(self.n)
-                )
-        return self._psucc
-
-    @property
-    def apred(self) -> List[List[int]]:
-        """Predecessor lists over program and fault edges: per target,
-        the program-edge sources, then the fault-edge sources, each in
-        ascending id order."""
-        if self._apred is None:
-            with paused_gc():
-                (p_src, p_dst, _), (f_src, f_dst, _), _, _ = \
-                    self.ts._edge_arrays
-                dst = _np.concatenate((p_dst, f_dst))
-                order = _np.argsort(dst, kind="stable")
-                src = _np.concatenate((p_src, f_src))[order].tolist()
-                bounds = _np.searchsorted(
-                    dst[order], _np.arange(self.n + 1, dtype=_np.int64)
-                ).tolist()
-                self._apred = [
-                    src[bounds[v]:bounds[v + 1]] for v in range(self.n)
-                ]
-        return self._apred
-
     @property
     def deadlock_bits(self) -> int:
         """States with no program edge — per the recorded-edge convention
@@ -782,15 +769,6 @@ class SystemIndex:
             self._region_bits[predicate] = cached
         return cached
 
-    def region_data(self, predicate: Predicate) -> bytes:
-        cached = self._region_data.get(predicate)
-        if cached is None:
-            cached = self.region_bits(predicate).to_bytes(
-                (self.n + 7) >> 3, "little"
-            )
-            self._region_data[predicate] = cached
-        return cached
-
     def region_of(self, states: Iterable[State]) -> Region:
         id_of = self.id_of
         ids = (id_of[s] for s in states if s in id_of)
@@ -859,6 +837,19 @@ class SystemIndex:
             self._csr[include_faults] = cached
         return cached
 
+    def _backward_csr(self):
+        """The reversed CSR ``(indptr, sources)`` over program and fault
+        edges: ``sources[indptr[v]:indptr[v + 1]]`` are the sources of
+        the edges into ``v``."""
+        if self._backward is None:
+            (p_src, p_dst, _), (f_src, f_dst, _), _, _ = self.ts._edge_arrays
+            self._backward = csr_of(
+                _np.concatenate((p_dst, f_dst)),
+                _np.concatenate((p_src, f_src)),
+                self.n,
+            )
+        return self._backward
+
     def first_escaping_edge(
         self, region_bits: int, include_faults: bool
     ) -> Optional[Tuple[int, str, int]]:
@@ -881,22 +872,10 @@ class SystemIndex:
     ) -> int:
         """States reachable from ``start ∩ within`` along edges staying in
         ``within`` (program edges, plus fault edges by default)."""
-        n = self.n
         indptr, _, dst, _, _ = self._edge_csr(include_faults)
-        indptr_l = indptr.tolist()
-        within = _unpack_bits(within_bits, n)
-        seen = _unpack_bits(start_bits, n) & within
-        frontier = _np.flatnonzero(seen)
-        while frontier.size:
-            parts = [
-                dst[indptr_l[u]:indptr_l[u + 1]]
-                for u in frontier.tolist()
-            ]
-            vs = _np.concatenate(parts)
-            fresh = _distinct(vs[~seen[vs] & within[vs]])
-            seen[fresh] = True
-            frontier = fresh
-        return _pack_bits(seen)
+        within = _unpack_bits(within_bits, self.n)
+        start = _unpack_bits(start_bits, self.n) & within
+        return _pack_bits(closure_mask(indptr, dst, start, within))
 
     def __repr__(self) -> str:
         return f"SystemIndex({self.n} states)"

@@ -23,17 +23,18 @@ predicate ``sf``.
 The whole pipeline runs over the program's shared full-space
 :class:`~repro.core.regions.StateIndex`: the ``ms`` region and the
 per-action safe predicates are single indexed passes, the certifying
-invariant is one backward bitset fixpoint (the two greatest fixpoints
-of the set-based formulation — largest safe invariant, then closure
-outside ``ms`` — coincide with the single fixpoint seeded by their
-conjunction), and the restricted actions' adjacency is derived from the
-base actions' rows instead of re-evaluating any statement.
+invariant is one backward closure (the two greatest fixpoints of the
+set-based formulation — largest safe invariant, then closure outside
+``ms`` — coincide with the single fixpoint seeded by their
+conjunction), and the restricted actions' edges are the base actions'
+edge arrays masked by their detection predicates instead of
+re-evaluating any statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.exploration import TransitionSystem
 from ..core.faults import FaultClass
@@ -43,7 +44,7 @@ from ..core.program import Program
 from ..core.regions import (
     Region,
     StateIndex,
-    iter_bits,
+    _unpack_bits,
     largest_closed_subset_bits,
     universe_index,
 )
@@ -117,32 +118,35 @@ def _add_failsafe(
     unsafe_bits = _fault_unsafe_bits(
         index, faults.actions, state_checks, transition_checks
     )
-    unsafe_data = unsafe_bits.to_bytes((index.n + 7) >> 3, "little")
     unsafe = Region(index, unsafe_bits).to_predicate("ms")
 
     detection: Dict[str, Predicate] = {}
     restricted = []
+    edges = []
     for action in program.actions:
         safe_bits = _safe_action_bits(
-            index, action, unsafe_data, state_checks, transition_checks
+            index, action, unsafe_bits, state_checks, transition_checks
         )
         predicate = Region(index, safe_bits).to_predicate(
             f"sf({action.name})"
         )
         detection[action.name] = predicate
-        restricted_action = action.restrict(predicate)
-        index.derive_restricted_edges(
-            restricted_action, action,
-            safe_bits.to_bytes((index.n + 7) >> 3, "little"),
-        )
-        restricted.append(restricted_action)
+        restricted.append(action.restrict(predicate))
+        # ``sf ∧ g --> st`` has exactly the base action's successors at
+        # states where ``sf`` holds and none elsewhere
+        src, dst, extern = index.action_edges(action)
+        sf = _unpack_bits(safe_bits, index.n)
+        keep = sf[src]
+        edges.append((src[keep], dst[keep], {
+            u: out for u, out in extern.items() if sf[u]
+        }))
 
     synthesized = program.with_actions(
         restricted, name=name or f"failsafe({program.name})"
     )
 
     invariant = _failsafe_invariant(
-        index, synthesized, spec, unsafe_bits, state_checks,
+        index, synthesized, spec, edges, unsafe_bits, state_checks,
         transition_checks,
     )
     invariant_states = list(index.satisfying(invariant))
@@ -169,15 +173,16 @@ def _failsafe_invariant(
     index: StateIndex,
     synthesized: Program,
     spec: Spec,
+    edges,
     unsafe_bits: int,
     state_checks,
     transition_checks,
 ) -> Predicate:
     """The largest invariant certifying the synthesis: safe states
     outside the fault-unsafe region, closed under the restricted
-    program, from which the liveness part of the specification also
-    holds (tolerance still requires full SPEC in the absence of
-    faults).
+    program (whose action edges are ``edges``), from which the liveness
+    part of the specification also holds (tolerance still requires full
+    SPEC in the absence of faults).
 
     The set-based construction took the largest safe invariant and then
     re-closed its intersection with ``¬ms``; both greatest fixpoints
@@ -186,12 +191,10 @@ def _failsafe_invariant(
     ``safe ∧ ¬ms`` suffices.
     """
     good_bits = _passing_bits(index, state_checks) & ~unsafe_bits
-    closed_bits = largest_closed_subset_bits(
-        index, synthesized.actions, good_bits, transition_checks
-    )
-    good_set = {
-        index.states[i] for i in iter_bits(closed_bits, index.n)
-    }
+    closed = Region(index, largest_closed_subset_bits(
+        index, edges, good_bits, transition_checks
+    ))
+    good_set = closed.to_set()
 
     if good_set:
         from ..core.fairness import liveness_violating_states
@@ -202,7 +205,8 @@ def _failsafe_invariant(
             if isinstance(c, LeadsTo)
         ]
         if liveness:
-            ts = TransitionSystem(synthesized, good_set)
+            # started from the region: its states in universe order
+            ts = TransitionSystem(synthesized, closed)
             for component in liveness:
                 good_set -= liveness_violating_states(
                     ts, component.source, component.target

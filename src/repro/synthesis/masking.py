@@ -74,11 +74,9 @@ def add_masking(
     stage = add_failsafe(program, faults, spec)
     index = universe_index(program) or StateIndex(program.states())
     state_checks, transition_checks = _safety_checks(spec.safety_part())
-    # ms as a bit array on the shared index (memoized per predicate
-    # object, so this sweep is shared with any earlier interrogation)
-    unsafe_data = index.region_bits(stage.unsafe).to_bytes(
-        (index.n + 7) >> 3, "little"
-    )
+    # ms as bits on the shared index (memoized per predicate object, so
+    # this sweep is shared with any earlier interrogation)
+    unsafe_bits = index.region_bits(stage.unsafe)
 
     if correctors is None:
         correctors = [
@@ -89,17 +87,12 @@ def add_masking(
     safe_correctors: List[Action] = []
     for corrector in correctors:
         safe_bits = _safe_action_bits(
-            index, corrector, unsafe_data, state_checks, transition_checks
+            index, corrector, unsafe_bits, state_checks, transition_checks
         )
         predicate = Region(index, safe_bits).to_predicate(
             f"sf({corrector.name})"
         )
-        restricted = corrector.restrict(predicate)
-        index.derive_restricted_edges(
-            restricted, corrector,
-            safe_bits.to_bytes((index.n + 7) >> 3, "little"),
-        )
-        safe_correctors.append(restricted)
+        safe_correctors.append(corrector.restrict(predicate))
 
     composed = Program(
         variables=stage.program.variables,

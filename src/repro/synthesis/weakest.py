@@ -6,33 +6,45 @@ Two region computations drive the synthesis algorithms:
   *fault actions alone* can violate the safety specification.  No
   program restriction can help once the state is in ``ms`` (the program
   cannot prevent fault steps), so a fail-safe program must never enter
-  it.  Computed as a backward worklist over precomputed
-  fault-predecessor lists: seed with the bad states and the sources of
-  bad fault transitions, then propagate along fault edges — each fault
-  edge is examined exactly once (the set-based version rescanned the
-  whole universe per pass, O(|S|²·|F|)).
+  it.  Seeded with the bad states and the sources of bad fault
+  transitions, then closed backward along the reversed fault edges by
+  :func:`~repro.core.regions.closure_mask` — each fault edge is
+  examined once (the set-based version rescanned the whole universe
+  per pass, O(|S|²·|F|)).
 - :func:`safe_action_predicate` — the weakest predicate under which
   executing a given action neither violates safety directly nor enters
   ``ms``.  This is the *detection predicate* the synthesized detector
   checks before permitting the action (Theorem 3.3 guarantees its
   existence; here we additionally close it under fault reachability).
 
-Both are single scans over a :class:`~repro.core.regions.StateIndex`'s
-per-action adjacency; the synthesis pipelines pass the program's shared
-universe index so successor relations and safety sweeps are computed
-once per space, not once per call.
+Both read a :class:`~repro.core.regions.StateIndex`'s per-action edge
+arrays, and evaluate the specification's checks only on edges whose
+source is still undecided; the synthesis pipelines pass the program's
+shared universe index so successor relations and safety sweeps are
+computed once per space, not once per call.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Iterable, Sequence, Set
 
 from ..core.action import Action
 from ..core.faults import FaultClass
-from ..core.invariants import _safety_checks, _successors_allowed
+from ..core.invariants import (
+    _passing_bits,
+    _safety_checks,
+    _successors_allowed,
+)
 from ..core.predicate import Predicate
-from ..core.regions import StateIndex, iter_bits
+from ..core.regions import (
+    StateIndex,
+    _pack_bits,
+    _unpack_bits,
+    closure_mask,
+    iter_bits,
+    mark_failing_sources,
+    predecessor_csr,
+)
 from ..core.specification import Spec
 from ..core.state import State
 
@@ -48,7 +60,7 @@ def fault_unsafe_region(
 
     Seed: states that are themselves bad, plus sources of bad fault
     transitions.  Fixpoint: any state with a fault edge into the region
-    joins it (backward closure over indexed fault-predecessor lists).
+    joins it (backward closure along the reversed fault edges).
     """
     state_checks, transition_checks = _safety_checks(spec.safety_part())
     index = StateIndex(states)
@@ -67,60 +79,26 @@ def _fault_unsafe_bits(
 ) -> int:
     """Bits of the paper's ``ms`` region over ``index``.
 
-    One pass over the fault adjacency builds the predecessor lists and
-    the seed (bad states, sources of bad or index-escaping-into-badness
-    fault transitions); a worklist then closes the seed backward.
+    The seed is the bad states and the sources of bad (or
+    index-escaping-into-badness) fault transitions; one closure along
+    the reversed fault edges completes it.
     """
-    n = index.n
     states = index.states
-    in_region = bytearray((n + 7) >> 3)
-    worklist: deque = deque()
-
-    def mark(i: int) -> None:
-        k, b = i >> 3, 1 << (i & 7)
-        if not in_region[k] & b:
-            in_region[k] |= b
-            worklist.append(i)
-
-    if state_checks:
-        for i, state in enumerate(states):
-            if not all(check(state) for check in state_checks):
-                mark(i)
-
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for action in fault_actions:
-        rows, extern = index.action_edges(action)
-        for u, row in enumerate(rows):
-            for v in row:
-                preds[v].append(u)
-            if transition_checks and row:
-                source = states[u]
-                for v in row:
-                    if not all(
-                        check(source, states[v])
-                        for check in transition_checks
-                    ):
-                        mark(u)
-                        break
+    region = ~_unpack_bits(_passing_bits(index, state_checks), index.n)
+    edges = [index.action_edges(action) for action in fault_actions]
+    for src, dst, extern in edges:
+        mark_failing_sources(states, src, dst, transition_checks, region)
         for u, outside in extern.items():
             # successors beyond the given universe still count as
             # violations when they are bad states or bad transitions
             # (matching the set-based semantics exactly); a *good*
             # out-of-universe successor can never be in the region
-            source = states[u]
-            if not _successors_allowed(
-                source, outside, state_checks, transition_checks
+            if not region[u] and not _successors_allowed(
+                states[u], outside, state_checks, transition_checks
             ):
-                mark(u)
-
-    while worklist:
-        v = worklist.popleft()
-        for u in preds[v]:
-            k, b = u >> 3, 1 << (u & 7)
-            if not in_region[k] & b:
-                in_region[k] |= b
-                worklist.append(u)
-    return int.from_bytes(in_region, "little")
+                region[u] = True
+    indptr, preds = predecessor_csr(edges, index.n)
+    return _pack_bits(closure_mask(indptr, preds, region))
 
 
 def safe_action_predicate(
@@ -139,10 +117,9 @@ def safe_action_predicate(
     """
     state_checks, transition_checks = _safety_checks(spec.safety_part())
     index = StateIndex(states)
-    unsafe_data = index.region_of(unsafe).data()
     good_bits = _safe_action_bits(
-        index, action, unsafe_data, state_checks, transition_checks,
-        extern_unsafe=unsafe,
+        index, action, index.region_of(unsafe).bits, state_checks,
+        transition_checks, extern_unsafe=unsafe,
     )
     index_states = index.states
     return Predicate.from_states(
@@ -154,41 +131,30 @@ def safe_action_predicate(
 def _safe_action_bits(
     index: StateIndex,
     action: Action,
-    unsafe_data: bytes,
+    unsafe_bits: int,
     state_checks: Sequence[Callable[[State], bool]],
     transition_checks: Sequence[Callable[[State, State], bool]],
     extern_unsafe=None,
 ) -> int:
     """Bits of the safe-execution predicate of ``action``: sources
     outside ``unsafe`` all of whose successors are allowed and outside
-    ``unsafe``.  Single pass over the action's indexed adjacency."""
-    n = index.n
+    ``unsafe``.  One pass over the action's edges: an edge into
+    ``unsafe`` rules its source out at once, and the checks run only on
+    the edges of sources still in."""
     states = index.states
-    rows, extern = index.action_edges(action)
-    good = bytearray((n + 7) >> 3)
-    for u in range(n):
-        if unsafe_data[u >> 3] & (1 << (u & 7)):
-            continue
-        source = states[u]
-        ok = True
-        for v in rows[u]:
-            if unsafe_data[v >> 3] & (1 << (v & 7)):
-                ok = False
-                break
-            target = states[v]
-            if not all(check(target) for check in state_checks):
-                ok = False
-                break
-            if not all(
-                check(source, target) for check in transition_checks
-            ):
-                ok = False
-                break
-        if ok and u in extern:
-            ok = _successors_allowed(
-                source, extern[u], state_checks, transition_checks,
-                forbidden=extern_unsafe,
-            )
-        if ok:
-            good[u >> 3] |= 1 << (u & 7)
-    return int.from_bytes(good, "little")
+    src, dst, extern = index.action_edges(action)
+    unsafe = _unpack_bits(unsafe_bits, index.n)
+    bad = unsafe.copy()
+    bad[src[unsafe[dst]]] = True
+    checks = [
+        (lambda source, target, check=check: check(target))
+        for check in state_checks
+    ] + list(transition_checks)
+    mark_failing_sources(states, src, dst, checks, bad)
+    for u, outside in extern.items():
+        if not bad[u] and not _successors_allowed(
+            states[u], outside, state_checks, transition_checks,
+            forbidden=extern_unsafe,
+        ):
+            bad[u] = True
+    return _pack_bits(~bad)

@@ -170,3 +170,15 @@ class TestLivenessViolatingStates:
                      assign(x=lambda s: s["x"] + 1))
         ts = TransitionSystem(program([inc]), [State(x=0)])
         assert liveness_violating_states(ts, TRUE, X(3)) == set()
+
+    def test_danger_zone_stops_at_the_target(self):
+        # x=0 -> x=1 -> x=2, a deadlock outside the target x=1: every
+        # computation from the source x=0 passes the target first, so
+        # the deadlock's danger zone must not extend through x=1
+        inc = Action("inc", Predicate(lambda s: s["x"] < 2),
+                     assign(x=lambda s: s["x"] + 1))
+        ts = TransitionSystem(program([inc], domain=(0, 1, 2)), [State(x=0)])
+        assert liveness_violating_states(ts, X(0), X(1)) == set()
+        assert liveness_violating_states(ts, X(2), X(1)) == {
+            State(x=0), State(x=1), State(x=2)
+        }

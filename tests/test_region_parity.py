@@ -14,12 +14,16 @@ from typing import Dict, FrozenSet, List, Set
 
 import pytest
 
+from repro.core.action import Action, assign
 from repro.core.exploration import TransitionSystem
-from repro.core.fairness import liveness_violating_states
+from repro.core.fairness import fair_recurrent_sccs, liveness_violating_states
+from repro.core.faults import FaultClass
 from repro.core.invariants import _safety_checks, largest_invariant_for_safety
-from repro.core.specification import LeadsTo
-from repro.core.state import State
-from repro.synthesis.weakest import fault_unsafe_region
+from repro.core.predicate import TRUE, Predicate
+from repro.core.program import Program
+from repro.core.specification import LeadsTo, Spec, StateInvariant
+from repro.core.state import State, Variable
+from repro.synthesis.weakest import fault_unsafe_region, safe_action_predicate
 
 
 # -- the pre-rewrite implementations, pinned as oracles ---------------------
@@ -195,6 +199,43 @@ def _oracle_liveness_violating(ts, source, target) -> Set[State]:
     return violating
 
 
+def _oracle_safe_action(action, spec, unsafe, states) -> Set[State]:
+    # the per-state loop of safe_action_predicate before it read edge
+    # arrays: every successor, inside the universe or not, must be
+    # outside ``unsafe`` and pass the state and transition checks
+    state_checks, transition_checks = _safety_checks(spec.safety_part())
+    good: Set[State] = set()
+    for state in states:
+        if state in unsafe:
+            continue
+        for successor in action.successors(state):
+            if (
+                successor in unsafe
+                or not all(check(successor) for check in state_checks)
+                or not all(
+                    check(state, successor) for check in transition_checks
+                )
+            ):
+                break
+        else:
+            good.add(state)
+    return good
+
+
+def _assert_fair_recurrent_sccs_match(ts, spec) -> None:
+    regions = [set(ts.states)] + [
+        {s for s in ts.states if not c.target(s)}
+        for c in spec.liveness_part().components
+        if isinstance(c, LeadsTo)
+    ]
+    for region in regions:
+        expected = {
+            frozenset(c) for c in _oracle_fair_recurrent_sccs(ts, region)
+        }
+        computed = {frozenset(c) for c in fair_recurrent_sccs(ts, region)}
+        assert computed == expected
+
+
 # -- bundled scenarios ------------------------------------------------------
 
 def _memory_access_cases():
@@ -286,6 +327,22 @@ class TestSmallScenarioParity:
             )
             assert set(computed) == expected
 
+    def test_safe_action_predicate(self, program, faults, spec):
+        states = list(program.states())
+        unsafe = _oracle_fault_unsafe(faults, spec, states)
+        for action in program.actions:
+            expected = _oracle_safe_action(action, spec, unsafe, states)
+            predicate = safe_action_predicate(action, spec, unsafe, states)
+            assert {s for s in states if predicate(s)} == expected
+
+    def test_fair_recurrent_sccs(self, program, faults, spec):
+        ts = TransitionSystem(
+            program,
+            list(program.states()),
+            fault_actions=list(faults.actions),
+        )
+        _assert_fair_recurrent_sccs_match(ts, spec)
+
 
 @pytest.mark.parametrize(
     "program,faults,spec,span",
@@ -315,3 +372,53 @@ class TestByzantineParity:
             ts, component.source, component.target
         )
         assert set(computed) == expected
+
+    def test_fair_recurrent_sccs(self, program, faults, spec, span):
+        _assert_fair_recurrent_sccs_match(faults.system(program, span), spec)
+
+
+class TestSuccessorsOutsideTheIndex:
+    """Edges that leave the indexed states: an action leaving its
+    declared domain, and a fault leaving an explicit state list."""
+
+    @staticmethod
+    def _increment(name: str) -> Action:
+        return Action(name, TRUE, assign(x=lambda s: s["x"] + 1))
+
+    @staticmethod
+    def _spec(bad: int) -> Spec:
+        return Spec(
+            [StateInvariant(Predicate(lambda s: s["x"] != bad, f"x≠{bad}"))],
+            name=f"x≠{bad}",
+        )
+
+    def test_largest_invariant_with_an_action_leaving_the_domain(self):
+        program = Program(
+            [Variable("x", [0, 1, 2])], [self._increment("inc")], name="inc"
+        )
+        spec = self._spec(5)
+        expected = _oracle_largest_invariant(program, spec)
+        predicate = largest_invariant_for_safety(program, spec)
+        computed = {s for s in program.states() if predicate(s)}
+        assert computed == expected == set()
+
+    @pytest.mark.parametrize("bad, unsafe", [(2, {0, 1}), (5, set())])
+    def test_fault_unsafe_region_with_a_fault_leaving_the_list(
+        self, bad, unsafe
+    ):
+        faults = FaultClass([self._increment("bump")], name="bump")
+        spec = self._spec(bad)
+        states = [State(x=0), State(x=1)]
+        computed = fault_unsafe_region(faults, spec, states)
+        assert computed == _oracle_fault_unsafe(faults, spec, states)
+        assert computed == {State(x=v) for v in unsafe}
+
+    def test_safe_action_predicate_with_unsafe_outside_the_list(self):
+        action = self._increment("inc")
+        spec = self._spec(5)
+        states = [State(x=0), State(x=1)]
+        unsafe = {State(x=2)}
+        predicate = safe_action_predicate(action, spec, unsafe, states)
+        computed = {s for s in states if predicate(s)}
+        assert computed == _oracle_safe_action(action, spec, unsafe, states)
+        assert computed == {State(x=0)}

@@ -89,6 +89,42 @@ class TestAddFailsafe:
             if restricted.enabled(state) and tmr_model.span(state):
                 assert tmr_model.witness_dr(state)
 
+    def test_liveness_system_starts_from_the_universe_region(
+        self, monkeypatch
+    ):
+        """The system the certifying invariant's leads-to pruning
+        explores starts from the closed region itself, in universe
+        order; a set of States would start it in hash order, which
+        varies with ``PYTHONHASHSEED`` (``BOTTOM`` hashes by
+        identity)."""
+        from repro.core.regions import Region, universe_index
+        from repro.programs import memory_access
+        from repro.synthesis import failsafe
+
+        # a fresh model: add_failsafe memoizes per argument identity
+        m = memory_access.build(value=1, data_domain=tuple(range(8)))
+        built = []
+        real = failsafe.TransitionSystem
+
+        def spy(program, start_states, *args, **kwargs):
+            built.append((start_states, args, kwargs))
+            return real(program, start_states, *args, **kwargs)
+
+        monkeypatch.setattr(failsafe, "TransitionSystem", spy)
+        result = synthesis.add_failsafe(m.p, m.fault_anytime, m.spec)
+        liveness = [
+            starts for starts, args, kwargs in built
+            if not args and not kwargs.get("fault_actions")
+        ]
+        assert len(liveness) == 1
+        (starts,) = liveness
+        universe = universe_index(m.p)
+        assert isinstance(starts, Region)
+        assert starts.index is universe
+        assert {s for s in universe.states if result.invariant(s)} == {
+            s for s in universe.states if s["mem"] == 1 or s["data"] == 1
+        }
+
     def test_unimplementable_spec_raises(self):
         from repro.core.specification import Spec, StateInvariant
 
