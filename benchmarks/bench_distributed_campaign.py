@@ -75,6 +75,8 @@ class _Server:
             self.loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True)
             )
+        # close the listening socket StoreServer.start opened
+        self.loop.run_until_complete(self.server.stop())
         self.loop.close()
 
 

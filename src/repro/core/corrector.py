@@ -14,6 +14,10 @@ atomically checkable stand-in for a correction predicate that cannot be
 checked atomically.  When ``Z = X`` the definition reduces to
 Arora–Gouda closure-and-convergence.
 
+Tolerant correctors are defined like tolerant detectors (see
+:mod:`repro.core.detector`): each check is the Section 2.4 tolerance
+certificate of :func:`corrects_spec`, with a fault-span ``T ⇐ U``.
+
 Well-known instances — voters, error-correction codes, reset procedures,
 rollback/rollforward recovery, exception handlers, recovery-block
 alternates — are provided as program factories in
@@ -24,14 +28,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fairness import check_leads_to
 from .faults import FaultClass
 from .predicate import Predicate, TRUE
 from .program import Program
 from .refinement import refines_spec
-from .results import CheckResult, all_of
+from .results import CheckResult
 from .specification import LeadsTo, Spec, TransitionInvariant
-from .detector import detects_spec
+from .detector import _tolerant_component, detects_spec
 
 __all__ = [
     "corrects_spec",
@@ -87,29 +90,9 @@ def is_nonmasking_tolerant_corrector(
     certified through convergence to a closed recovery predicate (default
     ``from_``) from which the corrector spec holds again (the shape used
     in Theorem 4.3)."""
-    recovered = recovered or from_
-    spec = corrects_spec(witness, correction)
-    what = (
-        f"{component.name} is a nonmasking {faults.name}-tolerant corrector "
-        f"for {spec.name} from {from_.name}"
-    )
-    base = refines_spec(component, spec, from_)
-    ts = faults.system(component, span)
-    closed = ts.is_closed(
-        span, include_faults=True,
-        description=f"{span.name} closed in {component.name} [] {faults.name}",
-    )
-    converges = check_leads_to(
-        ts, TRUE, recovered,
-        description=f"{component.name} [] {faults.name} converges to {recovered.name}",
-    )
-    recovered_closed = ts.is_closed(
-        recovered, include_faults=False,
-        description=f"{recovered.name} closed in {component.name}",
-    )
-    suffix = refines_spec(component, spec, recovered)
-    return all_of(
-        [base, closed, converges, recovered_closed, suffix], description=what
+    return _tolerant_component(
+        "nonmasking", "corrector", component, faults,
+        corrects_spec(witness, correction), from_, span, recovered,
     )
 
 
@@ -131,24 +114,10 @@ def is_masking_tolerant_corrector(
     :func:`is_nonmasking_tolerant_corrector`; this function checks the
     strong version where the whole spec survives the faults.
     """
-    spec = corrects_spec(witness, correction)
-    what = (
-        f"{component.name} is a masking {faults.name}-tolerant corrector "
-        f"for {spec.name} from {from_.name}"
+    return _tolerant_component(
+        "masking", "corrector", component, faults,
+        corrects_spec(witness, correction), from_, span,
     )
-    base = refines_spec(component, spec, from_)
-    ts = faults.system(component, span)
-    closed = ts.is_closed(
-        span, include_faults=True,
-        description=f"{span.name} closed in {component.name} [] {faults.name}",
-    )
-    under_faults = spec.check(
-        ts,
-        description=(
-            f"{component.name} [] {faults.name} refines {spec.name} from {span.name}"
-        ),
-    )
-    return all_of([base, closed, under_faults], description=what)
 
 
 def is_failsafe_tolerant_corrector(
@@ -161,22 +130,7 @@ def is_failsafe_tolerant_corrector(
 ) -> CheckResult:
     """Fail-safe tolerant corrector: only the safety part of ``Z corrects
     X`` (closure of X, Safeness, Stability) need survive the faults."""
-    spec = corrects_spec(witness, correction)
-    what = (
-        f"{component.name} is a fail-safe {faults.name}-tolerant corrector "
-        f"for {spec.name} from {from_.name}"
+    return _tolerant_component(
+        "failsafe", "corrector", component, faults,
+        corrects_spec(witness, correction), from_, span,
     )
-    base = refines_spec(component, spec, from_)
-    ts = faults.system(component, span)
-    closed = ts.is_closed(
-        span, include_faults=True,
-        description=f"{span.name} closed in {component.name} [] {faults.name}",
-    )
-    under_faults = spec.safety_part().check(
-        ts,
-        description=(
-            f"{component.name} [] {faults.name} refines {spec.safety_part().name} "
-            f"from {span.name}"
-        ),
-    )
-    return all_of([base, closed, under_faults], description=what)

@@ -16,13 +16,17 @@ detection predicate is **not** required to be closed — in nonmasking
 designs ``X`` often means "something bad happened" and is deliberately
 falsified later by a corrector.
 
-Tolerant detectors are detectors that keep (part of) the specification in
-the presence of a fault-class:
-
-- fail-safe tolerant: Safeness and Stability survive the faults;
-- masking tolerant: the whole specification survives the faults;
-- nonmasking tolerant: the specification holds again on a suffix (after
-  faults stop and a recovery predicate is re-established).
+A *fail-safe / nonmasking / masking F-tolerant* detector for ``Z detects
+X`` from ``U`` meets Section 2.4's definition with ``Z detects X`` as the
+specification: it refines the specification from ``U``, and with a
+fault-span ``T ⇐ U`` the system ``d [] F`` refines from ``T`` the safety
+part of the specification (fail-safe), some suffix of it (nonmasking),
+or all of it (masking).  Each check is therefore the tolerance
+certificate of :mod:`repro.core.tolerance` applied to
+:func:`detects_spec`, answered from the certificate store when one is
+active.  A nonmasking claim may name a *recovery predicate* other than
+``U``: the certificate is then taken from it, next to the fault-free
+refinement from ``U`` and ``U ⇒ T``.
 
 Well-known instances — comparators, error-detection codes, watchdogs,
 snapshot procedures, acceptance tests, exception conditions — are
@@ -39,6 +43,7 @@ from .program import Program
 from .refinement import refines_spec
 from .results import CheckResult, all_of
 from .specification import LeadsTo, Spec, StateInvariant, TransitionInvariant
+from .tolerance import check_implication, is_nonmasking_tolerant, is_tolerant
 
 __all__ = [
     "detects_spec",
@@ -83,6 +88,37 @@ def is_detector(
     return refines_spec(component, detects_spec(witness, detection), from_)
 
 
+def _tolerant_component(
+    kind: str,
+    noun: str,
+    component: Program,
+    faults: FaultClass,
+    spec: Spec,
+    from_: Predicate,
+    span: Predicate,
+    recovered: Optional[Predicate] = None,
+) -> CheckResult:
+    """``component`` is a ``kind`` F-tolerant ``noun`` (detector or
+    corrector) for ``spec`` from ``from_``: the ``kind`` tolerance
+    certificate with fault-span ``span``.  A nonmasking claim whose
+    recovery predicate is not ``from_`` certifies convergence to it
+    instead, beside refinement from ``from_`` and ``from_ ⇒ span``."""
+    label = "fail-safe" if kind == "failsafe" else kind
+    what = (
+        f"{component.name} is a {label} {faults.name}-tolerant {noun} "
+        f"for {spec.name} from {from_.name}"
+    )
+    if recovered is None or recovered is from_:
+        obligations = [is_tolerant(kind, component, faults, spec, from_, span)]
+    else:
+        obligations = [
+            refines_spec(component, spec, from_),
+            check_implication(component, from_, span),
+            is_nonmasking_tolerant(component, faults, spec, recovered, span),
+        ]
+    return all_of(obligations, description=what)
+
+
 def is_failsafe_tolerant_detector(
     component: Program,
     faults: FaultClass,
@@ -94,25 +130,10 @@ def is_failsafe_tolerant_detector(
     """Fail-safe tolerant detector: refines ``Z detects X`` from ``U``
     and keeps Safeness + Stability (the safety part) under the faults
     from the span ``T``."""
-    spec = detects_spec(witness, detection)
-    what = (
-        f"{component.name} is a fail-safe {faults.name}-tolerant detector "
-        f"for {spec.name} from {from_.name}"
+    return _tolerant_component(
+        "failsafe", "detector", component, faults,
+        detects_spec(witness, detection), from_, span,
     )
-    base = refines_spec(component, spec, from_)
-    ts = faults.system(component, span)
-    closed = ts.is_closed(
-        span, include_faults=True,
-        description=f"{span.name} closed in {component.name} [] {faults.name}",
-    )
-    under_faults = spec.safety_part().check(
-        ts,
-        description=(
-            f"{component.name} [] {faults.name} refines {spec.safety_part().name} "
-            f"from {span.name}"
-        ),
-    )
-    return all_of([base, closed, under_faults], description=what)
 
 
 def is_masking_tolerant_detector(
@@ -125,24 +146,10 @@ def is_masking_tolerant_detector(
 ) -> CheckResult:
     """Masking tolerant detector: the full ``Z detects X`` specification
     (Safeness, Progress, Stability) survives the faults from ``T``."""
-    spec = detects_spec(witness, detection)
-    what = (
-        f"{component.name} is a masking {faults.name}-tolerant detector "
-        f"for {spec.name} from {from_.name}"
+    return _tolerant_component(
+        "masking", "detector", component, faults,
+        detects_spec(witness, detection), from_, span,
     )
-    base = refines_spec(component, spec, from_)
-    ts = faults.system(component, span)
-    closed = ts.is_closed(
-        span, include_faults=True,
-        description=f"{span.name} closed in {component.name} [] {faults.name}",
-    )
-    under_faults = spec.check(
-        ts,
-        description=(
-            f"{component.name} [] {faults.name} refines {spec.name} from {span.name}"
-        ),
-    )
-    return all_of([base, closed, under_faults], description=what)
 
 
 def is_nonmasking_tolerant_detector(
@@ -161,32 +168,7 @@ def is_nonmasking_tolerant_detector(
     perturbed system converges to it, it is closed in the component, and
     the component refines the detector spec from it.
     """
-    recovered = recovered or from_
-    spec = detects_spec(witness, detection)
-    what = (
-        f"{component.name} is a nonmasking {faults.name}-tolerant detector "
-        f"for {spec.name} from {from_.name}"
-    )
-    base = refines_spec(component, spec, from_)
-    ts = faults.system(component, span)
-    closed = ts.is_closed(
-        span, include_faults=True,
-        description=f"{span.name} closed in {component.name} [] {faults.name}",
-    )
-    from .fairness import check_leads_to
-    from .predicate import TRUE
-
-    converges = check_leads_to(
-        ts, TRUE, recovered,
-        description=(
-            f"{component.name} [] {faults.name} converges to {recovered.name}"
-        ),
-    )
-    recovered_closed = ts.is_closed(
-        recovered, include_faults=False,
-        description=f"{recovered.name} closed in {component.name}",
-    )
-    suffix = refines_spec(component, spec, recovered)
-    return all_of(
-        [base, closed, converges, recovered_closed, suffix], description=what
+    return _tolerant_component(
+        "nonmasking", "detector", component, faults,
+        detects_spec(witness, detection), from_, span, recovered,
     )

@@ -47,7 +47,7 @@ Performance notes (see ``docs/performance.md``):
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from itertools import chain
 from typing import (
     Dict,
@@ -67,10 +67,10 @@ from .action import Action
 from .predicate import Predicate
 from .program import Program
 from .regions import (
-    Region, StateIndex, first_bit, iter_bits, paused_gc, system_index,
+    Region, StateIndex, _unpack_bits, iter_bits, paused_gc, system_index,
     universe_index,
 )
-from .results import CheckResult, Counterexample
+from .results import CheckResult, Counterexample, all_of
 from .state import Schema, State, StateInterner, _state_of
 from .symmetry import SymmetryError
 
@@ -699,9 +699,9 @@ class TransitionSystem:
         No engine builds them: region, closure, and tolerance machinery
         work on the edge arrays and never ask for State-level tuples, so
         most systems live and die without ever paying for them.  The
-        first consumer that does ask (path finding, spec transition
-        sweeps, direct ``edges_from`` callers) triggers one whole-graph
-        pass."""
+        first consumer that does ask (spec transition sweeps, program
+        refinement's step simulation, direct ``edges_from`` callers)
+        triggers one whole-graph pass."""
         states = self._states
         program_ids, fault_ids, names_p, names_f = self._edge_arrays
         tables = []
@@ -825,24 +825,20 @@ class TransitionSystem:
         return CheckResult.passed(what)
 
     def is_fault_span(self, span: Predicate, invariant: Predicate) -> CheckResult:
-        """Section 2.3 *Fault-span*: ``S ⇒ T``, T closed in p, T closed in F."""
-        index = system_index(self)
-        gap = index.region_bits(invariant) & ~index.region_bits(span)
-        if gap:
-            state = index.states[first_bit(gap)]
-            return CheckResult.failed(
-                f"{span.name} is an F-span from {invariant.name}",
-                counterexample=Counterexample(
-                    kind="state",
-                    states=(state,),
-                    note=f"{invariant.name} holds but {span.name} does not",
-                ),
-            )
-        closed = self.is_closed(span, include_faults=True)
-        if not closed:
-            return closed
-        return CheckResult.passed(
-            f"{span.name} is an F-span of {self.program.name} from {invariant.name}"
+        """Section 2.3 *Fault-span*: ``S ⇒ T`` over the program's state
+        space, as the tolerance certificates check it, and T closed in
+        p and in F."""
+        from .tolerance import check_implication  # tolerance imports us
+
+        return all_of(
+            [
+                check_implication(self.program, invariant, span),
+                self.is_closed(span, include_faults=True),
+            ],
+            description=(
+                f"{span.name} is an F-span of {self.program.name} "
+                f"from {invariant.name}"
+            ),
         )
 
     # -- path finding -------------------------------------------------------
@@ -856,27 +852,24 @@ class TransitionSystem:
         """BFS for a path from any source to a goal state.
 
         ``within`` restricts intermediate states (sources must satisfy it
-        too).  Returns ``(states, actions)`` or ``None``.
+        too).  Returns ``(states, actions)`` or ``None``.  The search is
+        :meth:`~repro.core.regions.SystemIndex.path` on the predicates'
+        regions; a source the system never explored has no edges and is
+        skipped, even when it satisfies ``goal``.
         """
-        parents: Dict[State, Optional[Tuple[State, str]]] = {}
-        frontier: deque = deque()
-        for source in sources:
-            if within is not None and not within(source):
-                continue
-            if source not in parents:
-                parents[source] = None
-                frontier.append(source)
-        while frontier:
-            state = frontier.popleft()
-            if goal(state):
-                return _reconstruct(parents, state)
-            for action_name, nxt in self.edges_from(state, include_faults):
-                if within is not None and not within(nxt):
-                    continue
-                if nxt not in parents:
-                    parents[nxt] = (state, action_name)
-                    frontier.append(nxt)
-        return None
+        index = system_index(self)
+        id_of = index.id_of
+        found = index.path(
+            [id_of[s] for s in sources if s in id_of],
+            _unpack_bits(index.region_bits(goal), index.n),
+            None if within is None
+            else _unpack_bits(index.region_bits(within), index.n),
+            include_faults,
+        )
+        if found is None:
+            return None
+        ids, actions = found
+        return [index.states[i] for i in ids], actions
 
     def __repr__(self) -> str:
         (program_src, _, _), (fault_src, _, _), _, _ = self._edge_arrays
@@ -969,22 +962,6 @@ def _expand_shard(rows):
         ]
         out.append((i, program_rows, fault_rows))
     return out
-
-
-def _reconstruct(
-    parents: Dict[State, Optional[Tuple[State, str]]], goal: State
-) -> Tuple[List[State], List[str]]:
-    states: List[State] = [goal]
-    actions: List[str] = []
-    current = goal
-    while parents[current] is not None:
-        previous, action_name = parents[current]  # type: ignore[misc]
-        states.append(previous)
-        actions.append(action_name)
-        current = previous
-    states.reverse()
-    actions.reverse()
-    return states, actions
 
 
 # -- memoized exploration -----------------------------------------------------

@@ -36,7 +36,9 @@ required to execute them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple,
+)
 
 from .exploration import TransitionSystem
 from .kernels import _distinct
@@ -50,7 +52,6 @@ from .regions import (
     closure_mask,
     csr_of,
     first_bit,
-    iter_bits,
     paused_gc,
     system_index,
 )
@@ -67,60 +68,30 @@ __all__ = [
 
 
 def strongly_connected_components(
-    nodes: Iterable[State],
+    nodes: Iterable[Hashable],
     edges_from,
-) -> List[Set[State]]:
-    """Iterative Tarjan SCC over an implicit graph.
+) -> List[Set[Hashable]]:
+    """Iterative Tarjan SCC over an implicit graph: :func:`_tarjan_ids`
+    on ids given to the nodes as they are first seen.
 
-    ``edges_from(state)`` must yield successor states (already restricted
+    ``edges_from(node)`` must yield successor nodes (already restricted
     to the node set by the caller).
     """
-    nodes = list(nodes)
-    index_of: Dict[State, int] = {}
-    lowlink: Dict[State, int] = {}
-    on_stack: Set[State] = set()
-    stack: List[State] = []
-    components: List[Set[State]] = []
-    counter = [0]
+    id_of: Dict[Hashable, int] = {}
+    node_of: List[Hashable] = []
 
-    for root in nodes:
-        if root in index_of:
-            continue
-        work: List[Tuple[State, Iterable[State]]] = [(root, iter(edges_from(root)))]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if successor not in index_of:
-                    index_of[successor] = lowlink[successor] = counter[0]
-                    counter[0] += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(edges_from(successor))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: Set[State] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
+    def ids(node: Hashable) -> int:
+        u = id_of.get(node)
+        if u is None:
+            u = id_of[node] = len(node_of)
+            node_of.append(node)
+        return u
+
+    components = _tarjan_ids(
+        [ids(node) for node in nodes],
+        lambda u: map(ids, edges_from(node_of[u])),
+    )
+    return [{node_of[u] for u in component} for component in components]
 
 
 def fair_recurrent_sccs(ts: TransitionSystem, region) -> List[Set[State]]:
@@ -294,8 +265,9 @@ def _vet_components_csr(
 
 
 def _tarjan_ids(nodes: List[int], edges_from) -> List[List[int]]:
-    """Iterative Tarjan SCC over integer ids (same algorithm as
-    :func:`strongly_connected_components`, minus State hashing)."""
+    """Iterative Tarjan SCC over integer ids: the components in the
+    order they close (reverse topological), each listed in stack pop
+    order.  ``edges_from(u)`` yields ``u``'s successor ids."""
     index_of: Dict[int, int] = {}
     lowlink: Dict[int, int] = {}
     on_stack: Set[int] = set()
@@ -364,30 +336,26 @@ def check_leads_to(
         return CheckResult.passed(what, details="source region empty or immediate")
 
     reach_bits = index.forward_closure_bits(start_bits, avoid_bits)
-    index_states = index.states
+    states = index.states
+
+    def stem(goal):
+        # the violation is in the reach set, so the search cannot miss
+        return index.path(
+            _np.flatnonzero(_unpack_bits(start_bits, index.n)), goal,
+            within=_unpack_bits(avoid_bits, index.n),
+        )
 
     # Violation mode 1: a maximal computation dies inside ¬target.
     dead_bits = reach_bits & index.deadlock_bits
     if dead_bits:
-        state = index_states[first_bit(dead_bits)]
-        bad_starts = [index_states[i] for i in iter_bits(start_bits, index.n)]
-        avoid_region = {
-            index_states[i] for i in iter_bits(avoid_bits, index.n)
-        }
-        path = ts.find_path(
-            bad_starts,
-            Predicate(lambda s, d=state: s == d, name="deadlock"),
-            include_faults=True,
-            within=Predicate(
-                lambda s, r=avoid_region: s in r, name=f"¬({target.name})"
-            ),
-        )
-        states, actions = path if path else ((state,), ())
+        dead = _np.zeros(index.n, dtype=bool)
+        dead[first_bit(dead_bits)] = True
+        ids, actions = stem(dead)
         return CheckResult.failed(
             what,
             counterexample=Counterexample(
                 kind="trace",
-                states=tuple(states),
+                states=tuple(states[u] for u in ids),
                 actions=tuple(actions),
                 note=(
                     f"maximal computation reaches deadlock without "
@@ -397,33 +365,24 @@ def check_leads_to(
         )
 
     # Violation mode 2: a fair cycle inside ¬target.
-    for component_ids in _fair_recurrent_component_ids(ts, index, reach_bits):
-        component = {index_states[u] for u in component_ids}
-        witness = next(iter(component))
-        bad_starts = [index_states[i] for i in iter_bits(start_bits, index.n)]
-        avoid_region = {
-            index_states[i] for i in iter_bits(avoid_bits, index.n)
-        }
-        path = ts.find_path(
-            bad_starts,
-            Predicate(lambda s, c=component: s in c, name="fair SCC"),
-            include_faults=True,
-            within=Predicate(
-                lambda s, r=avoid_region: s in r, name=f"¬({target.name})"
-            ),
+    components = _fair_recurrent_component_ids(ts, index, reach_bits)
+    if components:
+        component = _np.zeros(index.n, dtype=bool)
+        component[components[0]] = True
+        stem_ids, stem_actions = stem(component)
+        cycle_ids, cycle_actions = _cycle_through(
+            index, component, stem_ids[-1]
         )
-        stem_states, stem_actions = path if path else ((witness,), ())
-        cycle_states, cycle_actions = _cycle_through(ts, component, stem_states[-1])
         return CheckResult.failed(
             what,
             counterexample=Counterexample(
                 kind="lasso",
-                states=tuple(stem_states) + tuple(cycle_states[1:]),
-                actions=tuple(stem_actions) + tuple(cycle_actions),
-                loop_index=len(stem_states) - 1,
+                states=tuple(states[u] for u in stem_ids + cycle_ids[1:]),
+                actions=tuple(stem_actions + cycle_actions),
+                loop_index=len(stem_ids) - 1,
                 note=(
                     f"fair computation cycles forever without satisfying "
-                    f"{target.name} (SCC of {len(component)} states)"
+                    f"{target.name} (SCC of {len(components[0])} states)"
                 ),
             ),
         )
@@ -497,28 +456,22 @@ def liveness_violating_states(
 # -- internals ---------------------------------------------------------------
 
 def _cycle_through(
-    ts: TransitionSystem, component: Set[State], start: State
-) -> Tuple[List[State], List[str]]:
-    """A cycle inside ``component`` beginning and ending at ``start``.
+    index: SystemIndex, component, start: int
+) -> Tuple[List[int], List[str]]:
+    """A cycle inside ``component`` (a boolean mask over ``index``)
+    beginning and ending at ``start``, as ``(ids, action names)``: the
+    first program edge from ``start`` that stays inside, then the
+    shortest way back.
 
-    ``start`` must belong to the component; the component is strongly
-    connected with at least one internal edge, so a cycle exists.
+    ``start`` must belong to the component, which is strongly connected
+    with at least one internal edge, so both exist.
     """
-    if start not in component:
-        start = next(iter(component))
-    # one step out of start, then BFS back to start within the component
-    for action_name, nxt in ts.program_edges_from(start):
-        if nxt not in component:
-            continue
-        if nxt == start:
-            return [start, start], [action_name]
-        back = ts.find_path(
-            [nxt],
-            Predicate(lambda s, d=start: s == d, name="back"),
-            include_faults=False,
-            within=Predicate(lambda s, c=component: s in c, name="component"),
-        )
-        if back is not None:
-            states, actions = back
-            return [start] + states, [action_name] + actions
-    return [start], []
+    indptr, _, dst, act, names = index._edge_csr(False)
+    edges = _np.arange(indptr[start], indptr[start + 1])
+    j = edges[component[dst[edges]]][0]
+    home = _np.zeros(index.n, dtype=bool)
+    home[start] = True
+    ids, actions = index.path(
+        [dst[j]], home, within=component, include_faults=False
+    )
+    return [start] + ids, [names[act[j]]] + actions

@@ -33,9 +33,9 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exploration import TransitionSystem, system_from
-from .fairness import fair_recurrent_sccs
+from .fairness import _fair_recurrent_component_ids
 from .predicate import Predicate
-from .regions import system_index
+from .regions import _np, system_index
 from .program import Program
 from .results import CheckResult, Counterexample, all_of
 from .specification import Spec
@@ -285,14 +285,21 @@ def _check_projected_liveness(
     whenever enabledness of each base action is uniform across the SCC —
     which holds in all programs in this library — and is otherwise a
     sound violation-finding approximation (documented in DESIGN.md).
+
+    The SCCs are searched on state ids, and a failure's witness is the
+    component's first state in ``ts.states`` order.
     """
-    region = system_index(ts).full_region()
-    for component in fair_recurrent_sccs(ts, region):
-        projections = {s.project(base_vars) for s in component}
-        if len(projections) == 1:
-            (projected,) = projections
-            if not any(a.enabled(projected) for a in base.actions):
-                witness = next(iter(component))
+    index = system_index(ts)
+    states = index.states
+    _, src, dst, _, _ = index._edge_csr(False)
+    for component in _fair_recurrent_component_ids(
+        ts, index, index.full_bits
+    ):
+        witness = states[min(component)]
+        projected = {u: states[u].project(base_vars) for u in component}
+        if len(set(projected.values())) == 1:
+            if not any(a.enabled(projected[component[0]])
+                       for a in base.actions):
                 return CheckResult.failed(
                     what,
                     counterexample=Counterexample(
@@ -304,24 +311,17 @@ def _check_projected_liveness(
                         ),
                     ),
                 )
-        internal = [
-            (s, a, t)
-            for s in component
-            for a, t in ts.program_edges_from(s)
-            if t in component
+        inside = _np.zeros(index.n, dtype=bool)
+        inside[component] = True
+        internal = inside[src] & inside[dst]
+        steps = [
+            (projected[u], projected[v])
+            for u, v in zip(src[internal].tolist(), dst[internal].tolist())
         ]
         for base_action in base.actions:
-            if not all(
-                base_action.enabled(s.project(base_vars)) for s in component
-            ):
+            if not all(base_action.enabled(s) for s in projected.values()):
                 continue
-            simulated = any(
-                t.project(base_vars)
-                in base_action.successors(s.project(base_vars))
-                for s, _, t in internal
-            )
-            if not simulated:
-                witness = next(iter(component))
+            if not any(t in base_action.successors(s) for s, t in steps):
                 return CheckResult.failed(
                     what,
                     counterexample=Counterexample(

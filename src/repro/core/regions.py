@@ -30,7 +30,9 @@ on instead:
   is one call of it — :func:`largest_closed_subset_bits` and the
   fault-unsafe region along reversed action edges, the leads-to danger
   zones along a system's reversed edges, reachability forward — O(V+E)
-  instead of O(V²·A) universe rescans.
+  instead of O(V²·A) universe rescans.  Counterexample paths are the
+  same level-by-level search with parents kept
+  (:meth:`SystemIndex.path`).
 
 Invalidation: all objects here describe immutable inputs (programs,
 actions, and transition systems are never mutated after construction),
@@ -563,6 +565,17 @@ def closure_mask(indptr, neighbours, seed, within=None):
     return reached
 
 
+def _first_occurrences(values):
+    """The positions of the first occurrence of each distinct value of
+    the int array ``values``, ascending: a stable sort and a neighbour
+    compare (see :func:`~repro.core.kernels._distinct`)."""
+    order = _np.argsort(values, kind="stable")
+    ranked = values[order]
+    keep = _np.ones(ranked.shape[0], dtype=bool)
+    keep[1:] = ranked[1:] != ranked[:-1]
+    return _np.sort(order[keep])
+
+
 def mark_failing_sources(
     states: Sequence[State],
     src,
@@ -876,6 +889,56 @@ class SystemIndex:
         within = _unpack_bits(within_bits, self.n)
         start = _unpack_bits(start_bits, self.n) & within
         return _pack_bits(closure_mask(indptr, dst, start, within))
+
+    def path(
+        self, starts, goal, within=None, include_faults: bool = True
+    ) -> Optional[Tuple[List[int], List[str]]]:
+        """A shortest path from one of ``starts`` (ids, in priority
+        order) to a node of ``goal``, through nodes of ``within`` only
+        (``goal`` and ``within`` are boolean masks; starts outside
+        ``within`` are dropped), as ``(ids, action names)`` — ``None``
+        when no goal node is reachable.
+
+        A level-synchronous BFS over :meth:`_edge_csr`, one gather of
+        edge slices per level like :func:`closure_mask`.  Each level is
+        checked against ``goal`` as a whole before it is expanded; a
+        node's parent is the first edge that reaches it, and the next
+        level holds the first occurrences of the fresh targets, in
+        order.  That is exactly the path of a FIFO search that tests
+        each node as it leaves the queue."""
+        indptr, src, dst, act, names = self._edge_csr(include_faults)
+        level = _np.asarray(starts, dtype=_np.int64)
+        if within is not None:
+            level = level[within[level]]
+        level = level[_first_occurrences(level)]
+        reached = _np.zeros(self.n, dtype=bool)
+        reached[level] = True
+        parent = _np.full(self.n, -1, dtype=_np.int64)
+        while level.size:
+            hit = goal[level]
+            if hit.any():
+                u = int(level[_np.argmax(hit)])
+                ids, actions = [u], []
+                while parent[u] >= 0:
+                    j = parent[u]
+                    actions.append(names[act[j]])
+                    u = int(src[j])
+                    ids.append(u)
+                ids.reverse()
+                actions.reverse()
+                return ids, actions
+            lo = indptr[level]
+            edges = _slices(lo, indptr[level + 1] - lo)
+            targets = dst[edges]
+            fresh = ~reached[targets]
+            if within is not None:
+                fresh &= within[targets]
+            edges = edges[fresh]
+            edges = edges[_first_occurrences(dst[edges])]
+            level = dst[edges]
+            parent[level] = edges
+            reached[level] = True
+        return None
 
     def __repr__(self) -> str:
         return f"SystemIndex({self.n} states)"

@@ -141,6 +141,22 @@ class TestResetWaveGuard:
             broken, model.faults, model.spec, model.invariant, model.span
         )
         assert not result
+        # the lasso is pinned: the root answers each request process 1
+        # forwards with a new session, forever
+        ce = result.counterexample
+        assert ce.kind == "lasso" and ce.loop_index == 0
+        assert ce.actions == (
+            "forward1", "reset_root", "forward1", "reset_root",
+        )
+        assert ce.note.endswith("(SCC of 4 states)")
+        waiting = dict(req1=True, req2=False, sn1=1, sn2=1, x0=0, x1=0, x2=0)
+        assert [dict(state.items()) for state in ce.states] == [
+            dict(waiting, req0=False, sn0=0),
+            dict(waiting, req0=True, sn0=0),
+            dict(waiting, req0=False, sn0=1),
+            dict(waiting, req0=True, sn0=1),
+            dict(waiting, req0=False, sn0=0),
+        ]
 
 
 class TestScannerDirtyBit:

@@ -1,5 +1,7 @@
 """Unit tests for the detector and corrector component specifications."""
 
+import pytest
+
 from repro.core import (
     Action,
     FaultClass,
@@ -20,6 +22,7 @@ from repro.core import (
     is_nonmasking_tolerant_detector,
 )
 from repro.core.faults import set_variable
+from repro.core.predicate import FALSE
 from repro.core.state import State
 
 
@@ -257,3 +260,33 @@ class TestTolerantComponents:
             witness=memory.Z1, detection=memory.X1,
             from_=memory.S_pm, span=memory.T_pm, recovered=memory.S_pm,
         )
+
+
+class TestEmptySpan:
+    """A tolerant component's fault-span must contain its start set
+    (``T ⇐ U``, Section 2.4): an empty span certifies nothing."""
+
+    @pytest.mark.parametrize("check,program,invariant", [
+        (is_failsafe_tolerant_detector, "pf", "S_pf"),
+        (is_masking_tolerant_detector, "pf", "S_pf"),
+        (is_nonmasking_tolerant_detector, "pm", "S_pm"),
+        (is_failsafe_tolerant_corrector, "pm", "S_pm"),
+        (is_masking_tolerant_corrector, "pm", "S_pm"),
+        (is_nonmasking_tolerant_corrector, "pm", "S_pm"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_false_span_is_refuted(self, memory, check, program, invariant):
+        result = check(
+            getattr(memory, program), memory.fault_before_witness,
+            memory.Z1, memory.X1, getattr(memory, invariant), span=FALSE,
+        )
+        assert not result
+        assert result.counterexample.kind == "state"
+
+    def test_shrinking_the_span_does_not_certify(self, memory):
+        """pm is no fail-safe tolerant corrector for 'Z1 corrects X1':
+        the page fault falsifies X1 inside T_pm.  An empty span must
+        not turn that refuted claim into a certified one."""
+        args = (memory.pm, memory.fault_before_witness, memory.Z1,
+                memory.X1, memory.S_pm)
+        assert not is_failsafe_tolerant_corrector(*args, span=memory.T_pm)
+        assert not is_failsafe_tolerant_corrector(*args, span=FALSE)

@@ -61,6 +61,25 @@ class TestFaultClass:
         result = f.check_span(toggler(), span=not_up, invariant=not_up)
         assert not result, "the crash leaves ¬up"
 
+    def test_check_span_tests_the_invariant_outside_the_span(self):
+        """``S ⇒ T`` is checked over the whole state space: the system
+        explored from the span never reaches x=1, where the invariant
+        holds and the span does not."""
+        zero = Predicate(lambda s: s["x"] == 0, "x=0")
+        p = Program(
+            [Variable("x", [0, 1, 2])],
+            [Action("stay", zero, assign(x=0))],
+            name="p",
+        )
+        never = FaultClass(
+            [Action("f", Predicate(lambda s: False, "false"), assign(x=1))],
+            name="F",
+        )
+        result = never.check_span(p, span=zero, invariant=TRUE)
+        assert not result
+        assert result.counterexample.kind == "state"
+        assert result.counterexample.states == (State(x=1),)
+
 
 class TestFaultShapes:
     def test_perturb_variable_hits_every_other_value(self):

@@ -1,5 +1,10 @@
 """Unit tests for refinement checking."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 from repro.core.action import Action, assign, skip
 from repro.core.predicate import Predicate, TRUE
 from repro.core.program import Program
@@ -155,3 +160,44 @@ class TestRefinesProgram:
         from_x0 = Predicate(lambda s: s["x"] == 0, "x=0")
         assert not refines_program(spinner, base, from_x0)
         assert refines_program(spinner, base, from_x0, check_fairness=False)
+
+
+_SPINNER = textwrap.dedent("""
+    from repro.core import Action, Predicate, Program, Variable, assign
+    from repro.core.refinement import refines_program, system_from
+
+    step = {"p": "q", "q": "r", "r": "s", "s": "p"}
+    at_a = Predicate(lambda s: s["x"] == "a", "x=a")
+    spinner = Program(
+        [Variable("x", ["a", "b"]), Variable("t", list("pqrs"))],
+        [Action("spin", at_a, assign(t=lambda s: step[s["t"]]))],
+        name="spinner",
+    )
+    base = Program(
+        [Variable("x", ["a", "b"])],
+        [Action("go", at_a, assign(x="b"))],
+        name="base",
+    )
+    result = refines_program(spinner, base, at_a)
+    assert not result
+    (witness,) = result.counterexample.states
+    first = system_from(spinner, at_a).states[0]
+    print(witness == first, witness["t"])
+""")
+
+
+class TestProjectedLivenessWitness:
+    def test_witness_is_the_components_first_state(self):
+        """A spinner cycling t through p, q, r, s never simulates the
+        base's x=a --> x:=b, so its fair cycle is an unfair projection.
+        The reported witness is the component's first state in
+        exploration order, whatever the string hash seed."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.join(root, "src"))
+            out = subprocess.run(
+                [sys.executable, "-c", _SPINNER], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.split()
+            assert out == ["True", "p"], (seed, out)

@@ -3,25 +3,38 @@
 The region engine rewrote three fixpoints — the largest safe invariant,
 the fault-unsafe region (the paper's ``ms``), and the liveness-violation
 core — from set-scanning loops to bitset worklists over indexed
-adjacency.  These tests pin the *pre-rewrite implementations* verbatim
-as oracles and check that the new engine computes identical sets on
-every bundled scenario.  If an engine change alters any of these
-results, the parity failure localizes it immediately.
+adjacency, and the State-hashing path search and Tarjan SCC search to
+id-level ones.  These tests pin the *pre-rewrite implementations*
+verbatim as oracles and check that the new engine computes identical
+sets, paths and component lists on every bundled scenario.  If an
+engine change alters any of these results, the parity failure localizes
+it immediately.
 """
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
 import pytest
 
 from repro.core.action import Action, assign
 from repro.core.exploration import TransitionSystem
-from repro.core.fairness import fair_recurrent_sccs, liveness_violating_states
+from repro.core.fairness import (
+    fair_recurrent_sccs,
+    liveness_violating_states,
+    strongly_connected_components,
+)
 from repro.core.faults import FaultClass
 from repro.core.invariants import _safety_checks, largest_invariant_for_safety
 from repro.core.predicate import TRUE, Predicate
 from repro.core.program import Program
-from repro.core.specification import LeadsTo, Spec, StateInvariant
+from repro.core.regions import system_index
+from repro.core.specification import (
+    LeadsTo,
+    Spec,
+    StateInvariant,
+    TransitionInvariant,
+)
 from repro.core.state import State, Variable
 from repro.synthesis.weakest import fault_unsafe_region, safe_action_predicate
 
@@ -199,6 +212,41 @@ def _oracle_liveness_violating(ts, source, target) -> Set[State]:
     return violating
 
 
+def _oracle_find_path(
+    ts, sources, goal, include_faults=True, within=None,
+) -> Optional[Tuple[List[State], List[str]]]:
+    # TransitionSystem.find_path before it searched the edge CSR
+    parents: Dict[State, Optional[Tuple[State, str]]] = {}
+    frontier: deque = deque()
+    for source in sources:
+        if within is not None and not within(source):
+            continue
+        if source not in parents:
+            parents[source] = None
+            frontier.append(source)
+    while frontier:
+        state = frontier.popleft()
+        if goal(state):
+            states: List[State] = [state]
+            actions: List[str] = []
+            current = state
+            while parents[current] is not None:
+                previous, action_name = parents[current]
+                states.append(previous)
+                actions.append(action_name)
+                current = previous
+            states.reverse()
+            actions.reverse()
+            return states, actions
+        for action_name, nxt in ts.edges_from(state, include_faults):
+            if within is not None and not within(nxt):
+                continue
+            if nxt not in parents:
+                parents[nxt] = (state, action_name)
+                frontier.append(nxt)
+    return None
+
+
 def _oracle_safe_action(action, spec, unsafe, states) -> Set[State]:
     # the per-state loop of safe_action_predicate before it read edge
     # arrays: every successor, inside the universe or not, must be
@@ -234,6 +282,75 @@ def _assert_fair_recurrent_sccs_match(ts, spec) -> None:
         }
         computed = {frozenset(c) for c in fair_recurrent_sccs(ts, region)}
         assert computed == expected
+
+
+def _spec_predicates(spec) -> List[Predicate]:
+    predicates: List[Predicate] = []
+    for c in spec.components:
+        if isinstance(c, StateInvariant):
+            predicates.append(c.predicate)
+        elif isinstance(c, LeadsTo):
+            predicates += [c.source, c.target]
+        elif isinstance(c, TransitionInvariant):
+            predicates += list(c.predicates or ())
+    return list({id(p): p for p in predicates}.values())
+
+
+def _assert_paths_match(ts, spec) -> int:
+    """``find_path`` and ``SystemIndex.path`` against the oracle, to
+    every spec predicate, its negation and the deadlocks, unrestricted
+    or inside each leads-to's ``¬target``, with and without fault
+    edges.  The searches start from the start states, from a sample of
+    them one at a time, and from the sample reversed.  Returns the
+    number of paths of two or more steps, so callers can see the
+    searches went somewhere."""
+    index = system_index(ts)
+    dead = set(ts.deadlock_states())
+    goals = [Predicate(lambda s: s in dead, name="deadlock")]
+    for p in _spec_predicates(spec):
+        goals += [p, ~p]
+    withins = [None] + [
+        ~c.target for c in spec.components if isinstance(c, LeadsTo)
+    ]
+    sample = list(ts.start_states[::max(1, len(ts.start_states) // 6)])
+    source_lists = (
+        [list(ts.start_states)] + [[s] for s in sample] + [sample[::-1]]
+    )
+
+    def mask(predicate):
+        return np.array([bool(predicate(s)) for s in index.states])
+
+    long_paths = 0
+    for goal in goals:
+        for within in withins:
+            for faults in (True, False):
+                for sources in source_lists:
+                    expected = _oracle_find_path(
+                        ts, sources, goal, faults, within
+                    )
+                    assert ts.find_path(sources, goal, faults, within) \
+                        == expected
+                    found = index.path(
+                        [index.id_of[s] for s in sources], mask(goal),
+                        None if within is None else mask(within), faults,
+                    )
+                    if expected is None:
+                        assert found is None
+                        continue
+                    ids, actions = found
+                    assert [index.states[u] for u in ids] == expected[0]
+                    assert actions == expected[1]
+                    long_paths += len(actions) >= 2
+    return long_paths
+
+
+def _assert_sccs_match(ts) -> None:
+    for faults in (False, True):
+        def successors(state, faults=faults):
+            return [t for _, t in ts.edges_from(state, faults)]
+
+        assert strongly_connected_components(ts.states, successors) == \
+            _oracle_sccs(ts.states, successors)
 
 
 # -- bundled scenarios ------------------------------------------------------
@@ -343,6 +460,15 @@ class TestSmallScenarioParity:
         )
         _assert_fair_recurrent_sccs_match(ts, spec)
 
+    def test_paths_and_sccs(self, program, faults, spec):
+        ts = TransitionSystem(
+            program,
+            list(program.states()),
+            fault_actions=list(faults.actions),
+        )
+        _assert_paths_match(ts, spec)
+        _assert_sccs_match(ts)
+
 
 @pytest.mark.parametrize(
     "program,faults,spec,span",
@@ -375,6 +501,11 @@ class TestByzantineParity:
 
     def test_fair_recurrent_sccs(self, program, faults, spec, span):
         _assert_fair_recurrent_sccs_match(faults.system(program, span), spec)
+
+    def test_paths_and_sccs(self, program, faults, spec, span):
+        ts = faults.system(program, span)
+        assert _assert_paths_match(ts, spec)
+        _assert_sccs_match(ts)
 
 
 class TestSuccessorsOutsideTheIndex:
