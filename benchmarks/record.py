@@ -583,12 +583,7 @@ def main(argv: List[str] = None) -> int:
         help="rewrite benchmarks/baseline_core.json from this run",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process count for sharded exploration (default: in-process; "
-        "the finished graphs are bit-identical for any worker count)",
-    )
-    parser.add_argument(
-        "--backend", choices=("auto", "numpy", "interpreted"),
+        "--backend", choices=("auto", "interpreted"),
         default=None,
         help="kernel backend for every suite (default: leave the "
         "library's auto selection in place)",
@@ -613,11 +608,9 @@ def main(argv: List[str] = None) -> int:
     repeat = args.repeat or (1 if args.quick else 5)
 
     from repro.core import kernels as _kernels
-    from repro.core.exploration import set_default_workers
 
     if args.backend is not None:
         _kernels.set_backend(args.backend)
-    set_default_workers(args.workers)
 
     store_mode = "off"
     if args.cold or args.warm:
@@ -669,7 +662,6 @@ def main(argv: List[str] = None) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": args.quick,
-        "workers": args.workers,
         "backend": args.backend or "auto",
         "resolved_backend": _kernels.resolved_backend(),
         "suites": suites,

@@ -581,8 +581,6 @@ def _bench(args, out=sys.stdout) -> int:
         forwarded.append("--quick")
     if args.repeat is not None:
         forwarded += ["--repeat", str(args.repeat)]
-    if args.workers is not None:
-        forwarded += ["--workers", str(args.workers)]
     if args.backend is not None:
         forwarded += ["--backend", args.backend]
     if args.cold:
@@ -787,11 +785,7 @@ def main(argv: List[str] = None, out=sys.stdout) -> int:
         help="where to write the JSON record (harness default)",
     )
     bench_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process count for sharded exploration (default: in-process)",
-    )
-    bench_parser.add_argument(
-        "--backend", choices=("auto", "numpy", "interpreted"),
+        "--backend", choices=("auto", "interpreted"),
         default=None,
         help="kernel backend for every suite (default: auto selection)",
     )

@@ -19,11 +19,14 @@ while liveness is judged over program edges only.
 
 Performance notes (see ``docs/performance.md``):
 
+- two engines build every graph: the columnar engine (whole frontier
+  levels as code and rank-column arrays) and the interpreted one, the
+  oracle it is tested against;
 - the ids are the registry: :attr:`TransitionSystem.states` is a tuple
   in id order, every explored state registered once, so the states
   held by a system are pointer-equal iff value-equal.  The columnar
   engine registers states by packed code and hashes none; the
-  state-by-state engines canonicalize successors through a
+  interpreted engine canonicalizes successors through a
   :class:`~repro.core.state.StateInterner` (or an orbit
   canonicalizer) seeded with the start states;
 - the id-level graph is one set of edge arrays per system
@@ -67,11 +70,10 @@ from .action import Action
 from .predicate import Predicate
 from .program import Program
 from .regions import (
-    Region, StateIndex, _unpack_bits, iter_bits, paused_gc, system_index,
-    universe_index,
+    Region, _unpack_bits, iter_bits, paused_gc, system_index, universe_index,
 )
 from .results import CheckResult, Counterexample, all_of
-from .state import Schema, State, StateInterner, _state_of
+from .state import State, StateInterner
 from .symmetry import SymmetryError
 
 __all__ = [
@@ -81,7 +83,6 @@ __all__ = [
     "system_from",
     "clear_system_cache",
     "clear_all_caches",
-    "set_default_workers",
 ]
 
 #: A labelled edge: (source, action name, target).
@@ -102,21 +103,17 @@ _SMALL_SPACE_STATES = 128
 
 _EMPTY_EDGES: Tuple[Tuple[str, State], ...] = ()
 
-#: module-wide default worker count for sharded exploration (``None``
-#: or 1 = in-process); see :func:`set_default_workers`
-_DEFAULT_WORKERS: Optional[int] = None
-
 
 def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process count newly built :class:`TransitionSystem`\\ s
-    use when their ``workers`` argument is left at ``None``.  Sharded
-    exploration is bit-identical to in-process exploration for any
-    worker count (pinned by tests), so this is purely a throughput knob.
-    """
-    global _DEFAULT_WORKERS
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _DEFAULT_WORKERS = workers
+    """Accept the in-process worker count, ``None`` or 1, and refuse
+    any other.  Exploration always runs in process; kept only for the
+    benchmark child (``perfbench/child.py``), which still turns the
+    removed process pool off by name."""
+    if workers not in (None, 1):
+        raise ValueError(
+            f"exploration runs in process, not on {workers} workers; "
+            f"scale a census out with distributed_census"
+        )
 
 
 class TransitionSystem:
@@ -129,10 +126,10 @@ class TransitionSystem:
         The program whose actions drive (fair) computation steps.
     start_states:
         Iterable of states exploration begins from, deduplicated by
-        value in order; or a :class:`~repro.core.regions.Region` of a
-        :class:`~repro.core.regions.StateIndex`, whose states are taken
-        in index order with nothing hashed (the universe region of an
-        invariant or fault-span predicate, see :func:`system_from`).
+        value in order; or a :class:`~repro.core.regions.Region`, whose
+        states are taken in index order with nothing hashed (the
+        universe region of an invariant or fault-span predicate, see
+        :func:`system_from`, or a region of another system's index).
     fault_actions:
         Optional extra actions representing a fault-class ``F``;
         their edges are recorded but marked as fault edges.
@@ -161,7 +158,6 @@ class TransitionSystem:
         fault_actions: Sequence[Action] = (),
         max_states: int = DEFAULT_MAX_STATES,
         symmetric: bool = False,
-        workers: Optional[int] = None,
     ):
         self.program = program
         self.symmetry = None
@@ -180,15 +176,13 @@ class TransitionSystem:
         if overlap:
             raise ValueError(f"fault actions share names with program: {overlap}")
 
-        universe = None
-        if isinstance(start_states, Region) and isinstance(
-            start_states.index, StateIndex
-        ):
-            # a region of a state index: its states are unique and in
-            # index order already, so none is hashed
-            universe = (start_states.index, start_states.id_array())
+        indexed = None
+        if isinstance(start_states, Region):
+            # its states are unique and in index order already, so none
+            # is hashed
+            indexed = (start_states.index, start_states.id_array())
             self.start_states: Tuple[State, ...] = tuple(map(
-                start_states.index.states.__getitem__, universe[1].tolist()
+                start_states.index.states.__getitem__, indexed[1].tolist()
             ))
         else:
             self.start_states = tuple(dict.fromkeys(start_states))
@@ -211,9 +205,7 @@ class TransitionSystem:
         #: order, retained by the columnar engine for vectorized
         #: predicate sweeps (:meth:`~repro.core.regions.StateIndex`)
         self._state_cols = None
-        if workers is None:
-            workers = _DEFAULT_WORKERS
-        self._explore(max_states, workers, universe)
+        self._explore(max_states, indexed)
 
     # -- construction ------------------------------------------------------
     @property
@@ -223,17 +215,16 @@ class TransitionSystem:
         state the edge arrays and region bitsets call ``i``."""
         return self._states
 
-    def _explore(self, max_states: int, workers: Optional[int], universe
-                 ) -> None:
-        layout, cols = self._start_columns(universe)
+    def _explore(self, max_states: int, indexed) -> None:
+        layout, cols = self._start_columns(indexed)
         canonicalizer = canon_cols = None
         if self.symmetry is not None:
             # orbit canonicalization: each state maps to the minimal
             # representative of its symmetry orbit, so the BFS
             # materializes the quotient graph directly.  The array
             # engine canonicalizes whole successor blocks as rank
-            # columns (``canon_cols``); the interpreted and sharded
-            # engines go state by state
+            # columns (``canon_cols``); the interpreted engine goes
+            # state by state
             canonicalizer = self.symmetry.canonicalizer(self.program)
             if layout is not None:
                 canon_cols = self.symmetry._compile_columns(layout)
@@ -244,20 +235,16 @@ class TransitionSystem:
                 self.start_states = tuple(dict.fromkeys(
                     canonicalizer.canonical_many(self.start_states)
                 ))
-        # Three engines, one transition graph: sharded (process pool,
-        # opt-in), columnar (whole frontier levels as code and
-        # rank-column arrays), and interpreted (the oracle).  All three
-        # register states and edges in the exact same order and leave
-        # the same edge arrays, so which engine ran is unobservable from
-        # the finished system (pinned by tests).
+        # Two engines, one transition graph: columnar (whole frontier
+        # levels as code and rank-column arrays) and interpreted (the
+        # oracle).  Both register states and edges in the exact same
+        # order and leave the same edge arrays, so which engine ran is
+        # unobservable from the finished system (pinned by tests).
         self._register_starts()
         # Pause generational GC for the build: the registry and the
-        # interpreted engines' pools hold every State, and letting
+        # interpreted engine's pool hold every State, and letting
         # collections rescan them costs more than the whole expansion
         with paused_gc():
-            if workers is not None and workers > 1 and self.start_states:
-                if self._explore_sharded(max_states, canonicalizer, workers):
-                    return
             if layout is not None and self._explore_columnar(
                 max_states, layout, cols, canon_cols
             ):
@@ -270,23 +257,20 @@ class TransitionSystem:
         self._states = self.start_states
 
     def _pool(self, canonicalizer):
-        """``(canonical, canonical_many)`` for the engines that go state
-        by state: orbit representatives through ``canonicalizer`` on a
-        quotient, else a fresh interner (``setdefault(s, s)`` returns
-        the pooled state, exactly ``StateInterner.canonical`` without
-        the method frames).  The pool is seeded with the start states,
-        so successors equal to one resolve to it."""
+        """``canonical(state, state)`` for the interpreted engine: orbit
+        representatives through ``canonicalizer`` on a quotient, else a
+        fresh interner (``setdefault(s, s)`` returns the pooled state,
+        exactly ``StateInterner.canonical`` without the method frame).
+        The pool is seeded with the start states, so successors equal
+        to one resolve to it."""
         if canonicalizer is None:
-            interner = StateInterner()
-            pool = canonical = interner._pool.setdefault
-            canonical_many = interner.canonical_many
+            pool = canonical = StateInterner()._pool.setdefault
         else:
             pool = canonicalizer.pool
             canonical = canonicalizer.canonical
-            canonical_many = canonicalizer.canonical_many
         for state in self.start_states:
             pool(state, state)
-        return canonical, canonical_many
+        return canonical
 
     def _edge_lists(self):
         """The accumulators :meth:`_assemble_level` fills: the registry
@@ -317,21 +301,22 @@ class TransitionSystem:
             [a.name for a in self.fault_actions],
         )
 
-    def _start_columns(self, universe):
+    def _start_columns(self, indexed):
         """``(layout, rank columns of the start states)`` for the array
         engine, or ``(None, None)``: it needs the numpy backend, a space
         above :data:`_SMALL_SPACE_STATES` (the tiny-space path is
         interpreted: no arrays for it to set up), one start schema and
-        every start value inside its declared domain.  Starts from a
-        universe index slice its rank matrix by their ids."""
+        every start value inside its declared domain.  Starts from an
+        index with a rank matrix (a universe's, or the one the columnar
+        engine left on a system) slice it by their ids."""
         starts = self.start_states
         if (
             not starts or _kernels.resolved_backend() != "numpy"
             or self.program.state_count() <= _SMALL_SPACE_STATES
         ):
             return None, None
-        if universe is not None:
-            index, ids = universe
+        if indexed is not None:
+            index, ids = indexed
             cols = index._columns(ids)
             if cols is not None:
                 return index._layout, cols
@@ -352,8 +337,8 @@ class TransitionSystem:
 
         One array pass: a start state that is already canonical
         represents its own orbit, and a State is built only for orbits
-        no start state represents.  Nothing is pooled; the engines that
-        pool seed their pool with the result (:meth:`_pool`)."""
+        no start state represents.  Nothing is pooled; the interpreted
+        engine seeds its pool with the result (:meth:`_pool`)."""
         starts = self.start_states
         canon = canon_cols(cols)
         canon_codes = layout.pack_columns(canon)
@@ -370,7 +355,7 @@ class TransitionSystem:
         ), reps
 
     def _explore_interpreted(self, max_states: int, canonicalizer) -> None:
-        """The interpreted engine, and the oracle every other engine is
+        """The interpreted engine, and the oracle the columnar engine is
         tested against: level-synchronous BFS, one ``Action.successors``
         call per (state, action) pair, each level folded by
         :meth:`_assemble_level`.
@@ -381,7 +366,7 @@ class TransitionSystem:
         per action — costs more than the whole expansion), for programs
         with no planned action, and for start sets or successors no
         layout can hold."""
-        canonical, _ = self._pool(canonicalizer)
+        canonical = self._pool(canonicalizer)
         frontier: List[State] = list(self.start_states)
         program_actions = self.program.actions
         fault_actions = self.fault_actions
@@ -419,8 +404,8 @@ class TransitionSystem:
         Buckets hold each frontier state's edges in program-then-fault,
         action-major order, and new states are registered per source
         state in edge order: the discovery order (and the
-        ``max_states`` raise point) of a FIFO BFS, which every engine
-        reproduces bit for bit.
+        ``max_states`` raise point) of a FIFO BFS, which the columnar
+        engine reproduces bit for bit.
 
         Duplicate edges can only come from one action offering the same
         successor twice (action names are unique, so edges from distinct
@@ -626,70 +611,6 @@ class TransitionSystem:
             cols = layout.columns_from_codes(codes)
             col_acc.append(cols)
             registry.extend(layout.states_from_columns(cols))
-
-    def _explore_sharded(
-        self, max_states: int, canonicalizer, workers: int
-    ) -> bool:
-        """Level-synchronous BFS over a fork process pool.
-
-        Each frontier level is partitioned across workers by a
-        deterministic hash of the canonical state's values (crc32, not
-        Python's per-process-salted ``hash``); workers return raw
-        successor rows tagged with their frontier position, and the
-        master bulk-interns each returned row list (one
-        ``canonical_many`` pass instead of a call per successor) and
-        assembles them in frontier order — so the finished graph is
-        bit-identical for any worker count.  Returns ``False`` on
-        platforms without ``fork`` (the pool inherits the program's
-        action closures by address space; guarded-command statements
-        are lambdas, which do not pickle)."""
-        global _SHARD_ACTIONS
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            return False
-        _, canonical_many = self._pool(canonicalizer)
-        _SHARD_ACTIONS = (self.program.actions, self.fault_actions)
-        pool = context.Pool(processes=workers)
-        lists = self._edge_lists()
-        try:
-            frontier: List[State] = list(self.start_states)
-            while frontier:
-                shards: List[List] = [[] for _ in range(workers)]
-                for i, state in enumerate(frontier):
-                    shard = _shard_of(state._values, workers)
-                    shards[shard].append(
-                        (i, state._schema.names, state._values)
-                    )
-                n = len(frontier)
-                program_buckets: List[List] = [None] * n
-                fault_buckets: List[List] = [None] * n
-                for part in pool.map(_expand_shard, shards):
-                    for i, program_rows, fault_rows in part:
-                        for rows, buckets in (
-                            (program_rows, program_buckets),
-                            (fault_rows, fault_buckets),
-                        ):
-                            reps = canonical_many([
-                                _state_of(Schema.of(names), values)
-                                for _, names, values in rows
-                            ])
-                            buckets[i] = [
-                                (row[0], rep)
-                                for row, rep in zip(rows, reps)
-                            ]
-                frontier = self._assemble_level(
-                    frontier, program_buckets, fault_buckets, max_states,
-                    lists,
-                )
-        finally:
-            _SHARD_ACTIONS = None
-            pool.terminate()
-            pool.join()
-        self._set_edge_arrays(*lists[3:])
-        return True
 
     # -- views ---------------------------------------------------------------
     def _materialize_edges(self) -> None:
@@ -921,49 +842,6 @@ class _CodeIds:
         self.ids = np.insert(self.ids, at, ids)
 
 
-# -- sharded-exploration worker side ------------------------------------------
-
-#: (program actions, fault actions) of the exploration currently running
-#: sharded; set by the master immediately before the fork pool is
-#: created, so workers inherit the action objects (closures and all)
-#: through the copied address space instead of pickling
-_SHARD_ACTIONS: Optional[Tuple[Tuple[Action, ...], Tuple[Action, ...]]] = None
-
-
-def _shard_of(values: Tuple, workers: int) -> int:
-    """Deterministic shard assignment of a canonical state.  ``repr`` of
-    a values-tuple is stable across processes and runs, unlike
-    ``hash(str)`` which is per-process salted."""
-    import zlib
-
-    return zlib.crc32(repr(values).encode("utf-8")) % workers
-
-
-def _expand_shard(rows):
-    """Worker body: expand frontier rows through every action.
-
-    Rows arrive and return as plain values-tuples tagged with frontier
-    position — successor *states* never cross the process boundary, so
-    the master remains the only authority on interning and
-    canonicalization."""
-    program_actions, fault_actions = _SHARD_ACTIONS
-    out = []
-    for i, names, values in rows:
-        state = _state_of(Schema.of(names), values)
-        program_rows = [
-            (action.name, nxt._schema.names, nxt._values)
-            for action in program_actions
-            for nxt in action.successors(state)
-        ]
-        fault_rows = [
-            (action.name, nxt._schema.names, nxt._values)
-            for action in fault_actions
-            for nxt in action.successors(state)
-        ]
-        out.append((i, program_rows, fault_rows))
-    return out
-
-
 # -- memoized exploration -----------------------------------------------------
 
 #: (program, start states, fault actions, max_states) -> TransitionSystem.
@@ -981,7 +859,6 @@ def explored_system(
     fault_actions: Sequence[Action] = (),
     max_states: int = DEFAULT_MAX_STATES,
     symmetric: bool = False,
-    workers: Optional[int] = None,
 ) -> TransitionSystem:
     """A memoized :class:`TransitionSystem`.
 
@@ -995,20 +872,17 @@ def explored_system(
 
     ``start_states`` is either an iterable of states, keyed by value
     (deduplicated, in order), or a :class:`~repro.core.regions.Region`
-    of the universe index (:func:`system_from` passes one), keyed by
+    (:func:`system_from` passes one of the universe index), keyed by
     itself: ``(index, bits)``, one big-int hash and no State hash.  The
     two forms never share an entry, even for equal start sets.
 
     ``symmetric=True`` explores the quotient graph under the program's
     declared symmetry (see :class:`TransitionSystem`); the declared
     group joins the cache key, so quotient and unreduced systems of the
-    same ``p [] F`` are cached independently.  ``workers`` is *not* part
-    of the cache key: sharded and in-process exploration produce
-    bit-identical systems, so a cached system satisfies any worker
-    count.  The resolved engine *is* part of the key — the interpreted
-    backend serves as the oracle in parity tests, so a columnar-built
-    system must never satisfy an interpreted-mode caller (and vice
-    versa).
+    same ``p [] F`` are cached independently.  The resolved engine is
+    part of the key too: the interpreted backend serves as the oracle
+    in parity tests, so a columnar-built system must never satisfy an
+    interpreted-mode caller (and vice versa).
 
     When a certificate store is active (:mod:`repro.store`), a cache
     miss first tries to load the graph — or reassemble it from
@@ -1043,7 +917,7 @@ def explored_system(
     if system is None:
         system = TransitionSystem(
             program, starts, fault_actions=faults, max_states=max_states,
-            symmetric=symmetric, workers=workers,
+            symmetric=symmetric,
         )
         if use_store:
             _store_save(system, starts, max_states, symmetric)

@@ -99,7 +99,8 @@ def fair_recurrent_sccs(ts: TransitionSystem, region) -> List[Set[State]]:
     fair computation can remain forever.
 
     ``region`` may be a set of states or a
-    :class:`~repro.core.regions.Region` over the system's index.
+    :class:`~repro.core.regions.Region`; a region of any index but the
+    system's own is read as the states it holds.
 
     See the module docstring for the characterization.  Decided over the
     system's dense index: iterative Tarjan on integer ids, with the
@@ -108,7 +109,7 @@ def fair_recurrent_sccs(ts: TransitionSystem, region) -> List[Set[State]]:
     can only form trivial SCCs and are skipped outright.
     """
     index = system_index(ts)
-    if isinstance(region, Region):
+    if isinstance(region, Region) and region.index is index:
         region_bits = region.bits
     else:
         region_bits = index.region_of(region).bits

@@ -333,14 +333,14 @@ def render_guard(expr: Tuple) -> str:
 
 # -- backend selection ---------------------------------------------------------
 
-_BACKENDS = ("auto", "numpy", "interpreted")
+_BACKENDS = ("auto", "interpreted")
 _backend = "auto"
 
 
 def set_backend(backend: str) -> None:
-    """Select the kernel backend: ``auto`` or ``numpy`` (compiled
-    kernels), or ``interpreted`` (disable kernels — the interpreted BFS,
-    used by the parity tests as the oracle).
+    """Select the kernel backend: ``auto`` (compiled numpy kernels) or
+    ``interpreted`` (disable kernels — the interpreted BFS, used by the
+    parity tests as the oracle).
     """
     global _backend
     if backend not in _BACKENDS:
@@ -355,7 +355,8 @@ def get_backend() -> str:
 
 
 def resolved_backend() -> str:
-    """The backend exploration will actually run."""
+    """The backend exploration will actually run: ``numpy`` under
+    ``auto``."""
     return "numpy" if _backend == "auto" else _backend
 
 

@@ -10,21 +10,26 @@ every pass.  This module supplies the representation the fixpoints run
 on instead:
 
 - :class:`StateIndex` assigns dense integer ids to a fixed, finite
-  state universe (either a program's full state space, shared
-  process-wide across programs with identical variable signatures, or
-  the reachable states of one :class:`TransitionSystem`), and exposes
-  each action's edges over those ids as ``(src, dst)`` id arrays,
-  memoized per action object;
-- :class:`Region` is a subset of an index's states backed by one
+  state universe (a program's full state space, shared process-wide
+  across programs with identical variable signatures, or the
+  reachable states of one :class:`TransitionSystem`), memoizes each
+  predicate's satisfying region over those ids — swept as rank
+  columns for expression predicates when the index has them — and
+  exposes each action's edges over those ids as ``(src, dst)`` id
+  arrays, memoized per action object;
+- :class:`Region` is a subset of one index's states backed by one
   arbitrary-precision Python int used as a bitset: union /
   intersection / difference / complement and popcount are single
   O(words) big-int operations at C speed, membership is an O(1) byte
-  probe, and iteration touches only the set bits;
-- :class:`SystemIndex` is the per-:class:`TransitionSystem` variant
-  (cached on the system object): forward and backward CSR views,
-  recorded deadlocks and the enabledness regions of planned actions,
-  all derived from the system's edge arrays (split by program vs.
-  fault edges), plus memoized per-predicate satisfying regions;
+  probe, and iteration touches only the set bits.  Its bits mean ids
+  of its own index only, so regions of different indexes never
+  combine;
+- :class:`SystemIndex` is the :class:`StateIndex` of one
+  :class:`TransitionSystem` (cached on the system object), with the
+  rank columns the columnar engine left and the system's graph:
+  forward and backward CSR views, recorded deadlocks and the
+  enabledness regions of planned actions, all derived from the
+  system's edge arrays (split by program vs. fault edges);
 - the fixpoints themselves: :func:`closure_mask` closes a boolean mask
   along a CSR, one vectorized gather per BFS level, and every fixpoint
   is one call of it — :func:`largest_closed_subset_bits` and the
@@ -210,14 +215,23 @@ class Region:
         self._data: Optional[bytes] = None
 
     # -- algebra (single big-int ops, O(words)) ---------------------------
+    def _bits_of(self, other: "Region") -> int:
+        """``other``'s bits, which mean this region's ids only when both
+        regions belong to one index."""
+        if other.index is not self.index:
+            raise ValueError(
+                f"{self!r} and {other!r} belong to different indexes"
+            )
+        return other.bits
+
     def __and__(self, other: "Region") -> "Region":
-        return Region(self.index, self.bits & other.bits)
+        return Region(self.index, self.bits & self._bits_of(other))
 
     def __or__(self, other: "Region") -> "Region":
-        return Region(self.index, self.bits | other.bits)
+        return Region(self.index, self.bits | self._bits_of(other))
 
     def __sub__(self, other: "Region") -> "Region":
-        return Region(self.index, self.bits & ~other.bits)
+        return Region(self.index, self.bits & ~self._bits_of(other))
 
     def __invert__(self) -> "Region":
         return Region(self.index, self.index.full_bits & ~self.bits)
@@ -287,7 +301,7 @@ class StateIndex:
     __slots__ = (
         "states", "n", "full_bits", "_id_of",
         "_satisfying", "_region_bits", "_edges",
-        "_schema", "_id_of_values", "_layout", "_order", "_cols",
+        "_shared_schema", "_id_of_values", "_layout", "_order", "_cols",
     )
 
     def __init__(
@@ -319,27 +333,38 @@ class StateIndex:
         self._satisfying: Dict[Predicate, Tuple[State, ...]] = {}
         self._region_bits: Dict[Predicate, int] = {}
         self._edges: Dict[object, ActionEdges] = {}
-        # When every state shares one (interned) schema, successors can
-        # be resolved through a values-tuple table, skipping the
-        # Python-level State.__hash__/__eq__ of a fresh successor object.
-        schema = states[0].schema if states else None
-        if schema is not None and all(s._schema is schema for s in states):
-            self._schema = schema
-        else:
-            self._schema = None
+        #: the one Schema every state shares (False = mixed, None = not
+        #: yet computed; see :meth:`_schema`)
+        self._shared_schema = None
         self._id_of_values: Optional[Dict[Tuple, int]] = None
         self._layout, self._order = universe or (None, None)
-        #: lazily built (vars, n) rank-column matrix in id order
+        #: (vars, n) rank-column matrix in id order: built lazily from
+        #: a universe's enumeration digits, or given by a system
         self._cols = None
 
+    def _schema(self):
+        """The schema every indexed state shares, or ``None`` (one pass
+        over the states, on first use).  Schema-compiled predicate
+        sweeps and the values-tuple id table need it."""
+        shared = self._shared_schema
+        if shared is None:
+            states = self.states
+            shared = states[0]._schema if states else False
+            for state in states:
+                if state._schema is not shared:
+                    shared = False
+                    break
+            self._shared_schema = shared
+        return shared or None
+
     def _columns(self, ids=None):
-        """The rank-column matrix of the indexed states (lazy, built
-        from the enumeration's digits), or its columns ``ids`` alone
-        (digits of those ids unless the matrix exists); ``None`` when
-        the index is not a universe."""
-        if self._layout is None:
-            return None
+        """The rank-column matrix of the indexed states, or its columns
+        ``ids`` alone; ``None`` when the index has none.  A universe's
+        matrix is built lazily from the enumeration's digits (and the
+        digits of ``ids`` alone serve until it exists)."""
         if self._cols is None:
+            if self._order is None:
+                return None
             if ids is not None:
                 return self._layout.universe_columns(self._order, ids)
             self._cols = self._layout.universe_columns(self._order)
@@ -358,7 +383,7 @@ class StateIndex:
 
     def _values_table(self) -> Optional[Dict[Tuple, int]]:
         """``values_tuple -> id`` for single-schema indices (lazy)."""
-        if self._schema is None:
+        if self._schema() is None:
             return None
         table = self._id_of_values
         if table is None:
@@ -369,44 +394,46 @@ class StateIndex:
 
     # -- predicates -------------------------------------------------------
     def satisfying(self, predicate: Predicate) -> Tuple[State, ...]:
-        """The universe states where ``predicate`` holds (memoized per
-        predicate object; the module-level ``TRUE`` needs no sweep).
-
-        Routed through :meth:`region_bits` so one fused sweep fills the
-        states *and* bits memos — whichever is asked for first."""
+        """The indexed states where ``predicate`` holds, in id order
+        (memoized per predicate object; the module-level ``TRUE`` needs
+        no sweep).  A per-state sweep (:meth:`region_bits`) fills this
+        memo as it goes; otherwise the states are read off the bits."""
         cached = self._satisfying.get(predicate)
         if cached is None:
             if predicate is TRUE:
-                cached = self._satisfying[predicate] = self.states
+                cached = self.states
             else:
-                self.region_bits(predicate)
-                cached = self._satisfying[predicate]
+                bits = self.region_bits(predicate)
+                cached = self._satisfying.get(predicate)
+                if cached is None:
+                    cached = tuple(map(
+                        self.states.__getitem__,
+                        _np.flatnonzero(_unpack_bits(bits, self.n)).tolist(),
+                    ))
+            self._satisfying[predicate] = cached
         return cached
 
     def region_bits(self, predicate: Predicate) -> int:
+        """The bits of the states where ``predicate`` holds (memoized
+        per predicate object).  An expression predicate evaluates over
+        the index's rank columns when it has them, in a few vector
+        operations; any other predicate sweeps the states one by one."""
         cached = self._region_bits.get(predicate)
         if cached is None:
-            columns = None
-            if (
-                predicate.expr is not None and predicate is not TRUE
-                and self._columns() is not None
-            ):
-                columns = predicate.columns_for(self._layout)
             if predicate is TRUE:
                 cached = self.full_bits
-            elif columns is not None:
-                # columnar sweep: evaluate over rank columns in a few
-                # vector operations, then derive both memos
-                mask = columns(self._columns())
-                states = self.states
-                self._satisfying[predicate] = tuple(
-                    states[i] for i in _np.flatnonzero(mask).tolist()
-                )
-                cached = _pack_bits(mask)
             else:
-                self._satisfying[predicate], cached = _sweep(
-                    predicate, self.states, self._schema
-                )
+                columns = None
+                if predicate.expr is not None:
+                    cols = self._columns()
+                    if cols is not None:
+                        columns = predicate.columns_for(self._layout)
+                if columns is not None:
+                    cached = _pack_bits(columns(cols))
+                else:
+                    self._satisfying[predicate], cached = _sweep(
+                        predicate, self.states, self._schema()
+                    )
             self._region_bits[predicate] = cached
         return cached
 
@@ -438,7 +465,7 @@ class StateIndex:
         """
         cached = self._edges.get(action)
         if cached is None:
-            schema = self._schema
+            schema = self._schema()
             id_of_values = self._values_table()
             id_of = self.id_of if schema is None else None
             extern: Dict[int, Tuple[State, ...]] = {}
@@ -504,7 +531,7 @@ class StateIndex:
         return cached
 
     def __repr__(self) -> str:
-        return f"StateIndex({self.n} states)"
+        return f"{type(self).__name__}({self.n} states)"
 
 
 # -- fixpoints ----------------------------------------------------------------
@@ -642,13 +669,17 @@ def largest_closed_subset_bits(
 
 # -- per-system index ---------------------------------------------------------
 
-class SystemIndex:
-    """Dense ids plus split adjacency for one :class:`TransitionSystem`.
+class SystemIndex(StateIndex):
+    """A :class:`StateIndex` over one :class:`TransitionSystem`'s
+    states, plus its graph: forward and backward CSR views, recorded
+    deadlocks and the enabledness regions of planned actions.
 
     Ids follow the system's deterministic BFS discovery order, so
     "first set bit" matches "first state an order-sensitive sweep of
     ``ts.states`` would have found" — counterexamples are unchanged.
-    Every graph view is derived from the system's edge arrays
+    Expression predicates sweep the rank columns the columnar engine
+    left on the system (``ts._state_cols``), when it left them.  Every
+    graph view is derived from the system's edge arrays
     (``ts._edge_arrays``: per group ``(src, dst, act)`` sorted by
     source id, actions in declaration order), whichever engine or store
     loader left them.  Built lazily field by field; cached on the
@@ -657,25 +688,15 @@ class SystemIndex:
     system).
     """
 
-    __slots__ = (
-        "ts", "states", "_id_of", "n", "full_bits", "_deadlock_bits",
-        "_satisfying", "_region_bits", "_enabled_data",
-        "_shared_schema", "_csr", "_backward",
-    )
+    __slots__ = ("ts", "_deadlock_bits", "_enabled_data", "_csr", "_backward")
 
     def __init__(self, ts):
+        super().__init__(ts.states, _distinct=True)
         self.ts = ts
-        self.states: Tuple[State, ...] = tuple(ts.states)
-        self._id_of: Optional[Dict[State, int]] = None
-        self.n = len(self.states)
-        self.full_bits = (1 << self.n) - 1
+        if ts._state_cols is not None:
+            self._layout, self._cols = ts._state_cols
         self._deadlock_bits: Optional[int] = None
-        self._satisfying: Dict[Predicate, Tuple[State, ...]] = {}
-        self._region_bits: Dict[Predicate, int] = {}
         self._enabled_data: Dict[object, bytes] = {}
-        #: the one Schema every state shares (False = mixed, None = not
-        #: yet computed); schema-compiled predicate sweeps need it
-        self._shared_schema = None
         #: include_faults -> (indptr, src, dst, act, names) columnar
         #: edge views (see :meth:`_edge_csr`)
         self._csr: Dict[bool, tuple] = {}
@@ -683,15 +704,9 @@ class SystemIndex:
         #: :meth:`_backward_csr`)
         self._backward: Optional[tuple] = None
 
-    @property
-    def id_of(self) -> Dict[State, int]:
-        """``State -> id`` (built lazily: the graph views never need it)."""
-        mapping = self._id_of
-        if mapping is None:
-            mapping = self._id_of = {
-                s: i for i, s in enumerate(self.states)
-            }
-        return mapping
+    # perfbench/layers.py wraps ``region_bits`` through each index
+    # class's own ``__dict__``, so the inherited method is bound here too
+    region_bits = StateIndex.region_bits
 
     # -- adjacency (lazy) --------------------------------------------------
     @property
@@ -704,91 +719,6 @@ class SystemIndex:
             live[self.ts._edge_arrays[0][0]] = True
             self._deadlock_bits = _pack_bits(~live)
         return self._deadlock_bits
-
-    # -- predicates --------------------------------------------------------
-    def _schema(self):
-        """The schema shared by every indexed state, or ``False``."""
-        shared = self._shared_schema
-        if shared is None:
-            states = self.states
-            shared = states[0]._schema if states else False
-            if shared is not False:
-                for state in states:
-                    if state._schema is not shared:
-                        shared = False
-                        break
-            self._shared_schema = shared
-        return shared
-
-    def _columns(self):
-        """The ``(layout, rank-column matrix)`` pair the columnar
-        exploration engine left on the system, or ``None`` (absent for
-        interpreted/bucket explorations and store-reassembled graphs)."""
-        state_cols = getattr(self.ts, "_state_cols", None)
-        if state_cols is None:
-            return None
-        if state_cols[1].shape[1] != self.n:  # pragma: no cover - defensive
-            return None
-        return state_cols
-
-    def _column_bits(self, predicate: Predicate) -> Optional[int]:
-        """The predicate's region bits from the rank columns the
-        columnar engine left on the system, or ``None`` when either the
-        columns or a column evaluator of the predicate is missing."""
-        pair = self._columns()
-        if pair is None:
-            return None
-        layout, cols = pair
-        columns = predicate.columns_for(layout)
-        return None if columns is None else _pack_bits(columns(cols))
-
-    def satisfying(self, predicate: Predicate) -> Tuple[State, ...]:
-        cached = self._satisfying.get(predicate)
-        if cached is None:
-            if predicate is TRUE:
-                cached = self.states
-            else:
-                bits = self._region_bits.get(predicate)
-                if bits is None and predicate.expr is not None:
-                    bits = self._column_bits(predicate)
-                    if bits is not None:
-                        self._region_bits[predicate] = bits
-                if bits is None:
-                    cached, bits = _sweep(
-                        predicate, self.states, self._schema() or None
-                    )
-                    self._region_bits[predicate] = bits
-                else:
-                    # derive from the (columnar or previously computed)
-                    # bitset: ascending id order equals state order
-                    states = self.states
-                    cached = tuple(
-                        states[i] for i in iter_bits(bits, self.n)
-                    )
-            self._satisfying[predicate] = cached
-        return cached
-
-    def region_bits(self, predicate: Predicate) -> int:
-        cached = self._region_bits.get(predicate)
-        if cached is None:
-            if predicate is TRUE:
-                cached = self.full_bits
-            else:
-                cached = self._column_bits(predicate)
-                if cached is None:
-                    self._satisfying[predicate], cached = _sweep(
-                        predicate, self.states, self._schema() or None
-                    )
-            self._region_bits[predicate] = cached
-        return cached
-
-    def region_of(self, states: Iterable[State]) -> Region:
-        id_of = self.id_of
-        ids = (id_of[s] for s in states if s in id_of)
-        return Region(self, bits_of_ids(ids, self.n))  # type: ignore[arg-type]
-
-    def full_region(self) -> Region:
-        return Region(self, self.full_bits)  # type: ignore[arg-type]
 
     def enabled_data(self, action) -> bytes:
         """Bit array of states where ``action``'s guard holds (memoized
@@ -939,9 +869,6 @@ class SystemIndex:
             parent[level] = edges
             reached[level] = True
         return None
-
-    def __repr__(self) -> str:
-        return f"SystemIndex({self.n} states)"
 
 
 # -- caches -------------------------------------------------------------------

@@ -11,7 +11,7 @@ meaning, as the reference semantics:
   (a seeded sample for the k = 5 Byzantine family);
 - each ported program, explored with each of its fault classes, gives
   the lambda program's state order and program and fault edges, under
-  the ``numpy`` and the ``interpreted`` backends — from every state
+  the ``auto`` and the ``interpreted`` backends — from every state
   and from the invariant, whose discovery order the faults shape.
 """
 
@@ -616,6 +616,6 @@ def test_ported_programs_explore_as_their_lambdas(name):
     assert legitimate, name
     for starts in (everything, legitimate):
         want = _fingerprint(oracle, starts, oracle_faults, "interpreted")
-        for backend in ("numpy", "interpreted"):
+        for backend in ("auto", "interpreted"):
             assert _fingerprint(program, starts, faults, backend) == want, (
                 name, backend, len(starts))

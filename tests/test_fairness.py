@@ -12,7 +12,9 @@ from repro.core.fairness import (
 from repro.core.faults import set_variable
 from repro.core.predicate import Predicate, TRUE
 from repro.core.program import Program
+from repro.core.regions import universe_index
 from repro.core.state import State, Variable
+from repro.programs.token_ring import has_token
 
 
 def program(actions, domain=(0, 1, 2, 3), extra=()):
@@ -21,6 +23,22 @@ def program(actions, domain=(0, 1, 2, 3), extra=()):
 
 
 X = lambda v: Predicate(lambda s, v=v: s["x"] == v, name=f"x={v}")  # noqa: E731
+
+
+def raw_ring(size, k):
+    """Dijkstra's K-state ring with lambda statements and no ``K >= n-1``
+    check, so a small ``k`` leaves fair cycles."""
+    variables = [Variable(f"x{i}", list(range(k))) for i in range(size)]
+    actions = [Action(
+        "move0", has_token(0, size),
+        assign(x0=lambda s: (s[f"x{size - 1}"] + 1) % k),
+    )]
+    for i in range(1, size):
+        actions.append(Action(
+            f"move{i}", has_token(i, size),
+            assign(**{f"x{i}": lambda s, i=i: s[f"x{i - 1}"]}),
+        ))
+    return Program(variables, actions, name=f"ring(n={size},K={k})")
 
 
 class TestSCC:
@@ -70,6 +88,30 @@ class TestFairRecurrentSccs:
         ts = TransitionSystem(p, [State(x=0)])
         region = {State(x=0), State(x=1)}
         assert fair_recurrent_sccs(ts, region) == [region]
+
+    def test_region_of_another_index_is_read_as_its_states(self):
+        # the system's ids follow its BFS from (0,0,1,0), the universe
+        # index's the product enumeration: the bits of a universe Region
+        # name other states of the system
+        ring = raw_ring(4, 2)
+        ts = TransitionSystem(ring, [State(x0=0, x1=0, x2=1, x3=0)])
+        assert len(ts.states) == 16
+        components = fair_recurrent_sccs(ts, set(ts.states))
+        assert sorted(map(len, components)) == [8, 8]
+        universe = universe_index(ring)
+        for component in components:
+            assert fair_recurrent_sccs(ts, component) == [component]
+            assert fair_recurrent_sccs(
+                ts, universe.region_of(component)
+            ) == [component]
+
+    def test_region_wider_than_the_system(self):
+        # the universe's 16 states around a system of 8
+        ring = raw_ring(4, 2)
+        ts = TransitionSystem(ring, [State(x0=0, x1=0, x2=0, x3=0)])
+        assert len(ts.states) == 8
+        full = universe_index(ring).full_region()
+        assert fair_recurrent_sccs(ts, full) == [set(ts.states)]
 
 
 class TestLeadsTo:

@@ -1,16 +1,15 @@
 """Kernel/interpreted parity and code-space census pins.
 
-The exploration core runs the same BFS through three engines — the
-interpreted oracle, the columnar array engine (compiled kernels for
-planned actions, interpreted successors for the rest), and the sharded
-fork pool — with one contract: which engine ran must be unobservable
-from the finished :class:`~repro.core.exploration.TransitionSystem`.
-These tests pin that contract over the bundled program families
-(programs *and* their fault builders), under symmetry quotients, and
-for every worker count, by comparing full graph fingerprints (state
-order, edge tuples, deadlocks, edge arrays) against the interpreted
-reference; systems loaded or reassembled from the certificate store
-must match a fresh exploration the same way.
+The exploration core runs the same BFS through two engines — the
+interpreted oracle and the columnar array engine (compiled kernels for
+planned actions, interpreted successors for the rest) — with one
+contract: which engine ran must be unobservable from the finished
+:class:`~repro.core.exploration.TransitionSystem`.  These tests pin
+that contract over the bundled program families (programs *and* their
+fault builders) and under symmetry quotients, by comparing full graph
+fingerprints (state order, edge tuples, deadlocks, edge arrays) against
+the interpreted reference; systems loaded or reassembled from the
+certificate store must match a fresh exploration the same way.
 
 :func:`~repro.core.kernels.explore_codes` has no interpreted twin (it
 exists for spaces where ``State`` objects are not an option), so it is
@@ -31,7 +30,6 @@ from repro.core.exploration import (
     clear_all_caches,
     clear_system_cache,
     explored_system,
-    set_default_workers,
 )
 from repro.core.kernels import KernelError, Plan, explore_codes
 from repro.core.predicate import TRUE, var_eq
@@ -51,7 +49,6 @@ from repro.store.backend import MemoryStore
 def _restore_kernel_globals():
     yield
     kernels.set_backend("auto")
-    set_default_workers(None)
     clear_all_caches()
 
 
@@ -233,13 +230,11 @@ def _scenarios():
 SCENARIOS = {name: rest for name, *rest in _scenarios()}
 
 
-def _explored(name: str, backend: str, workers=None):
+def _explored(name: str, backend: str):
     program, starts, faults, symmetric = SCENARIOS[name]
     kernels.set_backend(backend)
     try:
-        ts = TransitionSystem(
-            program, starts, faults, symmetric=symmetric, workers=workers,
-        )
+        ts = TransitionSystem(program, starts, faults, symmetric=symmetric)
     finally:
         kernels.set_backend("auto")
     # every engine leaves the edge arrays SystemIndex and the store read
@@ -248,27 +243,17 @@ def _explored(name: str, backend: str, workers=None):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-@pytest.mark.parametrize("backend", ["auto", "numpy"])
+@pytest.mark.parametrize("backend", ["auto"])
 def test_kernel_backends_match_interpreted(name, backend):
-    """Every compiled engine produces the interpreted engine's graph,
-    bit for bit, on every bundled scenario."""
+    """The compiled engine produces the interpreted engine's graph, bit
+    for bit, on every bundled scenario."""
     assert _explored(name, backend) == _explored(name, "interpreted")
 
 
 def test_unknown_backend_names_the_choices():
-    with pytest.raises(ValueError, match="'auto', 'numpy', 'interpreted'"):
-        kernels.set_backend("pure")
+    with pytest.raises(ValueError, match="'auto', 'interpreted'"):
+        kernels.set_backend("numpy")
     assert kernels.get_backend() == "auto"
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_sharded_graph_identical_for_any_worker_count(name, workers):
-    """The fork-pool engine's merge is deterministic: on every bundled
-    scenario, any worker count (including the degenerate 1) reproduces
-    the in-process graph — with and without a symmetry quotient."""
-    reference = _explored(name, "auto")
-    assert _explored(name, "auto", workers=workers) == reference
 
 
 @pytest.fixture
@@ -314,14 +299,6 @@ def test_one_action_edit_reassembles_the_explored_graph(memory_store):
     assert stats.get("graph_reassembled") == 1
     assert stats.get("rows_computed") == 1
     assert _graph(reassembled) == fresh
-
-
-def test_default_workers_applies_to_new_systems():
-    program, starts, faults, _ = SCENARIOS["token_ring"]
-    reference = _graph(TransitionSystem(program, starts, faults))
-    set_default_workers(2)
-    sharded = _graph(TransitionSystem(program, starts, faults))
-    assert sharded == reference
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +604,7 @@ def test_set_any_values_in_one_orbit_keep_the_first_edge():
     with the oracle is pinned above), and before canonicalization the
     batch, code and interpreted evaluations agree edge for edge."""
     program = _flip_program()
-    states, program_edges = _explored("flip_sym", "numpy")[:2]
+    states, program_edges = _explored("flip_sym", "auto")[:2]
     assert len(states) == 80
     for edges in program_edges:
         assert [a for a, _ in edges] in (["flip"], ["hold"])
@@ -765,7 +742,7 @@ def test_columnar_engine_stashes_edge_arrays():
     from repro.core.regions import system_index
 
     model = token_ring.build(5, 4)
-    kernels.set_backend("numpy")
+    kernels.set_backend("auto")
     ts = TransitionSystem(
         model.ring,
         list(state_space(model.ring.variables)),
@@ -799,7 +776,7 @@ def test_quotients_take_the_array_engines(name, columnar):
     as unreduced ones, with or without unplanned actions (the lambda
     lies) and with a dense or a sorted code -> id map."""
     program, starts, faults, symmetric = SCENARIOS[name]
-    kernels.set_backend("numpy")
+    kernels.set_backend("auto")
     ts = TransitionSystem(program, starts, faults, symmetric=symmetric)
     assert (ts._state_cols is not None) is columnar
     # representatives are pointer-unique: every edge target is the
@@ -828,7 +805,7 @@ def test_escaping_successor_restarts_interpreted(monkeypatch):
         TransitionSystem, "_register_starts",
         lambda self: resets.append(len(self.states)) or register(self),
     )
-    kernels.set_backend("numpy")
+    kernels.set_backend("auto")
     ts = TransitionSystem(program, starts)
     assert ts._state_cols is None
     # registered once up front, then reset from the four states (c = 0..3)

@@ -315,10 +315,10 @@ def test_empty_disjunction_is_false_on_every_engine():
     program = _never_program()
     starts = [State(c=0, x=x) for x in range(20)]
     graphs = []
-    for backend in ("numpy", "interpreted"):
+    for backend in ("auto", "interpreted"):
         kernels.set_backend(backend)
         ts = TransitionSystem(program, starts)
-        assert (ts._state_cols is not None) is (backend == "numpy")
+        assert (ts._state_cols is not None) is (backend == "auto")
         graphs.append((
             tuple(ts.states),
             tuple(tuple(ts.program_edges_from(s)) for s in ts.states),

@@ -24,7 +24,7 @@ from repro.core.faults import FaultClass
 from repro.core.kernels import Plan, layout_for
 from repro.core.predicate import Predicate, TRUE
 from repro.core.program import Program
-from repro.core.regions import universe_index
+from repro.core.regions import system_index, universe_index
 from repro.core.state import State, Variable
 from repro.programs import byzantine, token_ring
 
@@ -124,7 +124,7 @@ def _fingerprint(system):
     )
 
 
-@pytest.mark.parametrize("backend", ["numpy", "interpreted"])
+@pytest.mark.parametrize("backend", ["auto", "interpreted"])
 @pytest.mark.parametrize("name", [
     "ring", "ring_invariant", "ring_quotient", "byzantine_masking", "mixed",
 ])
@@ -142,7 +142,27 @@ def test_region_start_sets_change_no_graph(name, backend):
     )
     assert by_region is not by_list
     assert _fingerprint(by_region) == _fingerprint(by_list)
-    assert (by_region._state_cols is not None) is (backend == "numpy")
+    assert (by_region._state_cols is not None) is (backend == "auto")
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_system_region_start_sets_change_no_graph(symmetric):
+    """A region of a columnar-built system's index starts an
+    exploration like a universe region: its states and rank columns
+    come from the system (whose ids, from one start state under faults,
+    are not the universe's), and the graph is the one its states,
+    listed, give — on the unreduced ring and on its quotient."""
+    ring = token_ring.build(5, 4)
+    start = State({f"x{i}": i % 4 for i in range(5)})
+    source = explored_system(ring.ring, [start], ring.faults.actions)
+    assert source._state_cols is not None
+    assert source.states != universe_index(ring.ring).states
+    region = system_index(source).region(ring.invariant)
+    by_region = explored_system(ring.ring, region, symmetric=symmetric)
+    by_list = explored_system(ring.ring, list(region), symmetric=symmetric)
+    assert by_region is not by_list
+    assert _fingerprint(by_region) == _fingerprint(by_list)
+    assert by_region._state_cols is not None
 
 
 def test_universe_matrix_is_the_columns_of_its_states():

@@ -1,18 +1,23 @@
 """Property tests for the big-int bit helpers behind Region, and the
 Region.to_predicate → region() round-trip on bundled programs."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exploration import TransitionSystem
 from repro.core.regions import (
     Region,
     StateIndex,
     bits_of_ids,
     first_bit,
     iter_bits,
+    system_index,
     universe_index,
 )
+from repro.core.state import State
 
 
 # ---------------------------------------------------------------------------
@@ -118,3 +123,39 @@ class TestRegionPredicateRoundTrip:
 
         model = tmr.build()
         _round_trip(model.tmr, model.invariant)
+
+
+# ---------------------------------------------------------------------------
+# a Region's bits are ids of its own index
+# ---------------------------------------------------------------------------
+
+class TestRegionIndexes:
+    def test_regions_of_one_index_combine(self):
+        index = StateIndex([State(x=0), State(x=1), State(x=2)])
+        low = index.region_of([State(x=0), State(x=1)])
+        high = index.region_of([State(x=1), State(x=2)])
+        assert (low & high).to_set() == {State(x=1)}
+        assert len(low | high) == 3
+        assert (low - high).to_set() == {State(x=0)}
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.sub])
+    def test_regions_of_different_indexes_do_not_combine(self, op):
+        # id 0 is x=0 in one index and x=1 in the other
+        ours = StateIndex([State(x=0), State(x=1)])
+        theirs = StateIndex([State(x=1), State(x=0)])
+        with pytest.raises(ValueError, match="different indexes"):
+            op(ours.full_region(), theirs.region_of([State(x=1)]))
+
+    def test_system_and_universe_regions_do_not_combine(self):
+        from repro.programs import token_ring
+
+        ring = token_ring.build(3).ring
+        universe = universe_index(ring)
+        ts = TransitionSystem(ring, universe.states[-1:])
+        index = system_index(ts)
+        assert isinstance(index, StateIndex)
+        with pytest.raises(ValueError, match="different indexes"):
+            index.full_region() & universe.region_of(ts.states)
+        assert (
+            index.full_region() & index.region_of(universe.states)
+        ) == index.full_region()
