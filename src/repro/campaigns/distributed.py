@@ -32,8 +32,8 @@ work each from the per-trial wall times observed in completed batches
 worker costs one lease timeout, not the campaign.
 
 :func:`distributed_census` applies the same scheme to
-:func:`~repro.core.kernels.explore_codes` censuses: the start-code
-array is split into ``shards`` slices, each shard BFS runs on a worker
+:func:`~repro.core.kernels.explore_codes` censuses: the sorted start
+codes are split into ``shards`` slices, each shard BFS runs on a worker
 (:func:`~repro.core.kernels.explore_code_shard`) and publishes its
 reachable-code *set* (delta + zlib packed) at a content key, and the
 scheduler unions the sets — shard reach sets overlap, so only the
@@ -445,39 +445,86 @@ def encode_shard_reach(reach) -> bytes:
 
 
 def decode_shard_reach(blob: bytes):
+    """The :class:`~repro.core.kernels.CodeReach` a shard artifact
+    packs.  Raises ``ValueError`` for a blob that does not decode to
+    one: bytes that do not unpickle or decompress, another schema, a
+    missing field, a count, level or edge field that is not a
+    non-negative int, a code count other than the recorded one, or
+    codes that are not strictly increasing from 0 up."""
     import numpy as np
 
     from ..core.kernels import CodeReach
 
-    payload = pickle.loads(blob)
-    if payload.get("v") != BATCH_SCHEMA:
+    try:
+        payload = pickle.loads(blob)
+    except Exception as exc:  # truncated or flipped pickles raise anything
+        raise ValueError(f"shard artifact does not unpickle: {exc!r}") from exc
+    version = payload.get("v") if isinstance(payload, dict) else None
+    if version != BATCH_SCHEMA:
         raise ValueError(
-            f"shard artifact schema {payload.get('v')!r} != {BATCH_SCHEMA}"
+            f"shard artifact schema {version!r} != {BATCH_SCHEMA}"
         )
-    deltas = np.frombuffer(
-        zlib.decompress(payload["blob"]), dtype=np.int64
-    ).copy()
-    assert deltas.shape[0] == payload["n"]
+    try:
+        n, levels, edges = payload["n"], payload["levels"], payload["edges"]
+        deltas = np.frombuffer(
+            zlib.decompress(payload["blob"]), dtype=np.int64
+        )
+    except (KeyError, TypeError, ValueError, zlib.error) as exc:
+        raise ValueError(f"shard artifact does not decode: {exc!r}") from exc
+    for name, value in (("n", n), ("levels", levels), ("edges", edges)):
+        if type(value) is not int or value < 0:
+            raise ValueError(
+                f"shard artifact field {name} is {value!r}, "
+                "not a non-negative int"
+            )
+    if deltas.shape[0] != n:
+        raise ValueError(
+            f"shard artifact holds {deltas.shape[0]} codes, records {n!r}"
+        )
     codes = np.cumsum(deltas)
-    return CodeReach(
-        int(codes.shape[0]), payload["levels"], payload["edges"], codes
-    )
+    # compared, not differenced: a wrapped cumulative sum shows as a drop
+    if codes.size and (codes[0] < 0 or not (codes[1:] > codes[:-1]).all()):
+        raise ValueError("shard artifact codes are not strictly increasing")
+    return CodeReach(int(codes.shape[0]), levels, edges, codes)
+
+
+def _decoded_reach(blob: Optional[bytes]):
+    """The shard reach ``blob`` packs, or ``None`` for no blob or one
+    that does not decode — a miss either way, so the shard is recomputed
+    and its artifact put again."""
+    if blob is None:
+        return None
+    try:
+        return decode_shard_reach(blob)
+    except ValueError:
+        record_event("census-shard-undecodable")
+        return None
+
+
+def _shard_range(n: int, shards: int, shard: int) -> range:
+    """Shard ``shard``'s slice of ``0..n-1`` as ``numpy.array_split``
+    cuts it into ``shards`` parts: the first ``n % shards`` parts hold
+    one more element."""
+    size, extra = divmod(n, shards)
+    lo = shard * size + min(shard, extra)
+    return range(lo, lo + size + (shard < extra))
 
 
 def compute_census_shard(workload: str, params: Optional[Dict[str, Any]],
                          shard: int, shards: int,
                          max_states: Optional[int] = None):
     """Build the workload and BFS one shard of its start codes — the
-    worker half of a distributed census.  The shard partition is
-    ``numpy.array_split`` over the sorted start-code array, so scheduler
-    and worker agree on slice boundaries without shipping arrays."""
-    import numpy as np
-
+    worker half of a distributed census.  Shards cut the sorted start
+    codes where ``numpy.array_split`` would, at bounds computed from
+    their count (:func:`_shard_range`), so scheduler and worker agree on
+    slice boundaries without shipping arrays, and an ``"all"`` start
+    set's shard stays a range."""
     from ..core.kernels import census_start_codes, explore_code_shard
 
     program, starts, faults = build_census_workload(workload, params)
     _, codes = census_start_codes(program, starts)
-    part = np.array_split(codes, shards)[shard]
+    bounds = _shard_range(len(codes), shards, shard)
+    part = codes[bounds.start:bounds.stop]
     if max_states is None:
         return explore_code_shard(program, part, faults)
     return explore_code_shard(program, part, faults, max_states=max_states)
@@ -531,21 +578,28 @@ def distributed_census(
     stats = {"shards": shards, "from_store": 0, "computed": 0,
              "degraded": client is None}
     pending: Dict[str, int] = {}
+
+    def compute_here(shard: int, key: str) -> None:
+        reach = compute_census_shard(
+            workload, params, shard, shards, max_states
+        )
+        shard_store.put(key, encode_shard_reach(reach), "census_shard")
+        reaches[shard] = reach
+        stats["computed"] += 1
+
     for shard, key in enumerate(keys):
         record_event("census-shards")
         blob = shard_store.get(key)
-        if blob is not None:
-            reaches[shard] = decode_shard_reach(blob)
+        reach = _decoded_reach(blob)
+        if reach is not None:
+            reaches[shard] = reach
             stats["from_store"] += 1
             record_event("census-shard-hits")
             continue
-        if client is None:
-            reach = compute_census_shard(
-                workload, params, shard, shards, max_states
-            )
-            shard_store.put(key, encode_shard_reach(reach), "census_shard")
-            reaches[shard] = reach
-            stats["computed"] += 1
+        if client is None or blob is not None:
+            # the board keeps a done job done, so no worker would
+            # replace an undecodable artifact: recompute it here
+            compute_here(shard, key)
             continue
         client.submit(
             CENSUS_QUEUE,
@@ -572,9 +626,13 @@ def distributed_census(
         for key, shard in list(pending.items()):
             blob = shard_store.get(key)
             if blob is not None:
-                reaches[shard] = decode_shard_reach(blob)
+                reach = _decoded_reach(blob)
+                if reach is None:
+                    compute_here(shard, key)
+                else:
+                    reaches[shard] = reach
+                    stats["computed"] += 1
                 del pending[key]
-                stats["computed"] += 1
                 progressed = True
                 client.complete(CENSUS_QUEUE, key, "scheduler",
                                 result_key=key)
@@ -637,7 +695,7 @@ def _handle_campaign_batch(payload: Dict[str, Any],
 
 def _handle_census_shard(payload: Dict[str, Any], store: BaseStore) -> str:
     result_key = payload["result_key"]
-    if store.get(result_key) is not None:
+    if _decoded_reach(store.get(result_key)) is not None:
         record_event("batch-replays")
         return result_key
     reach = compute_census_shard(

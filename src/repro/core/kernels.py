@@ -89,7 +89,9 @@ repeats no value, and a plan has at most one ``set_any``.
 from __future__ import annotations
 
 import operator
+import os
 import weakref
+from collections import deque
 from typing import (
     Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
 )
@@ -144,11 +146,12 @@ _BITMAP_SPACE_LIMIT = 1 << 26
 
 #: Frontier rows expanded per kernel batch inside :func:`explore_codes`.
 #: Small enough that a chunk's rank columns and successor codes stay in
-#: cache (chunk × variables × 8 bytes per column set), so beyond the
-#: frontier and the seen set peak memory scales with this constant.  In
-#: a sweep of 2^12 to 2^20 (7^8 ring and k = 11 Byzantine censuses, a
-#: 2-CPU Xeon), 2^12 to 2^16 ran within 5% of each other, 2^15 fastest,
-#: and 2^20 took 1.6x as long.
+#: cache (chunk × variables × 8 bytes per column set).  Each usable CPU
+#: expands one chunk at a time, so beyond the frontier and the seen set
+#: peak memory scales with workers × this constant.  In a serial sweep
+#: of 2^12 to 2^20 (7^8 ring and k = 11 Byzantine censuses, a 2-CPU
+#: Xeon), 2^12 to 2^16 ran within 5% of each other, 2^15 fastest, and
+#: 2^20 took 1.6x as long.
 _FRONTIER_CHUNK = 1 << 15
 
 
@@ -1176,10 +1179,44 @@ def _check_cap(count: int, max_states: int, name: str) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _as_codes(codes):
+    """A code array, or a step-1 ``range`` of codes as one."""
+    if isinstance(codes, range):
+        return _np.arange(codes.start, codes.stop, dtype=_np.int64)
+    return codes
+
+
+def _in_order(pool, fn, items, bound: int):
+    """``fn(item)`` for each item, run on ``pool`` and yielded in item
+    order, with at most ``bound`` calls in flight (submitted, result not
+    yet taken).  The next call is submitted before a result is yielded,
+    so ``bound`` calls run while the caller consumes it."""
+    pending = deque()
+    for item in items:
+        if len(pending) < bound:
+            pending.append(pool.submit(fn, item))
+            continue
+        result = pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+        yield result
+    while pending:
+        yield pending.popleft().result()
+
+
 def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
               name: str, collect: bool) -> CodeReach:
     """The BFS core shared by whole censuses and shards: expand from
-    ``start_codes`` (sorted, unique) until no fresh code appears.
+    ``start_codes`` (a sorted unique code array, or a step-1 ``range``
+    of codes) until no fresh code appears.
 
     A level runs in chunks of :data:`_FRONTIER_CHUNK` rows, and each
     chunk's successor codes from every kernel are deduplicated together:
@@ -1187,83 +1224,126 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
     :data:`_BITMAP_SPACE_LIMIT`, else by one sorted anti-join (their
     distinct values, one ``searchsorted`` against the sorted seen set,
     which absorbs the level's fresh codes when the level ends).
+
+    A level of several chunks is expanded on a thread pool that lives
+    for this call, one thread per usable CPU (:func:`_usable_cpus`),
+    with at most that many chunks in flight; numpy releases the
+    interpreter lock inside the kernels' array operations.  The calling
+    thread consumes the chunks in order and alone touches the bitmap,
+    the edge count and the fresh parts, so every result is the same for
+    any worker count.  Only the sorted anti-join runs in the workers, as
+    the sorted seen set changes only between levels.  With one usable
+    CPU, or levels of one chunk, no thread starts.
     """
-    total = int(start_codes.shape[0])
+    total = len(start_codes)
     _check_cap(total, max_states, name)
     use_bitmap = layout.space <= _BITMAP_SPACE_LIMIT
+    seen_sorted = None
     if use_bitmap:
         seen_map = _np.zeros(layout.space, dtype=bool)
-        seen_map[start_codes] = True
+        if isinstance(start_codes, range):
+            seen_map[start_codes.start:start_codes.stop] = True
+        else:
+            seen_map[start_codes] = True
     else:
-        seen_sorted = start_codes
+        seen_sorted = _as_codes(start_codes)
+
+    def expand(chunk):
+        """``(successor rows, codes)`` of one chunk: every successor
+        code on the bitmap path, the ones not in ``seen_sorted`` on the
+        sorted one (``None`` when no kernel fires)."""
+        chunk = _as_codes(chunk)
+        cols = layout.columns_from_codes(chunk)
+        memo = {}  # guard terms shared across the chunk's kernels
+        found = []
+        for kernel in kernels:
+            _, codes = kernel(chunk, cols, memo)
+            if codes is not None:
+                found.append(codes)
+        if not found:
+            return 0, None
+        codes = _np.concatenate(found)
+        rows = int(codes.shape[0])
+        if not use_bitmap:
+            codes = _distinct(codes)
+            pos = _np.searchsorted(seen_sorted, codes)
+            codes = codes[seen_sorted.take(pos, mode="clip") != codes]
+        return rows, codes
+
+    workers = _usable_cpus()
+    pool = None
     frontier = start_codes
     levels = 0
     edges = 0
-    while frontier.size:
-        levels += 1
-        fresh_parts = []
-        for lo in range(0, int(frontier.shape[0]), _FRONTIER_CHUNK):
-            chunk = frontier[lo:lo + _FRONTIER_CHUNK]
-            cols = layout.columns_from_codes(chunk)
-            memo = {}  # guard terms shared across the chunk's kernels
-            found = []
-            for kernel in kernels:
-                _, codes = kernel(chunk, cols, memo)
-                if codes is not None:
-                    found.append(codes)
-            if not found:
-                continue
-            codes = _np.concatenate(found)
-            edges += int(codes.shape[0])
-            if use_bitmap:
-                # marked per chunk: later chunks anti-join against
-                # everything earlier ones discovered
-                fresh = codes[~seen_map.take(codes)]
-                if fresh.size:
-                    fresh = _distinct(fresh)
-                    seen_map[fresh] = True
+    try:
+        while len(frontier):
+            levels += 1
+            chunks = [
+                frontier[lo:lo + _FRONTIER_CHUNK]
+                for lo in range(0, len(frontier), _FRONTIER_CHUNK)
+            ]
+            if workers > 1 and len(chunks) > 1:
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(workers)
+                results = _in_order(pool, expand, chunks, workers)
             else:
-                codes = _distinct(codes)
-                pos = _np.searchsorted(seen_sorted, codes)
-                fresh = codes[seen_sorted.take(pos, mode="clip") != codes]
-            if fresh.size:
-                fresh_parts.append(fresh)
-        if not fresh_parts:
-            break
-        if use_bitmap:
-            frontier = _np.concatenate(fresh_parts)
-        else:
-            # two chunks of one level may discover the same code
-            frontier = _distinct(_np.concatenate(fresh_parts))
-            positions = _np.searchsorted(seen_sorted, frontier)
-            seen_sorted = _np.insert(seen_sorted, positions, frontier)
-        total += int(frontier.shape[0])
-        _check_cap(total, max_states, name)
+                results = map(expand, chunks)
+            fresh_parts = []
+            for rows, codes in results:
+                edges += rows
+                if codes is None:
+                    continue
+                if use_bitmap:
+                    # marked per chunk: later chunks anti-join against
+                    # everything earlier ones discovered
+                    codes = codes[~seen_map.take(codes)]
+                    if codes.size:
+                        codes = _distinct(codes)
+                        seen_map[codes] = True
+                if codes.size:
+                    fresh_parts.append(codes)
+            if not fresh_parts:
+                break
+            if use_bitmap:
+                frontier = _np.concatenate(fresh_parts)
+            else:
+                # two chunks of one level may discover the same code
+                frontier = _distinct(_np.concatenate(fresh_parts))
+                positions = _np.searchsorted(seen_sorted, frontier)
+                seen_sorted = _np.insert(seen_sorted, positions, frontier)
+            total += int(frontier.shape[0])
+            _check_cap(total, max_states, name)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     reached = None
     if collect:
         reached = _np.flatnonzero(seen_map) if use_bitmap else seen_sorted
     return CodeReach(total, levels, edges, reached)
 
 
-def census_start_codes(program, start_states: Iterable[State],
-                       max_states: Optional[int] = None):
+def _space_layout(program) -> Layout:
+    """The layout of the program's whole state space."""
+    first = next(iter(state_space(program.variables)), None)
+    _require(first is not None, f"{program.name!r} has an empty space")
+    return _census_layout(program, first._schema)
+
+
+def census_start_codes(program, start_states: Iterable[State]):
     """Resolve a census start set to ``(layout, sorted unique codes)`` —
-    the scheduler half of a sharded census (slice the codes with
-    ``numpy.array_split`` and hand each slice to
-    :func:`explore_code_shard`).  With ``max_states``, an ``"all"``
-    space larger than the cap raises the cap's ``RuntimeError`` before
-    its codes are allocated."""
+    the scheduler half of a sharded census (slice the codes and hand
+    each slice to :func:`explore_code_shard`).  ``"all"`` resolves to
+    the step-1 ``range`` ``0..space-1``, which slices to ranges and is
+    never allocated; any other start set to a code array."""
     if isinstance(start_states, str):
         _require(
             start_states == "all",
             f"unknown start-state selector {start_states!r}",
         )
-        first = next(iter(state_space(program.variables)), None)
-        _require(first is not None, f"{program.name!r} has an empty space")
-        layout = _census_layout(program, first._schema)
-        if max_states is not None:
-            _check_cap(layout.space, max_states, program.name)
-        return layout, _np.arange(layout.space, dtype=_np.int64)
+        layout = _space_layout(program)
+        return layout, range(layout.space)
     starts = list(start_states)
     _require(bool(starts), "census_start_codes needs at least one start")
     schema = starts[0]._schema
@@ -1300,13 +1380,18 @@ def explore_codes(
     anti-join otherwise; either way the census is exact.
 
     ``start_states`` is an iterable of :class:`State` objects, or the
-    string ``"all"`` for the program's entire state space — the codes
-    ``0..space-1`` are synthesized directly, so a multimillion-state
+    string ``"all"`` for the program's entire state space.  ``"all"``
+    stays the range ``0..space-1``: each chunk's codes are made where
+    it is expanded and the bitmap starts full, so a multimillion-state
     full-space sweep (e.g. a self-stabilization census) never builds a
-    single ``State``.  Each level is expanded in cache-sized chunks of
-    :data:`_FRONTIER_CHUNK` rows, so beyond the frontier and the seen
-    set (a bitmap or a sorted code array) peak memory holds one chunk's
-    rank columns and successor codes, whatever the frontier's size.
+    single ``State`` nor an array of the whole space (the sorted
+    anti-join, above the bitmap limit, does hold its seen set).  Each
+    level is expanded in cache-sized chunks of :data:`_FRONTIER_CHUNK`
+    rows, on one thread per usable CPU when a level has several (see
+    :func:`_code_bfs`), so beyond the frontier and the seen set (a
+    bitmap or a sorted code array) peak memory holds the rank columns
+    and successor codes of workers × one chunk, whatever the frontier's
+    size; the result is the same for any worker count.
     ``max_states`` caps the start set and the census alike, raising
     ``RuntimeError`` when either exceeds it.
     ``collect_codes=True`` additionally returns the sorted reachable
@@ -1323,9 +1408,7 @@ def explore_codes(
         start_states = list(start_states)
         if not start_states:
             return CodeReach(0, 0, 0)
-    layout, start_codes = census_start_codes(
-        program, start_states, max_states
-    )
+    layout, start_codes = census_start_codes(program, start_states)
     kernels = _census_kernels(program, fault_actions, layout)
     return _code_bfs(
         layout, kernels, start_codes, max_states, program.name, collect_codes
@@ -1338,8 +1421,10 @@ def explore_code_shard(
     fault_actions=(),
     max_states: int = DEFAULT_MAX_CODES,
 ) -> CodeReach:
-    """BFS from an explicit array of packed start codes — one shard of a
-    distributed census.
+    """BFS from an explicit set of packed start codes — one shard of a
+    distributed census.  A step-1 ``range`` is taken as it is, never
+    materialized or sorted; any other iterable of codes is deduped and
+    sorted first.
 
     The shard's :class:`CodeReach` always carries its reachable code
     *set* (``codes``): reach sets of different shards overlap, so shard
@@ -1347,17 +1432,17 @@ def explore_code_shard(
     recover the exact census.  Per-shard ``levels``/``edges`` are local
     diagnostics only.
     """
-    first = next(iter(state_space(program.variables)), None)
-    _require(first is not None, f"{program.name!r} has an empty space")
-    layout = _census_layout(program, first._schema)
-    codes = _distinct(_np.asarray(start_codes, dtype=_np.int64))
-    if codes.size:
-        _require(
-            0 <= int(codes[0]) and int(codes[-1]) < layout.space,
-            f"start codes out of range for {program.name!r}",
-        )
+    layout = _space_layout(program)
+    if isinstance(start_codes, range) and start_codes.step == 1:
+        codes = start_codes
     else:
-        return CodeReach(0, 0, 0, codes)
+        codes = _distinct(_np.asarray(start_codes, dtype=_np.int64))
+    if not len(codes):
+        return CodeReach(0, 0, 0, _as_codes(codes))
+    _require(
+        0 <= int(codes[0]) and int(codes[-1]) < layout.space,
+        f"start codes out of range for {program.name!r}",
+    )
     kernels = _census_kernels(program, fault_actions, layout)
     return _code_bfs(layout, kernels, codes, max_states, program.name, True)
 

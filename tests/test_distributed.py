@@ -9,11 +9,14 @@ the census count are byte-identical to the single-process paths.
 import asyncio
 import io
 import json
+import pickle
 import socket
 import threading
 import urllib.error
 import urllib.request
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.campaigns import (
@@ -25,15 +28,23 @@ from repro.campaigns import (
 )
 from repro.campaigns.distributed import (
     CAMPAIGN_QUEUE,
+    CENSUS_QUEUE,
+    JOB_HANDLERS,
+    _shard_range,
     build_census_workload,
+    census_shard_key,
     compute_census_shard,
     decode_batch,
     decode_shard_reach,
     encode_batch,
     encode_shard_reach,
 )
-from repro.core import explore_codes
+from repro.core import explore_codes, kernels
+from repro.core.kernels import (
+    DEFAULT_MAX_CODES, census_start_codes, explore_code_shard,
+)
 from repro.store import MemoryStore, RemoteStore
+from repro.store import backend as store_backend
 from repro.store.backend import with_retries
 from repro.store.jobs import MAX_ATTEMPTS, JobBoard, JobClient, JobQueue
 from repro.store.serve import StoreServer
@@ -99,6 +110,13 @@ def start_workers(url, count, **kwargs):
     for t in threads:
         t.start()
     return stop, threads
+
+
+def _flip_a_code_byte(blob):
+    """``blob`` with one byte of its compressed code stream inverted."""
+    packed = pickle.loads(blob)["blob"]
+    at = blob.index(packed) + len(packed) // 2
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
 
 
 def stripped_jsonl(buf):
@@ -347,6 +365,69 @@ class TestBatchCodec:
         assert reach2.edges == reach.edges
         assert (reach2.codes == reach.codes).all()
 
+    @pytest.mark.parametrize("damage, match", [
+        (lambda p: p.update(v=999), "schema 999"),
+        (lambda p: p.update(n=p["n"] + 1), "holds 4 codes, records 5"),
+        (lambda p: p.update(blob=zlib.compress(
+            np.array([3, 2, -1, 4], dtype=np.int64).tobytes())),
+         "not strictly increasing"),
+        (lambda p: p.update(blob=zlib.compress(
+            np.array([-1, 1, 1, 1], dtype=np.int64).tobytes())),
+         "not strictly increasing"),
+        (lambda p: p.update(blob=zlib.compress(
+            np.array([1, 2**62, 2**62, 1], dtype=np.int64).tobytes())),
+         "not strictly increasing"),  # the running sum wraps
+        (lambda p: p.update(blob=b"not zlib"), "does not decode"),
+        (lambda p: p.pop("levels"), "does not decode"),
+        (lambda p: p.update(levels="2"), "field levels is '2'"),
+        (lambda p: p.update(edges=-4), "field edges is -4"),
+    ])
+    def test_shard_reach_rejects_malformed_blobs(self, damage, match):
+        """A blob that does not decode raises ``ValueError`` (not an
+        ``assert``, which ``python -O`` strips)."""
+        reach = explore_codes(
+            *build_census_workload("token_ring", {"size": 2, "k": 2}),
+            collect_codes=True,
+        )
+        payload = pickle.loads(encode_shard_reach(reach))
+        assert payload["n"] == 4
+        damage(payload)
+        with pytest.raises(ValueError, match=match):
+            decode_shard_reach(pickle.dumps(payload))
+
+    @pytest.mark.parametrize("n, k", [
+        (0, 3), (2, 5), (5, 5), (10, 3), (7, 4), (100, 7),
+    ])
+    def test_all_shard_bounds_match_array_split(self, n, k):
+        for shard, part in enumerate(np.array_split(np.arange(n), k)):
+            bounds = _shard_range(n, k, shard)
+            assert bounds.step == 1
+            assert list(bounds) == part.tolist()
+
+    def test_all_shards_are_never_arrays(self, monkeypatch):
+        """An ``"all"`` shard is BFS'd from its range, never an array,
+        and reaches what the ``numpy.array_split`` slice reaches."""
+        program, starts, faults = build_census_workload(
+            "token_ring", {"size": 4}
+        )
+        space = program.state_count()
+        assert census_start_codes(program, starts)[1] == range(space)
+        parts = []
+        shard_bfs = kernels.explore_code_shard
+
+        def recording(program, part, *args, **kwargs):
+            parts.append(part)
+            return shard_bfs(program, part, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "explore_code_shard", recording)
+        for shard, part in enumerate(np.array_split(np.arange(space), 3)):
+            reach = compute_census_shard("token_ring", {"size": 4}, shard, 3)
+            assert parts[-1] == range(part[0], part[-1] + 1)
+            expected = shard_bfs(program, part, faults)
+            assert reach.codes.tolist() == expected.codes.tolist()
+            assert (reach.levels, reach.edges) == (
+                expected.levels, expected.edges)
+
 
 # -- distributed campaign parity -----------------------------------------------
 
@@ -499,6 +580,115 @@ class TestDistributedCensus:
         assert reach2.states == full.states
         assert stats2["from_store"] >= stats2["shards"] // 2
         assert stats2["from_store"] == 4  # in fact all of them
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: _flip_a_code_byte(blob),
+    ], ids=["truncated", "byte_flipped"])
+    def test_undecodable_shard_is_recomputed(self, damage):
+        """A stored shard that does not decode is a miss: the census
+        recomputes it exactly and puts it again, so the next run is
+        served from the store."""
+        full = self.expected()
+        store = MemoryStore()
+        key = census_shard_key(
+            "token_ring", {"size": 4}, 0, 1, DEFAULT_MAX_CODES
+        )
+        distributed_census("token_ring", {"size": 4}, shards=1, store=store)
+        store.put(key, damage(store.get(key)))
+        with pytest.raises(ValueError, match="does not (unpickle|decode)"):
+            decode_shard_reach(store.get(key))
+        rejected = store_backend.stats().get("census-shard-undecodable", 0)
+        reach, stats = distributed_census(
+            "token_ring", {"size": 4}, shards=1, store=store
+        )
+        assert reach.states == full.states
+        assert (stats["computed"], stats["from_store"]) == (1, 0)
+        assert store_backend.stats()["census-shard-undecodable"] \
+            == rejected + 1
+        reach, stats = distributed_census(
+            "token_ring", {"size": 4}, shards=1, store=store
+        )
+        assert reach.states == full.states
+        assert (stats["computed"], stats["from_store"]) == (0, 1)
+
+    def test_undecodable_stored_shard_is_recomputed_with_workers(self):
+        """With a job queue, a stored shard that does not decode is
+        recomputed by the scheduler: its job is done, and the board
+        never hands a done job to a worker again."""
+        full = self.expected()
+        store = MemoryStore()
+        key = census_shard_key(
+            "token_ring", {"size": 4}, 0, 2, DEFAULT_MAX_CODES
+        )
+        with ServerThread(store) as srv:
+            stop, threads = start_workers(srv.url, 1)
+            try:
+                _, stats = distributed_census(
+                    "token_ring", {"size": 4}, shards=2,
+                    base_url=srv.url, deadline_s=120,
+                )
+                assert stats["computed"] == 2
+                store.put(key, _flip_a_code_byte(store.get(key)))
+                reach, stats = distributed_census(
+                    "token_ring", {"size": 4}, shards=2,
+                    base_url=srv.url, deadline_s=120,
+                )
+                reach2, stats2 = distributed_census(
+                    "token_ring", {"size": 4}, shards=2,
+                    base_url=srv.url, deadline_s=120,
+                )
+                queue = srv.server.board.status()[CENSUS_QUEUE]
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(10)
+        assert (queue["submitted"], queue["resubmitted"]) == (2, 0)
+        assert reach.states == reach2.states == full.states
+        assert (stats["computed"], stats["from_store"]) == (1, 1)
+        assert (stats2["computed"], stats2["from_store"]) == (0, 2)
+
+    def test_undecodable_worker_artifact_is_recomputed(self, monkeypatch):
+        """A shard artifact a worker puts that does not decode is
+        recomputed by the scheduler when it arrives."""
+        full = self.expected()
+
+        def damaging(payload, store):
+            store.put(payload["result_key"], b"\x80\x04not a shard")
+            return payload["result_key"]
+
+        monkeypatch.setitem(JOB_HANDLERS, "census_shard", damaging)
+        rejected = store_backend.stats().get("census-shard-undecodable", 0)
+        with ServerThread() as srv:
+            stop, threads = start_workers(srv.url, 1)
+            try:
+                reach, stats = distributed_census(
+                    "token_ring", {"size": 4}, shards=2,
+                    base_url=srv.url, deadline_s=120,
+                )
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(10)
+        assert reach.states == full.states
+        assert (stats["computed"], stats["from_store"]) == (2, 0)
+        assert store_backend.stats()["census-shard-undecodable"] \
+            == rejected + 2
+
+    def test_worker_replay_check_recomputes_an_undecodable_shard(self):
+        store = MemoryStore()
+        key = census_shard_key(
+            "token_ring", {"size": 4}, 1, 2, DEFAULT_MAX_CODES
+        )
+        store.put(key, b"\x80\x04not a shard")
+        payload = {
+            "workload": "token_ring", "params": {"size": 4}, "shard": 1,
+            "shards": 2, "max_states": DEFAULT_MAX_CODES, "result_key": key,
+        }
+        assert JOB_HANDLERS["census_shard"](payload, store) == key
+        reach = decode_shard_reach(store.get(key))
+        expected = compute_census_shard("token_ring", {"size": 4}, 1, 2)
+        assert reach.codes.tolist() == expected.codes.tolist()
 
     def test_unknown_workload_is_rejected(self):
         with pytest.raises(KeyError):

@@ -19,6 +19,10 @@ the State-object explorer on instances small enough to run both.
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -420,29 +424,93 @@ def _census_cases():
 )
 def test_census_agrees_over_dedup_paths_and_chunks(case, monkeypatch):
     """The byte bitmap and the sorted anti-join, with one frontier chunk
-    or many, give the same states, levels, edges and reachable codes;
-    so does the union of three shards."""
+    or many, expanded on one, two or three worker threads, give the same
+    states, levels, edges and reachable codes; so does the union of
+    three shards."""
     program, starts, faults = _census_cases()[case]
     default_limit = kernels._BITMAP_SPACE_LIMIT
     default_chunk = kernels._FRONTIER_CHUNK
     start_codes = kernels.census_start_codes(program, starts)[1]
     results = []
-    for limit in (default_limit, 0):
-        for chunk in (default_chunk, 7):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        for limit, chunk, workers in itertools.product(
+            (default_limit, 0), (default_chunk, 7), (1, 2, 3)
+        ):
             monkeypatch.setattr(kernels, "_BITMAP_SPACE_LIMIT", limit)
             monkeypatch.setattr(kernels, "_FRONTIER_CHUNK", chunk)
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
             reach = explore_codes(program, starts, faults, collect_codes=True)
             results.append(
                 (reach.states, reach.levels, reach.edges,
                  reach.codes.tolist())
             )
+            thirds = np.linspace(0, len(start_codes), 4).astype(int)
             merged = kernels.merge_code_reaches(
-                kernels.explore_code_shard(program, part, faults)
-                for part in np.array_split(start_codes, 3)
+                kernels.explore_code_shard(program, start_codes[lo:hi], faults)
+                for lo, hi in zip(thirds[:-1], thirds[1:])
             )
             assert merged.states == reach.states
             assert merged.codes.tolist() == reach.codes.tolist()
+    finally:
+        sys.setswitchinterval(interval)
     assert all(result == results[0] for result in results)
+
+
+def test_census_threads_end_with_the_call(monkeypatch):
+    """A kernel that raises in a worker thread raises the same exception
+    from ``explore_codes``; no worker thread outlives a call, failed or
+    not; and a census whose levels each fit one chunk starts none."""
+    model = token_ring.build(5, 4)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(kernels, "_FRONTIER_CHUNK", 7)
+    # a set, not ``active_count()``: a thread another test left behind
+    # may end meanwhile
+    before = set(threading.enumerate())
+    boom = RuntimeError("kernel failed in a worker")
+    compile_kernel = kernels.code_kernel
+
+    def failing_code_kernel(action, layout):
+        kernel = compile_kernel(action, layout)
+
+        def failing(codes, cols, memo=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise boom
+            return kernel(codes, cols, memo)
+        return failing
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "code_kernel", failing_code_kernel)
+        with pytest.raises(RuntimeError) as raised:
+            explore_codes(model.ring, "all")
+    assert raised.value is boom
+    assert set(threading.enumerate()) <= before
+
+    reach = explore_codes(model.ring, "all")
+    assert (reach.states, reach.levels) == (4 ** 5, 1)
+    assert set(threading.enumerate()) <= before
+
+    started = []
+    start_thread = threading.Thread.start
+
+    def counting_start(thread):
+        if threading.current_thread() is threading.main_thread():
+            started.append(thread)
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    explore_codes(model.ring, "all")  # 1,024 codes: many chunks of 7
+    assert started
+    started.clear()
+    monkeypatch.setattr(kernels, "_FRONTIER_CHUNK", 1 << 15)
+    ngs = (1, 2, 3)
+    family = byzantine.build_family(ngs)
+    reach = explore_codes(
+        family.masking, byzantine.initial_states(ngs),
+        tuple(family.faults.actions),
+    )
+    assert reach.levels > 1 and not started
 
 
 @pytest.mark.parametrize("sizes", [
