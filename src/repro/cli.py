@@ -442,7 +442,9 @@ def _worker(args, out=sys.stdout) -> int:
 
 def _census(args, out=sys.stdout) -> int:
     """Exact reachable-state census, optionally sharded over workers."""
-    from .campaigns.distributed import CENSUS_WORKLOADS, distributed_census
+    from .campaigns.distributed import (
+        CENSUS_WORKLOADS, build_census_workload, distributed_census,
+    )
 
     if args.workload not in CENSUS_WORKLOADS:
         known = ", ".join(sorted(CENSUS_WORKLOADS))
@@ -455,6 +457,12 @@ def _census(args, out=sys.stdout) -> int:
         params = {"size": args.size, "k": args.k}
     else:
         params = {"k": args.k if args.k is not None else 3}
+    try:
+        # a parameter the builder refuses is a usage error, not a census
+        build_census_workload(args.workload, params)
+    except ValueError as exc:
+        print(f"census {args.workload}{params}: {exc}", file=out)
+        return 2
     if args.store is not None:
         from .store import backend as store_backend
 

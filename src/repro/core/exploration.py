@@ -450,9 +450,11 @@ class TransitionSystem:
         they are, with no per-edge Python object.
 
         A level is its packed codes next to its rank columns.  Planned
-        actions expand it with their code kernels (one call per action,
-        one memo per level so the guard terms several actions repeat
-        are computed once), which return successor codes directly.
+        actions expand it by family (the program's and the faults'
+        same-shape plans, see :func:`repro.core.kernels.action_families`:
+        one stacked kernel call per member group, one memo per level so
+        the guard terms several actions repeat are computed once), which
+        return successor codes directly.
         Unplanned ones run their interpreted ``successors`` over the
         level's states, and all of a level's unplanned successors are
         packed in one conversion.  On a symmetry quotient the level's
@@ -471,21 +473,14 @@ class TransitionSystem:
         when no action has a kernel for ``layout`` or a successor
         escapes it (a value outside its declared domain, a state of
         another schema); the interpreted engine then runs."""
-        # per group (program, fault): (position, kernel, choices) of the
-        # planned actions and (position, action) of the unplanned ones
-        planned: Tuple[List, List] = ([], [])
-        unplanned: Tuple[List, List] = ([], [])
-        for group, actions in enumerate(
-            (self.program.actions, self.fault_actions)
-        ):
-            for pos, action in enumerate(actions):
-                kernel = _kernels.code_kernel(action, layout)
-                if kernel is None:
-                    unplanned[group].append((pos, action))
-                else:
-                    planned[group].append(
-                        (pos, kernel, action.plan.choices)
-                    )
+        # per group (program, fault): the families of the planned
+        # actions and (position, action) of the unplanned ones
+        planned: List[List] = []
+        unplanned: List[List] = []
+        for actions in (self.program.actions, self.fault_actions):
+            families, rest = _kernels.action_families(actions, layout)
+            planned.append(families)
+            unplanned.append([(pos, actions[pos]) for pos in rest])
         if not (planned[0] or planned[1]):
             return False
         schema = layout.schema
@@ -504,19 +499,23 @@ class TransitionSystem:
             keys, dsts, acts = [empty], [empty], [empty]
             memo: Dict = {}
             repeats = False
-            for group, kernels_g in enumerate(planned):
-                for pos, kernel, choices in kernels_g:
-                    idx, out = kernel(codes, cols, memo)
-                    if out is None:
-                        continue
-                    keys.append(idx * 2 + group)
-                    acts.append(np.full(idx.shape[0], pos, dtype=np.int64))
-                    dsts.append(out)
-                    # on a quotient two values of one choice may share
-                    # an orbit
-                    repeats = repeats or (
-                        canon_cols is not None and choices > 1
-                    )
+            fired = []
+            for group, families in enumerate(planned):
+                for family in families:
+                    for src, member, out in family.expand(codes, cols, memo):
+                        act = family.action_ids(member, out.shape[0])
+                        fired.append((group, int(act[0]), src, act, out))
+                        if canon_cols is not None and family.choices > 1:
+                            # on a quotient two values of one choice
+                            # may share an orbit
+                            repeats = True
+            # parts in declaration order, as the lexsort below takes
+            # them fastest (action-major runs of ascending sources)
+            fired.sort(key=lambda part: part[:2])
+            for group, _, src, act, out in fired:
+                keys.append(src * 2 + group)
+                acts.append(act)
+                dsts.append(out)
             found: List[State] = []
             if unplanned[0] or unplanned[1]:
                 level = registry[frontier_lo:frontier_lo + n]

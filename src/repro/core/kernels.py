@@ -18,6 +18,11 @@ Everything else about the action is compiled from it here:
   arithmetic, and each successor comes out as a code for O(1)
   interning (:func:`code_kernel`; :func:`batch_kernel` unpacks them
   back into rank columns);
+- *action families*: the planned actions of one program (or fault
+  class) that are equal up to renaming — the n copies of a process —
+  compile once into one kernel, which expands a level for a whole group
+  of members as one stacked block (:func:`action_families`; a code
+  kernel is a family of one);
 - a per-row successor closure over raw values-tuples
   (:func:`row_kernel`), which the symbolic analyzer tabulates.
 
@@ -29,9 +34,15 @@ rank-column evaluator (:func:`column_guard`) from the same compilers.
 Kernels take an optional per-level *memo*: the terms several guards of
 one program repeat (``all_ne_const``, the majority count behind the
 majority ops, and a ``count`` term's total) are computed once per
-frontier level and shared.  The
-caller owns the memo — one dict per matrix of columns — and a memoized
-column is only ever read, never written in place.
+frontier level and shared.  A term is keyed by its expression, so every
+guard that names the same variables shares its column.  In a family a
+term over shared slots (slots naming one variable in every member) has
+that same key; a term over a per-member slot, whose slot name is the
+tuple of its members' variables, is a different block for each member
+group, so its key also names the group and it is shared only by the
+same term over the same members.  The caller owns the memo — one dict
+per matrix of columns — and a memoized column is only ever read, never
+written in place.
 
 Actions without a plan (statements the grammar cannot say) run their
 interpreted ``successors`` inside the same array engine, whose
@@ -93,7 +104,8 @@ import os
 import weakref
 from collections import deque
 from typing import (
-    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
+    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional,
+    Tuple,
 )
 
 import numpy as _np
@@ -120,6 +132,7 @@ __all__ = [
     "column_guard",
     "row_kernel",
     "batch_kernel",
+    "action_families",
     "explore_codes",
     "explore_code_shard",
     "census_start_codes",
@@ -786,12 +799,43 @@ def _value_lut(layout: Layout, src: str, dst: str):
     )
 
 
-def _shared(key: Tuple, fn: Callable) -> Callable:
+def _stacked(layout, names) -> bool:
+    """Whether a term over ``names`` reads a per-member slot of a family
+    (a slot named by the tuple of its members' variables), whose column
+    is a ``(members, N)`` block; never over a :class:`Layout`."""
+    return type(layout) is _SlotLayout and any(
+        type(name) is tuple for name in names
+    )
+
+
+def _stacked_first(layout, items, names_of):
+    """``items`` with those over a per-member slot first (stable), so an
+    accumulator allocated from the first item already has the block
+    shape the rest broadcast into."""
+    if type(layout) is not _SlotLayout:
+        return items
+    return sorted(items, key=lambda item: not _stacked(layout, names_of(item)))
+
+
+def _shared(key: Tuple, fn: Callable, stacked: bool = False) -> Callable:
     """``fn(cols, memo)`` as a term several guards share: with a memo
     (one dict per column matrix, owned by the caller) it is computed
     once under ``key`` and its column handed to every guard that
     repeats it — which is why no compiled guard writes a sub-result in
-    place."""
+    place.  A ``stacked`` term (one over a per-member slot) is a
+    different block for each member group, so its key also names the
+    group the slot columns were gathered for."""
+    if stacked:
+        def shared(cols, memo=None, key=key, fn=fn):
+            if memo is None:
+                return fn(cols, None)
+            grouped = (key, cols.group)
+            found = memo.get(grouped)
+            if found is None:
+                found = memo[grouped] = fn(cols, memo)
+            return found
+        return shared
+
     def shared(cols, memo=None, key=key, fn=fn):
         if memo is None:
             return fn(cols, None)
@@ -813,8 +857,10 @@ _never = _constant(False)
 
 
 def _majority_column(layout: Layout, names, k: int):
-    positions = tuple(layout.index[n] for n in names)
-    ones = tuple(_rank_or_sentinel(layout, n, 1) for n in names)
+    names = tuple(names)
+    copies = _stacked_first(layout, names, lambda name: (name,))
+    positions = tuple(layout.index[n] for n in copies)
+    ones = tuple(_rank_or_sentinel(layout, n, 1) for n in copies)
     if not positions:  # the majority of no copies: 2 * 0 > k
         return _constant(0 > k)
 
@@ -825,13 +871,19 @@ def _majority_column(layout: Layout, names, k: int):
             count += cols[p] == r1
         return 2 * count > k
 
-    return _shared(("majority", tuple(names), k), majority_is_one)
+    return _shared(
+        ("majority", names, k), majority_is_one, _stacked(layout, names)
+    )
 
 
-def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
+def _compile_guard_numpy(expr: Tuple, layout) -> Optional[Callable]:
     """Guard evaluator ``fn(cols, memo=None)`` over rank columns, or
     ``None`` for a guard that is syntactically always true.  The mask it
-    returns may be a memoized column: read it, never update it."""
+    returns may be a memoized column: read it, never update it.
+
+    ``layout`` is a :class:`Layout` (``cols`` is its rank matrix) or a
+    family's slot layout (``cols`` holds one column or block per slot;
+    see :class:`_Family`)."""
     op = expr[0]
     index = layout.index
     if op == "true":
@@ -857,7 +909,7 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
     if op == "all_ne_const":
         pairs = tuple(
             (index[n], _rank_or_sentinel(layout, n, expr[2]))
-            for n in expr[1]
+            for n in _stacked_first(layout, expr[1], lambda name: (name,))
         )
         if not pairs:
             return None
@@ -867,7 +919,10 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
             for p, r in pairs[1:]:
                 acc &= cols[p] != r
             return acc
-        return _shared(("all_ne_const", tuple(expr[1]), expr[2]), all_ne)
+        return _shared(
+            ("all_ne_const", tuple(expr[1]), expr[2]), all_ne,
+            _stacked(layout, expr[1]),
+        )
     if op in ("eq_majority", "ne_majority"):
         p = index[expr[1]]
         r0 = _rank_or_sentinel(layout, expr[1], 0)
@@ -880,7 +935,10 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
             return eq_majority
         return lambda cols, memo=None, f=eq_majority: ~f(cols, memo)
     if op == "count":
-        subs = [_compile_guard_numpy(sub, layout) for sub in expr[1]]
+        subs = [
+            _compile_guard_numpy(sub, layout)
+            for sub in _stacked_first(layout, expr[1], guard_support)
+        ]
         fns = tuple(f for f in subs if f is not None)
         k = expr[3] - (len(subs) - len(fns))
         test = COMPARISONS[expr[2]]
@@ -892,7 +950,11 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
             for fn in fns[1:]:
                 acc += fn(cols, memo)
             return acc
-        total = _shared(("count", tuple(expr[1])), total)
+        total = _shared(
+            ("count", tuple(expr[1])), total,
+            type(layout) is _SlotLayout
+            and _stacked(layout, guard_support(expr)),
+        )
         return lambda cols, memo=None, t=total, k=k, test=test: test(
             t(cols, memo), k
         )
@@ -901,7 +963,10 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
         if sub is None:
             return _never
         return lambda cols, memo=None, f=sub: ~f(cols, memo)
-    subs = [_compile_guard_numpy(sub, layout) for sub in expr[1:]]
+    subs = [
+        _compile_guard_numpy(sub, layout)
+        for sub in _stacked_first(layout, expr[1:], guard_support)
+    ]
     if op == "and":
         subs = [f for f in subs if f is not None]
         if not subs:
@@ -942,17 +1007,395 @@ def column_guard(expr: Tuple, layout: Layout) -> Callable:
     return fn
 
 
-def _choice_ranks(plan: Plan, layout: Layout):
-    """``(position, value ranks)`` of the plan's ``set_any`` choice, or
-    ``None`` for a deterministic plan."""
-    for effect in plan.effects:
-        if effect[0] == "set_any":
-            d = layout.index[effect[1]]
-            return d, _np.array(
-                [layout.ranks[d][value] for value in effect[2]],
-                dtype=_np.int64,
-            )
-    return None
+# -- families: planned actions equal up to renaming, compiled once ------------
+
+#: Rows × members of one stacked block: a family expands a level of N
+#: rows in member groups of ``max(1, STACK_ROWS // N)`` members, so a
+#: level of more than ``STACK_ROWS // 2`` rows (every census chunk)
+#: runs member by member, one action's work each.  In a sweep of 2^10
+#: to 2^14 (perfbench's ``verify`` and ``census`` ops in process, 10
+#: rounds, a 2-CPU box), kernel calls per ``verify`` pass read 414, 372,
+#: 366, 349 and 342 (2,710 with one call per action), and the k = 13
+#: quotient's reach its floor of 174 (from 2,320) at 2^11; op times
+#: moved within the box's noise (the census ring, 1,408 calls at every
+#: setting, read 457 to 750 ms).  2^12 is the smallest setting at which
+#: the catalogue's ``byzantine[0]`` reaches its floor too, and keeps a
+#: block at 32 KB per slot.
+STACK_ROWS = 1 << 12
+
+
+def _rename_guard(expr: Tuple, rename: Callable) -> Tuple:
+    """``expr`` with every variable occurrence ``v`` replaced by
+    ``rename(v)``, called once per occurrence in a fixed walk order."""
+    op = expr[0]
+    if op in ("eq_const", "ne_const"):
+        return (op, rename(expr[1]), expr[2])
+    if op in ("eq_var", "ne_var"):
+        return (op, rename(expr[1]), rename(expr[2]))
+    if op == "all_ne_const":
+        return (op, tuple(map(rename, expr[1])), expr[2])
+    if op in ("eq_majority", "ne_majority"):
+        return (op, rename(expr[1]), tuple(map(rename, expr[2])), expr[3])
+    if op == "count":
+        return (op, tuple(_rename_guard(sub, rename) for sub in expr[1]),
+                expr[2], expr[3])
+    return (op, *(_rename_guard(sub, rename) for sub in expr[1:]))
+
+
+def _rename_effect(effect: Tuple, rename: Callable) -> Tuple:
+    op = effect[0]
+    if op in ("set_const", "set_any"):
+        return (op, rename(effect[1]), effect[2])
+    if op == "copy":
+        return (op, rename(effect[1]), rename(effect[2]))
+    if op == "inc_mod":
+        return (op, rename(effect[1]), rename(effect[2]), effect[3])
+    return (op, rename(effect[1]), tuple(map(rename, effect[2])), effect[3])
+
+
+def _rename_plan(plan: Plan, rename: Callable) -> Tuple:
+    """``(guard, effects)`` of ``plan`` renamed (see :func:`_rename_guard`)."""
+    return (
+        _rename_guard(plan.guard, rename),
+        tuple(_rename_effect(effect, rename) for effect in plan.effects),
+    )
+
+
+def _plan_shape(plan: Plan, layout: Layout):
+    """``(shape, names)``: the plan with each variable occurrence
+    replaced by its domain in ``layout``, and the occurrences' names in
+    walk order — or ``None`` when a name is not in the layout.  Plans of
+    one shape are equal after renaming variables, with the same
+    constants and the same domain at every occurrence."""
+    names: List = []
+    index, domains = layout.index, layout.domains
+
+    def domain(name):
+        names.append(name)
+        return domains[index[name]]
+
+    try:
+        return _rename_plan(plan, domain), names
+    except (KeyError, TypeError):
+        return None
+
+
+class _SlotLayout:
+    """What the guard compiler reads of a :class:`Layout` — ``index``,
+    ``domains``, ``ranks`` — over a family's slots instead of a
+    schema's variables."""
+
+    __slots__ = ("index", "domains", "ranks")
+
+    def __init__(self, index, domains, ranks):
+        self.index = index
+        self.domains = domains
+        self.ranks = ranks
+
+
+class _SlotColumns(list):
+    """A family's slot columns for one member group: a shared slot's
+    ``(N,)`` rank column, a per-member slot's ``(g, N)`` block (its
+    member's column in a group of one).  ``shape`` is what a constant
+    guard reads; ``group``, the members ``(lo, hi)``, keys the memo of
+    stacked terms."""
+
+    __slots__ = ("shape", "group")
+
+
+class _Family:
+    """Planned actions equal up to renaming, compiled as one kernel.
+
+    Every member's plan is one *template* over *slots*: the k-th
+    variable occurrence of each member fills slot k, and members agree
+    on constants and on the domain of every slot (see
+    :func:`action_families`).  A slot is *shared* when it names one
+    variable in every member (the Byzantine ``d`` block, ``dg``) and is
+    then named by that variable, else *per-member* and named by the
+    tuple of its members' variables.  The guard compiles once over the
+    slots (:func:`_compile_guard_numpy` over a :class:`_SlotLayout`),
+    the effects into rank deltas that each member scales by its own
+    strides, ``set_any`` offsets included.
+
+    :meth:`expand` runs a level of N rows in member groups of
+    ``max(1, STACK_ROWS // N)``.  A group of one binds its member's
+    column positions and strides as scalars and does one action's work
+    (:func:`code_kernel` is a family of one).  A larger group gathers
+    each per-member slot as a ``(g, N)`` block, broadcasts the shared
+    columns against it, and one ``flatnonzero`` of the stacked guard
+    gives its ``(member, source)`` pairs, member-major.
+    """
+
+    __slots__ = (
+        "positions", "size", "choices", "_guard", "_deltas", "_operands",
+        "_stacked", "_bind", "_gather", "_strides", "_stride_blocks",
+        "_offsets", "_choice",
+    )
+
+    def __init__(self, plans, layout: Layout, positions, names=None):
+        """Compile ``plans`` (one shape in ``layout``; ``names`` are
+        their occurrences in walk order) for the members at declaration
+        ``positions``.  Raises :class:`KernelError` when the first plan
+        does not fit the layout — and so, sharing its domains and
+        constants, no member does."""
+        index = layout.index
+        _validate_plan(
+            plans[0], index, dict(zip(layout.schema.names, layout.domains))
+        )
+        if names is None:
+            names = [_plan_shape(plan, layout)[1] for plan in plans]
+        size = len(plans)
+        slot_of: Dict = {}
+        binds: List[Tuple[int, ...]] = []  # per slot: position per member
+        walk = []
+        for occurrence in zip(*names):
+            first = occurrence[0]
+            slot = first if occurrence.count(first) == size else occurrence
+            if slot not in slot_of:
+                slot_of[slot] = len(binds)
+                binds.append(tuple(index[name] for name in occurrence))
+            walk.append(slot)
+        slots = iter(walk)
+        guard, effects = _rename_plan(plans[0], lambda _: next(slots))
+        seats = _SlotLayout(
+            slot_of,
+            tuple(layout.domains[bind[0]] for bind in binds),
+            tuple(layout.ranks[bind[0]] for bind in binds),
+        )
+        stacked = tuple(type(slot) is tuple for slot in slot_of)
+        self.positions = _np.array(positions, dtype=_np.int64)
+        self.size = size
+        self.choices = plans[0].choices
+        self._guard = _compile_guard_numpy(guard, seats)
+        self._stacked = stacked
+        self._bind = tuple(zip(*binds))
+        self._gather = tuple(
+            (None, _np.array(bind, dtype=_np.int64)) if per_member
+            else (bind[0], None)
+            for bind, per_member in zip(binds, stacked)
+        )
+        # a delta is the rank change of its target, ``rows[j]`` slot j
+        # at the enabled pairs; ``src``/``flat`` index them in a shared
+        # column / a (g, N) block (None: every row of a group of one)
+        operands = set()
+        deltas: List[Callable] = []
+        targets = []
+        choice = None
+        for e, effect in enumerate(effects):
+            op = effect[0]
+            t = slot_of[effect[1]]
+            targets.append(t)
+            operands.add(t)
+            if op == "set_const":
+                r = seats.ranks[t][effect[2]]
+                deltas.append(
+                    lambda rows, slots, src, flat, memo, t=t, r=r:
+                    r - rows[t]
+                )
+            elif op == "copy":
+                s = slot_of[effect[2]]
+                operands.add(s)
+                if seats.domains[t] == seats.domains[s]:
+                    deltas.append(
+                        lambda rows, slots, src, flat, memo, t=t, s=s:
+                        rows[s] - rows[t]
+                    )
+                else:
+                    lut = _value_lut(seats, effect[2], effect[1])
+                    deltas.append(
+                        lambda rows, slots, src, flat, memo, t=t, s=s,
+                        lut=lut: lut.take(rows[s]) - rows[t]
+                    )
+            elif op == "inc_mod":
+                s, m = slot_of[effect[2]], effect[3]
+                operands.add(s)
+                deltas.append(
+                    lambda rows, slots, src, flat, memo, t=t, s=s, m=m:
+                    (rows[s] + 1) % m - rows[t]
+                )
+            elif op == "set_majority":
+                r0, r1 = seats.ranks[t][0], seats.ranks[t][1]
+                majority_is_one = _majority_column(
+                    seats, effect[2], effect[3]
+                )
+
+                def majority(rows, slots, src, flat, memo, t=t, r0=r0,
+                             r1=r1, m=majority_is_one):
+                    ones = m(slots, memo)
+                    if src is not None:
+                        ones = ones.take(src if ones.ndim == 1 else flat)
+                    return _np.where(ones, r1, r0) - rows[t]
+                deltas.append(majority)
+            else:  # set_any: clear the target; each value adds its offset
+                choice = (e, _np.array(
+                    [seats.ranks[t][value] for value in effect[2]],
+                    dtype=_np.int64,
+                ))
+                deltas.append(
+                    lambda rows, slots, src, flat, memo, t=t: -rows[t]
+                )
+        self._deltas = tuple(deltas)
+        self._operands = tuple(sorted(operands))
+        strides = layout.strides
+        self._strides = tuple(
+            tuple(strides[bind[t]] for t in targets) for bind in self._bind
+        )
+        self._stride_blocks = tuple(
+            _np.array([strides[p] for p in binds[t]], dtype=_np.int64)
+            if stacked[t] else strides[binds[t][0]]
+            for t in targets
+        )
+        self._choice = choice
+        self._offsets = (None,) * size if choice is None else tuple(
+            choice[1] * member[choice[0]] for member in self._strides
+        )
+
+    def expand(self, codes, cols, memo=None) -> Iterator[Tuple]:
+        """The successors of a level (``codes`` and their rank matrix
+        ``cols``): ``(sources, member, successor codes)`` per member
+        group that fires, where ``member`` is the member's index for a
+        group of one and each successor's member index otherwise.  A
+        member's successors come source-major in source order, the
+        values of its choice in their declared order (see
+        :func:`code_kernel`).  Groups are expanded as they are taken,
+        so a caller that keeps only the codes holds no group's sources
+        while the next one runs."""
+        n = codes.shape[0]
+        step = max(1, STACK_ROWS // n)
+        for lo in range(0, self.size, step):
+            hi = min(lo + step, self.size)
+            if hi - lo == 1:
+                src, out = self._one(codes, cols, memo, lo)
+                member = lo
+            else:
+                src, member, out = self._block(codes, cols, memo, lo, hi)
+            if out is not None:
+                yield src, member, out
+
+    def action_ids(self, member, count: int):
+        """The declaration positions of ``count`` successors of
+        ``member`` (an index, or one index per successor)."""
+        if type(member) is int:
+            return _np.full(count, self.positions[member], dtype=_np.int64)
+        return self.positions.take(member)
+
+    def _one(self, codes, cols, memo, m: int):
+        """``(sources, successor codes)`` of member ``m`` alone."""
+        n = codes.shape[0]
+        slots = _SlotColumns([cols[p] for p in self._bind[m]])
+        slots.shape = (len(slots), n)
+        slots.group = (m, m + 1)
+        guard = self._guard
+        if guard is None:
+            idx = None
+            out = codes.copy()
+            rows = slots
+        else:
+            idx = _np.flatnonzero(guard(slots, memo))
+            if idx.size == 0:
+                return idx, None
+            out = codes.take(idx)
+            rows = {j: slots[j].take(idx) for j in self._operands}
+        for delta, st in zip(self._deltas, self._strides[m]):
+            out += delta(rows, slots, idx, idx, memo) * st
+        if idx is None:
+            idx = _np.arange(n, dtype=_np.int64)
+        offsets = self._offsets[m]
+        if offsets is not None:
+            out = (out[:, None] + offsets).ravel()
+            idx = _np.repeat(idx, offsets.shape[0])
+        return idx, out
+
+    def _block(self, codes, cols, memo, lo: int, hi: int):
+        """``(sources, members, successor codes)`` of members
+        ``lo..hi-1`` stacked."""
+        n = codes.shape[0]
+        slots = _SlotColumns(
+            cols[p] if block is None else cols[block[lo:hi]]
+            for p, block in self._gather
+        )
+        slots.shape = (len(slots), n)
+        slots.group = (lo, hi)
+        guard = self._guard
+        if guard is None:
+            flat = _np.arange((hi - lo) * n, dtype=_np.int64)
+        else:
+            mask = guard(slots, memo)
+            if mask.ndim == 1:  # no per-member slot: one mask for all
+                mask = _np.broadcast_to(mask, (hi - lo, n))
+            flat = _np.flatnonzero(mask)
+            if flat.size == 0:
+                return flat, None, None
+        member = flat // n
+        src = flat - member * n
+        out = codes.take(src)
+        stacked = self._stacked
+        rows = {
+            j: slots[j].take(flat if stacked[j] else src)
+            for j in self._operands
+        }
+        strides = [
+            st if type(st) is int else st[lo:hi].take(member)
+            for st in self._stride_blocks
+        ]
+        for delta, st in zip(self._deltas, strides):
+            out += delta(rows, slots, src, flat, memo) * st
+        member += lo
+        if self._choice is not None:
+            e, ranks = self._choice
+            st = strides[e]
+            offsets = ranks * st if type(st) is int else st[:, None] * ranks
+            out = (out[:, None] + offsets).ravel()
+            src = _np.repeat(src, ranks.shape[0])
+            member = _np.repeat(member, ranks.shape[0])
+        return src, member, out
+
+
+#: (layout, ids of an action tuple) -> (weak references to the actions,
+#: their families and unplanned positions); an entry goes when one of
+#: its actions is collected
+_FAMILIES: Dict[Tuple, Tuple] = {}
+
+
+def action_families(actions, layout: Layout):
+    """``(families, unplanned)``: the planned actions of ``actions``
+    grouped into families — plans equal after renaming variables, with
+    the same constants and the same domain at every variable occurrence
+    (:func:`_plan_shape`), members in declaration order, each family
+    compiled once (:class:`_Family`) — and the ascending positions of
+    the actions with no plan that compiles for ``layout``.  Cached per
+    (action tuple, layout), so a program's families compile once
+    however many systems explore it."""
+    actions = tuple(actions)
+    key = (layout, tuple(map(id, actions)))
+    found = _FAMILIES.get(key)
+    if found is not None:
+        return found[1]
+    shapes: Dict = {}
+    unplanned = []
+    for pos, action in enumerate(actions):
+        plan = getattr(action, "plan", None)
+        shape = None if plan is None else _plan_shape(plan, layout)
+        if shape is None:
+            unplanned.append(pos)
+        else:
+            shapes.setdefault(shape[0], []).append((pos, plan, shape[1]))
+    families = []
+    for members in shapes.values():
+        positions, plans, names = zip(*members)
+        try:
+            families.append(_Family(plans, layout, positions, names))
+        except KernelError:
+            unplanned.extend(positions)
+    result = (families, sorted(unplanned))
+
+    def forget(_, key=key):
+        _FAMILIES.pop(key, None)
+
+    _FAMILIES[key] = (
+        tuple(weakref.ref(action, forget) for action in actions), result
+    )
+    return result
 
 
 #: action -> {layout: batch kernel or None}
@@ -1000,8 +1443,9 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
     successor rank matrix is ever materialized and no repacking happens,
     so the per-edge cost is independent of the number of variables.
     Each column an effect reads is gathered once per call, for the
-    enabled sources only.  The columnar exploration engine and
-    :func:`explore_codes` both expand their levels with it.
+    enabled sources only.  The kernel is a family of one
+    (:class:`_Family`); the exploration engines expand their levels
+    with whole families (:func:`action_families`).
     """
     plan = getattr(action, "plan", None)
     if plan is None:
@@ -1014,97 +1458,12 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
         return found
     kernel: Optional[Callable] = None
     try:
-        index = layout.index
-        domains = {
-            name: layout.domains[i]
-            for i, name in enumerate(layout.schema.names)
-        }
-        _validate_plan(plan, index, domains)
-        guard = _compile_guard_numpy(plan.guard, layout)
-        strides = layout.strides
-        # a delta reads ``rows[j]``, column j of the enabled sources;
-        # ``idx`` is their positions in ``cols`` (None: every column)
-        operands = set()
-        deltas: List[Callable] = []
-        for effect in plan.effects:
-            op = effect[0]
-            d = index[effect[1]]
-            st = strides[d]
-            operands.add(d)
-            if op == "set_const":
-                r = layout.ranks[d][effect[2]]
-                deltas.append(
-                    lambda rows, cols, idx, memo, d=d, r=r, st=st:
-                    (r - rows[d]) * st
-                )
-            elif op == "copy":
-                s = index[effect[2]]
-                operands.add(s)
-                if layout.domains[d] == layout.domains[s]:
-                    deltas.append(
-                        lambda rows, cols, idx, memo, d=d, s=s, st=st:
-                        (rows[s] - rows[d]) * st
-                    )
-                else:
-                    lut = _value_lut(layout, effect[2], effect[1])
-                    deltas.append(
-                        lambda rows, cols, idx, memo, d=d, s=s, st=st,
-                        lut=lut: (lut.take(rows[s]) - rows[d]) * st
-                    )
-            elif op == "inc_mod":
-                s, m = index[effect[2]], effect[3]
-                operands.add(s)
-                deltas.append(
-                    lambda rows, cols, idx, memo, d=d, s=s, st=st, m=m:
-                    ((rows[s] + 1) % m - rows[d]) * st
-                )
-            elif op == "set_majority":
-                r0, r1 = layout.ranks[d][0], layout.ranks[d][1]
-                majority_is_one = _majority_column(
-                    layout, effect[2], effect[3]
-                )
-
-                def majority(rows, cols, idx, memo, d=d, r0=r0, r1=r1,
-                             st=st, m=majority_is_one):
-                    ones = m(cols, memo)
-                    if idx is not None:
-                        ones = ones.take(idx)
-                    return (_np.where(ones, r1, r0) - rows[d]) * st
-                deltas.append(majority)
-            else:  # set_any: clear the target; each value adds its offset
-                deltas.append(
-                    lambda rows, cols, idx, memo, d=d, st=st: -rows[d] * st
-                )
-        offsets = None
-        choice = _choice_ranks(plan, layout)
-        if choice is not None:
-            d, ranks = choice
-            offsets = ranks * strides[d]
-        empty = _np.empty(0, dtype=_np.int64)
-
-        def kernel(codes, cols, memo=None, guard=guard,
-                   deltas=tuple(deltas), operands=tuple(sorted(operands)),
-                   offsets=offsets, empty=empty):
-            if guard is None:
-                idx = None
-                out = codes.copy()
-                rows = cols
-            else:
-                idx = _np.flatnonzero(guard(cols, memo))
-                if idx.size == 0:
-                    return empty, None
-                out = codes.take(idx)
-                rows = {j: cols[j].take(idx) for j in operands}
-            for delta in deltas:
-                out += delta(rows, cols, idx, memo)
-            if idx is None:
-                idx = _np.arange(codes.shape[0], dtype=_np.int64)
-            if offsets is not None:
-                out = (out[:, None] + offsets).ravel()
-                idx = _np.repeat(idx, offsets.shape[0])
-            return idx, out
+        family = _Family((plan,), layout, (0,))
     except KernelError:
-        kernel = None
+        pass
+    else:
+        def kernel(codes, cols, memo=None, one=family._one):
+            return one(codes, cols, memo, 0)
     per_action[layout] = kernel
     return kernel
 
@@ -1158,17 +1517,20 @@ def _census_layout(program, schema) -> Layout:
     return layout
 
 
-def _census_kernels(program, fault_actions, layout: Layout) -> List[Callable]:
-    kernels = []
-    for action in tuple(program.actions) + tuple(fault_actions):
-        kernel = code_kernel(action, layout)
-        _require(
-            kernel is not None,
-            f"action {action.name!r} has no compilable plan for "
-            f"{program.name!r}",
-        )
-        kernels.append(kernel)
-    return kernels
+def _census_kernels(program, fault_actions, layout: Layout) -> List[_Family]:
+    """The families of the program's actions and of the faults
+    (:func:`action_families`), all compiled here, before any level is
+    expanded; an action without a compilable plan is an error."""
+    families: List[_Family] = []
+    for actions in (tuple(program.actions), tuple(fault_actions)):
+        found, unplanned = action_families(actions, layout)
+        if unplanned:
+            raise KernelError(
+                f"action {actions[unplanned[0]].name!r} has no compilable "
+                f"plan for {program.name!r}"
+            )
+        families.extend(found)
+    return families
 
 
 def _check_cap(count: int, max_states: int, name: str) -> None:
@@ -1212,14 +1574,15 @@ def _in_order(pool, fn, items, bound: int):
         yield pending.popleft().result()
 
 
-def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
+def _code_bfs(layout: Layout, families, start_codes, max_states: int,
               name: str, collect: bool) -> CodeReach:
     """The BFS core shared by whole censuses and shards: expand from
     ``start_codes`` (a sorted unique code array, or a step-1 ``range``
     of codes) until no fresh code appears.
 
-    A level runs in chunks of :data:`_FRONTIER_CHUNK` rows, and each
-    chunk's successor codes from every kernel are deduplicated together:
+    A level runs in chunks of :data:`_FRONTIER_CHUNK` rows, each
+    expanded by every action family (:class:`_Family`), and each
+    chunk's successor codes from every family are deduplicated together:
     through the byte bitmap when the space fits
     :data:`_BITMAP_SPACE_LIMIT`, else by one sorted anti-join (their
     distinct values, one ``searchsorted`` against the sorted seen set,
@@ -1251,14 +1614,13 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
     def expand(chunk):
         """``(successor rows, codes)`` of one chunk: every successor
         code on the bitmap path, the ones not in ``seen_sorted`` on the
-        sorted one (``None`` when no kernel fires)."""
+        sorted one (``None`` when no action fires)."""
         chunk = _as_codes(chunk)
         cols = layout.columns_from_codes(chunk)
-        memo = {}  # guard terms shared across the chunk's kernels
+        memo = {}  # guard terms shared across the chunk's families
         found = []
-        for kernel in kernels:
-            _, codes = kernel(chunk, cols, memo)
-            if codes is not None:
+        for family in families:
+            for _, _, codes in family.expand(chunk, cols, memo):
                 found.append(codes)
         if not found:
             return 0, None
@@ -1409,9 +1771,9 @@ def explore_codes(
         if not start_states:
             return CodeReach(0, 0, 0)
     layout, start_codes = census_start_codes(program, start_states)
-    kernels = _census_kernels(program, fault_actions, layout)
+    families = _census_kernels(program, fault_actions, layout)
     return _code_bfs(
-        layout, kernels, start_codes, max_states, program.name, collect_codes
+        layout, families, start_codes, max_states, program.name, collect_codes
     )
 
 
@@ -1443,8 +1805,8 @@ def explore_code_shard(
         0 <= int(codes[0]) and int(codes[-1]) < layout.space,
         f"start codes out of range for {program.name!r}",
     )
-    kernels = _census_kernels(program, fault_actions, layout)
-    return _code_bfs(layout, kernels, codes, max_states, program.name, True)
+    families = _census_kernels(program, fault_actions, layout)
+    return _code_bfs(layout, families, codes, max_states, program.name, True)
 
 
 def merge_code_reaches(reaches) -> CodeReach:
@@ -1465,7 +1827,12 @@ def merge_code_reaches(reaches) -> CodeReach:
         arrays.append(reach.codes)
     if not arrays:
         return CodeReach(0, 0, 0, _np.empty(0, dtype=_np.int64))
-    union = _distinct(_np.concatenate(arrays))
+    if len(arrays) == 1:
+        # a shard's codes are sorted and distinct already: its BFS
+        # collects them so, and decode_shard_reach checks a stored one
+        union = arrays[0]
+    else:
+        union = _distinct(_np.concatenate(arrays))
     return CodeReach(
         int(union.shape[0]),
         max(reach.levels for reach in reaches),
@@ -1484,3 +1851,4 @@ def clear_kernel_caches() -> None:
     _ROW_KERNELS.clear()
     _BATCH_KERNELS.clear()
     _CODE_KERNELS.clear()
+    _FAMILIES.clear()

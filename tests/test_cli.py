@@ -176,3 +176,17 @@ class TestCensus:
         )
         assert code == 1
         assert out.getvalue().startswith("census failed:")
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["byzantine", "--k", "6"], "odd number of non-generals"),
+        (["token_ring", "--size", "1"], "at least two processes"),
+    ])
+    def test_a_parameter_the_builder_refuses_is_a_usage_error(
+        self, argv, reason
+    ):
+        """The workload is built before any shard runs: a parameter its
+        builder refuses is one line naming the reason, and exit 2."""
+        out = io.StringIO()
+        assert main(["census", *argv, "--shards", "1"], out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and reason in lines[0]

@@ -246,12 +246,23 @@ def _explored(name: str, backend: str):
     return _graph(ts)
 
 
+#: ``STACK_ROWS`` settings the parity tests run under: never stack
+#: (every member group holds one member), the default, and always stack
+#: (one group per family at every level size)
+STACKINGS = (1, kernels.STACK_ROWS, 1 << 30)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("backend", ["auto"])
-def test_kernel_backends_match_interpreted(name, backend):
+def test_kernel_backends_match_interpreted(name, backend, monkeypatch):
     """The compiled engine produces the interpreted engine's graph, bit
-    for bit, on every bundled scenario."""
-    assert _explored(name, backend) == _explored(name, "interpreted")
+    for bit, on every bundled scenario, whether its action families
+    expand member by member, stacked at the default size, or always
+    stacked."""
+    reference = _explored(name, "interpreted")
+    for rows in STACKINGS:
+        monkeypatch.setattr(kernels, "STACK_ROWS", rows)
+        assert _explored(name, backend) == reference, rows
 
 
 def test_unknown_backend_names_the_choices():
@@ -424,9 +435,9 @@ def _census_cases():
 )
 def test_census_agrees_over_dedup_paths_and_chunks(case, monkeypatch):
     """The byte bitmap and the sorted anti-join, with one frontier chunk
-    or many, expanded on one, two or three worker threads, give the same
-    states, levels, edges and reachable codes; so does the union of
-    three shards."""
+    or many, expanded on one, two or three worker threads, by families
+    never, sometimes or always stacked, give the same states, levels,
+    edges and reachable codes; so does the union of three shards."""
     program, starts, faults = _census_cases()[case]
     default_limit = kernels._BITMAP_SPACE_LIMIT
     default_chunk = kernels._FRONTIER_CHUNK
@@ -435,9 +446,10 @@ def test_census_agrees_over_dedup_paths_and_chunks(case, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
     try:
-        for limit, chunk, workers in itertools.product(
-            (default_limit, 0), (default_chunk, 7), (1, 2, 3)
+        for limit, chunk, workers, rows in itertools.product(
+            (default_limit, 0), (default_chunk, 7), (1, 2, 3), STACKINGS
         ):
+            monkeypatch.setattr(kernels, "STACK_ROWS", rows)
             monkeypatch.setattr(kernels, "_BITMAP_SPACE_LIMIT", limit)
             monkeypatch.setattr(kernels, "_FRONTIER_CHUNK", chunk)
             monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
@@ -458,6 +470,27 @@ def test_census_agrees_over_dedup_paths_and_chunks(case, monkeypatch):
     assert all(result == results[0] for result in results)
 
 
+def test_one_shard_merge_returns_its_codes_as_they_are():
+    """A shard's codes are sorted and distinct, so merging one shard
+    returns them as they are, with its own counts; merging one shard per
+    start code gives the same census."""
+    program, starts, faults = _census_cases()["byzantine_lies"]
+    start_codes = kernels.census_start_codes(program, starts)[1]
+    whole = kernels.explore_code_shard(program, start_codes, faults)
+    merged = kernels.merge_code_reaches([whole])
+    assert merged.codes is whole.codes
+    assert (merged.states, merged.levels, merged.edges) == (
+        whole.states, whole.levels, whole.edges
+    )
+    split = kernels.merge_code_reaches(
+        kernels.explore_code_shard(program, start_codes[i:i + 1], faults)
+        for i in range(len(start_codes))
+    )
+    assert len(start_codes) > 1
+    assert split.states == merged.states
+    assert split.codes.tolist() == merged.codes.tolist()
+
+
 def test_census_threads_end_with_the_call(monkeypatch):
     """A kernel that raises in a worker thread raises the same exception
     from ``explore_codes``; no worker thread outlives a call, failed or
@@ -469,19 +502,15 @@ def test_census_threads_end_with_the_call(monkeypatch):
     # may end meanwhile
     before = set(threading.enumerate())
     boom = RuntimeError("kernel failed in a worker")
-    compile_kernel = kernels.code_kernel
+    expand = kernels._Family.expand
 
-    def failing_code_kernel(action, layout):
-        kernel = compile_kernel(action, layout)
-
-        def failing(codes, cols, memo=None):
-            if threading.current_thread() is not threading.main_thread():
-                raise boom
-            return kernel(codes, cols, memo)
-        return failing
+    def failing_expand(family, codes, cols, memo=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise boom
+        return expand(family, codes, cols, memo)
 
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "code_kernel", failing_code_kernel)
+        patch.setattr(kernels._Family, "expand", failing_expand)
         with pytest.raises(RuntimeError) as raised:
             explore_codes(model.ring, "all")
     assert raised.value is boom
@@ -763,6 +792,135 @@ def test_shared_guard_terms_are_never_written_in_place():
     assert memo[present].tolist() == masks[-1]
     assert sum(masks[0]) and sum(masks[1])
     assert masks[0] != masks[-1] and masks[1] != masks[-1]
+
+
+# ---------------------------------------------------------------------------
+# action families
+# ---------------------------------------------------------------------------
+
+def _families(program, actions):
+    schema = next(iter(state_space(program.variables)))._schema
+    return kernels.action_families(
+        actions, kernels.layout_for(schema, program._domains)
+    )
+
+
+def test_families_group_the_process_copies():
+    """The k = 13 masking program groups into its process templates —
+    the general's lie alone, IB1, IB2 and CB1 of each non-general, and
+    both lies of every non-general — and its fault latches into one
+    family; the 6/5 ring's 30 perturbations group by value, its moves
+    into the root's and the others'.  Members keep declaration order."""
+    model = byzantine.build_family(tuple(range(1, 14)))
+    for actions, sizes in (
+        (model.masking.actions, [1, 13, 13, 13, 26]),
+        (model.faults.actions, [14]),
+    ):
+        families, unplanned = _families(model.masking, actions)
+        assert sorted(f.size for f in families) == sizes
+        assert not unplanned
+        for family in families:
+            positions = family.positions.tolist()
+            assert positions == sorted(positions)
+    ring = token_ring.build(6, 5)
+    families, unplanned = _families(ring.ring, ring.faults.actions)
+    assert [f.size for f in families] == [6] * 5 and not unplanned
+    for family in families:
+        assert len({
+            ring.faults.actions[p].plan.effects[0][2]
+            for p in family.positions.tolist()
+        }) == 1
+    families, _ = _families(ring.ring, ring.ring.actions)
+    assert sorted(f.size for f in families) == [1, 5]
+
+
+def test_plans_over_different_domains_are_not_grouped():
+    """Equal after renaming is not enough: ``x := 0`` over a 3-value and
+    over a 4-value domain are two families, and ``x := 1`` is a third;
+    the same plan over equal domains is one family."""
+    variables = [
+        Variable("a", range(3)), Variable("b", range(4)),
+        Variable("c", range(3)),
+    ]
+
+    def assign(name, value):
+        return Action(f"{name}:={value}", plan=Plan(
+            ("ne_const", name, value), [("set_const", name, value)]
+        ))
+
+    actions = [assign("a", 0), assign("b", 0), assign("c", 0), assign("c", 1)]
+    program = Program(variables, actions, name="domains")
+    families, unplanned = _families(program, actions)
+    assert sorted(f.positions.tolist() for f in families) == [[0, 2], [1], [3]]
+    assert not unplanned
+
+
+def _process_copies():
+    """Three copies of one process next to a shared counter ``w``.  Their
+    guards repeat memoized terms over per-member names (an
+    ``all_ne_const``, a ``count``, a majority), each led by a term over
+    ``w`` alone, as is a disjunction; a singleton repeats copy 0's
+    ``all_ne_const`` over its real names; and some guards compile to
+    constants (a count over no terms, and ``¬true``)."""
+    variables = [Variable("w", range(3))]
+    actions = [Action("tick", plan=Plan(("true",), [("inc_mod", "w", "w", 3)]))]
+    for i in range(3):
+        x, y, z = f"x{i}", f"y{i}", f"z{i}"
+        variables += [
+            Variable(x, range(3)), Variable(y, range(3)), Variable(z, (0, 1)),
+        ]
+        present = ("all_ne_const", ("w", x, y), 0)
+        ones = ("count", (("eq_const", "w", 1), ("eq_const", x, 1),
+                          ("eq_const", y, 1)), ">=", 2)
+        actions += [
+            Action(f"step{i}", plan=Plan(
+                ("and", present, ones), [("inc_mod", x, y, 3)],
+            )),
+            Action(f"vote{i}", plan=Plan(
+                ("and", ("ne_const", "w", 0), ("ne_const", "w", 2), present,
+                 ("ne_majority", z, ("w", x, y), 3)),
+                [("set_majority", z, ("w", x, y), 3)],
+            )),
+            Action(f"reset{i}", plan=Plan(
+                ("or", ("count", (), ">", 0), ("eq_const", "w", 2),
+                 ("not", ones)),
+                [("set_any", y, (0, 1, 2))],
+            )),
+            Action(f"idle{i}", plan=Plan(
+                ("not", ("true",)), [("set_const", z, 0)],
+            )),
+        ]
+    actions.append(Action("peek", plan=Plan(
+        ("all_ne_const", ("w", "x0", "y0"), 0), [("set_const", "z0", 1)],
+    )))
+    return Program(variables, actions, name="copies")
+
+
+@pytest.mark.parametrize("everywhere", [False, True])
+def test_stacked_guard_terms_never_cross_members(everywhere, monkeypatch):
+    """A memoized term over per-member names is a different block for
+    every member group, and never the singleton's term over real names:
+    from one state (small levels) and from every state (one large
+    level), at every stacking, the columnar graph is the interpreted
+    one and the census counts its states and edges."""
+    program = _process_copies()
+    families, _ = _families(program, program.actions)
+    assert sorted(f.size for f in families) == [1, 1, 3, 3, 3, 3]
+    space = list(state_space(program.variables))
+    starts = space if everywhere else space[:1]
+    kernels.set_backend("interpreted")
+    reference = _graph(TransitionSystem(program, starts))
+    kernels.set_backend("auto")
+    for rows in STACKINGS:
+        monkeypatch.setattr(kernels, "STACK_ROWS", rows)
+        ts = TransitionSystem(program, starts)
+        assert ts._state_cols is not None
+        assert _graph(ts) == reference, rows
+        reach = explore_codes(program, starts)
+        assert reach.states == len(ts.states)
+        assert reach.edges == sum(
+            len(ts.program_edges_from(s)) for s in ts.states
+        )
 
 
 # ---------------------------------------------------------------------------
