@@ -42,7 +42,7 @@ probe it is evidence, and the diagnostics say so.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..core.action import Action
 from ..core.state import State, Variable
@@ -51,7 +51,7 @@ from .probe import ProbeSet, raw_successors
 
 __all__ = [
     "check_frames", "infer_frame", "infer_predicate_reads",
-    "exact_predicate_reads", "format_frame",
+    "format_frame",
 ]
 
 RULE = "frame-soundness"
@@ -344,47 +344,6 @@ def infer_predicate_reads(
     return frozenset(reads)
 
 
-def exact_predicate_reads(
-    predicate,
-    states: Sequence[State],
-    max_states: int = 1 << 17,
-) -> Optional[FrozenSet[str]]:
-    """The *exact* read frame of ``predicate`` over an exhaustive state
-    list, or ``None`` when exactness cannot be established.
-
-    Unlike :func:`infer_predicate_reads` (a differential probe, hence a
-    lower bound on a sample), this is a complete decision procedure when
-    ``states`` enumerates the full Cartesian space over one schema: a
-    variable is unread iff the predicate is constant on every group of
-    states agreeing everywhere else.  One predicate evaluation per state
-    plus one dict pass per variable — no perturbed states are built.
-
-    The certificate store's frame-aware invalidation
-    (:mod:`repro.store.certificates`) relies on this: reusing an
-    obligation verdict across a program edit is sound only against an
-    *over*-approximation of what the consulted predicates read, which an
-    exact frame trivially is.  Returns ``None`` (refuse, never guess)
-    for empty or oversized lists and for mixed-schema lists.
-    """
-    states = list(states)
-    if not states or len(states) > max_states:
-        return None
-    schema = states[0].schema
-    if any(state.schema is not schema for state in states):
-        return None
-    fn = predicate.fn
-    truth = [bool(fn(state)) for state in states]
-    reads = set()
-    for position, name in enumerate(schema.names):
-        groups: Dict[Tuple, bool] = {}
-        setdefault = groups.setdefault
-        for state, value in zip(states, truth):
-            values = state.values_tuple
-            masked = values[:position] + values[position + 1:]
-            if setdefault(masked, value) != value:
-                reads.add(name)
-                break
-    return frozenset(reads)
 
 
 def infer_frame(

@@ -1,6 +1,6 @@
 """Content-addressed lint certificates.
 
-Two granularities, mirroring the closure-row scheme in
+Two granularities, both exact-key replay like the verdict caches of
 :mod:`repro.store.certificates`:
 
 - **whole-report certificates** — keyed by the complete lint target

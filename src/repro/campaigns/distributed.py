@@ -51,7 +51,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..store import backend as store_backend
-from ..store.backend import BaseStore, MemoryStore, RemoteStore, record_event
+from ..store.backend import BaseStore, RemoteStore, record_event
 from ..store.jobs import JobClient, default_worker_id
 from ..store.keys import callable_material, digest, value_material
 from .classify import TrialMetrics, campaign_verdict
@@ -130,26 +130,50 @@ def encode_batch(items: List[Tuple[TrialRecord, List[Dict[str, Any]]]]) -> bytes
 
 
 def decode_batch(blob: bytes) -> List[Tuple[TrialRecord, List[Dict[str, Any]]]]:
-    payload = pickle.loads(zlib.decompress(blob))
-    if payload.get("v") != BATCH_SCHEMA:
+    """The ``[(TrialRecord, buffered events), ...]`` a batch artifact
+    packs.  Raises ``ValueError`` for a blob that does not decode to
+    one: bytes that do not decompress or unpickle, another schema, or
+    fields that do not build the records."""
+    try:
+        payload = pickle.loads(zlib.decompress(blob))
+    except Exception as exc:  # truncated or flipped blobs raise anything
+        raise ValueError(f"batch artifact does not decode: {exc!r}") from exc
+    version = payload.get("v") if isinstance(payload, dict) else None
+    if version != BATCH_SCHEMA:
         raise ValueError(
-            f"batch artifact schema {payload.get('v')!r} != {BATCH_SCHEMA}"
+            f"batch artifact schema {version!r} != {BATCH_SCHEMA}"
         )
-    records, metrics = payload["records"], payload["metrics"]
-    keysets, events = payload["keysets"], payload["events"]
-    items = []
-    for i in range(len(records["trial"])):
-        record = TrialRecord(
-            metrics=TrialMetrics(
-                **{field: metrics[field][i] for field in _METRIC_FIELDS}
-            ),
-            **{field: records[field][i] for field in _RECORD_FIELDS},
-        )
-        trial_events = [
-            dict(zip(keysets[ksid], values)) for ksid, values in events[i]
-        ]
-        items.append((record, trial_events))
+    try:
+        records, metrics = payload["records"], payload["metrics"]
+        keysets, events = payload["keysets"], payload["events"]
+        items = []
+        for i in range(len(records["trial"])):
+            record = TrialRecord(
+                metrics=TrialMetrics(
+                    **{field: metrics[field][i] for field in _METRIC_FIELDS}
+                ),
+                **{field: records[field][i] for field in _RECORD_FIELDS},
+            )
+            trial_events = [
+                dict(zip(keysets[ksid], values)) for ksid, values in events[i]
+            ]
+            items.append((record, trial_events))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"batch artifact does not decode: {exc!r}") from exc
     return items
+
+
+def _decoded_batch(blob: Optional[bytes]):
+    """The batch ``blob`` packs, or ``None`` for no blob or one that
+    does not decode — a miss either way, so the batch is run again and
+    its artifact put again."""
+    if blob is None:
+        return None
+    try:
+        return decode_batch(blob)
+    except ValueError:
+        record_event("campaign-batch-undecodable")
+        return None
 
 
 def batch_key(scenario: Scenario, spec, horizon: float, seed: int,
@@ -295,6 +319,16 @@ class DistributedCampaign:
         size = int(self.target_lease_s * 1000.0 / per_ms)
         return max(1, min(size, remaining))
 
+    def _run_here(self, lo: int, hi: int, key: str):
+        """Run batch ``[lo, hi)`` in this process and put its artifact
+        again.  The board keeps a done job done, so no worker would
+        replace an artifact that does not decode."""
+        items = [
+            self.campaign._buffered_trial(trial) for trial in range(lo, hi)
+        ]
+        self.store.put(key, encode_batch(items), "campaign_batch")
+        return items
+
     def _observe(self, items) -> None:
         for _, events in items:
             for event in events:
@@ -324,18 +358,21 @@ class DistributedCampaign:
                 self.batches_total += 1
                 record_event("campaign-batches")
                 blob = self.store.get(key)
-                if blob is not None:
-                    items = decode_batch(blob)
-                    self._observe(items)
-                    results[lo] = items
+                items = _decoded_batch(blob)
+                if items is not None:
                     self.batches_from_store += 1
                     record_event("campaign-batch-hits")
+                elif blob is not None:
+                    items = self._run_here(lo, hi, key)
+                else:
+                    self.client.submit(
+                        CAMPAIGN_QUEUE, self._batch_payload(lo, hi, key),
+                        job_id=key, result_key=key,
+                    )
+                    pending[key] = (lo, hi)
                     continue
-                self.client.submit(
-                    CAMPAIGN_QUEUE, self._batch_payload(lo, hi, key),
-                    job_id=key, result_key=key,
-                )
-                pending[key] = (lo, hi)
+                self._observe(items)
+                results[lo] = items
             if not pending:
                 continue
             progressed = False
@@ -343,7 +380,10 @@ class DistributedCampaign:
             for key, (lo, hi) in list(pending.items()):
                 blob = self.store.get(key)
                 if blob is not None:
-                    items = decode_batch(blob)
+                    items = _decoded_batch(blob)
+                    if items is None:
+                        # a worker put an artifact that does not decode
+                        items = self._run_here(lo, hi, key)
                     self._observe(items)
                     results[lo] = items
                     del pending[key]
@@ -550,8 +590,9 @@ def distributed_census(
     over the shard reach sets.
 
     With no ``base_url`` the shards compute in-process against
-    ``store`` (default: the active store, else a throwaway memory
-    store) — same artifacts, same union, no queue.
+    ``store`` (default: the active store) — same artifacts, same union,
+    no queue.  With no store either, the shards are computed and merged
+    and nothing is encoded.
     """
     from ..core.kernels import DEFAULT_MAX_CODES, merge_code_reaches
 
@@ -564,11 +605,11 @@ def distributed_census(
         if client.healthz() is None:
             client = None
     if client is not None:
-        shard_store: BaseStore = RemoteStore(base_url)
+        shard_store: Optional[BaseStore] = RemoteStore(base_url)
     elif store is not None:
         shard_store = store
     else:
-        shard_store = store_backend.active_store() or MemoryStore()
+        shard_store = store_backend.active_store()
 
     keys = [
         census_shard_key(workload, params, shard, shards, max_states)
@@ -583,13 +624,14 @@ def distributed_census(
         reach = compute_census_shard(
             workload, params, shard, shards, max_states
         )
-        shard_store.put(key, encode_shard_reach(reach), "census_shard")
+        if shard_store is not None:
+            shard_store.put(key, encode_shard_reach(reach), "census_shard")
         reaches[shard] = reach
         stats["computed"] += 1
 
     for shard, key in enumerate(keys):
         record_event("census-shards")
-        blob = shard_store.get(key)
+        blob = None if shard_store is None else shard_store.get(key)
         reach = _decoded_reach(blob)
         if reach is not None:
             reaches[shard] = reach
@@ -669,7 +711,7 @@ def _handle_campaign_batch(payload: Dict[str, Any],
     from .scenarios import get_scenario
 
     result_key = payload["result_key"]
-    if store.get(result_key) is not None:
+    if _decoded_batch(store.get(result_key)) is not None:
         # idempotent re-run (a re-leased batch another worker finished):
         # the content-addressed artifact already exists, nothing to do
         record_event("batch-replays")

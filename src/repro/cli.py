@@ -290,9 +290,7 @@ def _store_stats_line(out=sys.stdout) -> None:
     for event, label in (
         ("verdict_hits", "verdicts"),
         ("obligation_hits", "obligations"),
-        ("obligations_reused", "frame-reused"),
         ("graph_hits", "graphs"),
-        ("graph_reassembled", "reassembled"),
         ("lint_report_hits", "lint-reports"),
         ("lint_action_hits", "lint-actions"),
     ):

@@ -52,7 +52,6 @@ def corrects_spec(witness: Predicate, correction: Predicate) -> Spec:
         lambda s, t, x=correction: (not x(s)) or x(t),
         name=f"Convergence(closure): cl({correction.name})",
         predicates=(correction,),
-        stutter_true=True,
     )
     convergence_reach = LeadsTo(
         TRUE,

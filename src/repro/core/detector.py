@@ -69,7 +69,6 @@ def detects_spec(witness: Predicate, detection: Predicate) -> Spec:
         lambda s, t, z=witness, x=detection: (not z(s)) or z(t) or not x(t),
         name=f"Stability: ({{{witness.name}}},{{{witness.name} ∨ ¬{detection.name}}})",
         predicates=(witness, detection),
-        stutter_true=True,  # Z and X unchanged => ¬Z(s) ∨ Z(t) holds
     )
     return Spec(
         [safeness, progress, stability],

@@ -884,9 +884,9 @@ def explored_system(
     interpreted-mode caller (and vice versa).
 
     When a certificate store is active (:mod:`repro.store`), a cache
-    miss first tries to load the graph — or reassemble it from
-    per-action row artifacts when only one action changed — before
-    exploring; fresh explorations are recorded for later runs.  The
+    miss first tries to load the graph this exploration saved in an
+    earlier run, keyed by its program, start set, faults, cap and
+    symmetry flag; fresh explorations are saved for later runs.  The
     interpreted oracle always explores for real.
     """
     if isinstance(start_states, Region):
@@ -959,7 +959,7 @@ def _store_load(program, starts, faults, max_states, symmetric):
     try:
         from ..store import artifacts as _store_artifacts
 
-        return _store_artifacts.load_or_assemble_system(
+        return _store_artifacts.load_system(
             program, starts, faults, max_states, symmetric
         )
     except Exception:
@@ -970,9 +970,7 @@ def _store_save(system, starts, max_states, symmetric) -> None:
     try:
         from ..store import artifacts as _store_artifacts
 
-        _store_artifacts.save_system_artifacts(
-            system, starts, max_states, symmetric
-        )
+        _store_artifacts.save_system(system, starts, max_states, symmetric)
     except Exception:
         pass
 
@@ -999,7 +997,7 @@ def clear_all_caches() -> None:
     kernels and interned layouts
     (:func:`repro.core.kernels.clear_kernel_caches`) are drained here
     too, so cold starts pay for plan compilation like any other cache
-    miss.  The certificate store's open handles and in-process memos
+    miss.  The certificate store's open handles
     (:func:`repro.store.reset_store_handles`) are reset as well — the
     store stays *active* and its persistent artifacts survive, which is
     exactly the difference between the ``--cold`` and ``--warm``

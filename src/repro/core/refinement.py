@@ -111,14 +111,10 @@ def refines_spec(
     certs = None if symmetric else _certificates()
     if certs is None:
         return compute()
-    try:
-        family = certs.ObligationFamily(
-            "refines_spec", program, tuple(fault_actions), [from_],
-            spec=spec, extra=what,
-        )
-    except Exception:
-        return compute()
-    return certs.cached_obligation(family, compute)
+    return certs.cached_obligation(
+        "refines_spec", program, tuple(fault_actions), [from_], spec, what,
+        compute,
+    )
 
 
 def _refines_spec_body(

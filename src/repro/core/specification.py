@@ -127,19 +127,9 @@ class TransitionInvariant(SpecComponent):
     the fusion-closed transition-level safety shape that Lemma 3.2
     justifies.
 
-    ``predicates`` and ``stutter_true`` are optional *declarations* the
-    certificate store's frame-based reuse relies on (and without which it
-    refuses to transfer verdicts across a program edit):
-
-    - ``predicates`` declares that ``relation(s, t)`` is a function of
-      the listed predicates' truth values at ``s`` and ``t`` only;
-    - ``stutter_true`` declares that ``relation(s, t)`` holds whenever
-      every listed predicate agrees on ``s`` and ``t`` (a *visible
-      stutter*) — true for ``cl(S)``-shaped relations, false for
-      generalized pairs ``({S},{R})``, which a stutter step can violate.
-
-    Like an action's reads/writes frame, these are claims, not inferred
-    facts; a wrong declaration yields wrong reuse.
+    ``predicates`` optionally lists the predicates ``relation`` reads;
+    it joins the spec's store key and lets tools enumerate the
+    predicates a spec consults.  It is a declaration, not inferred.
     """
 
     kind = "safety"
@@ -149,12 +139,10 @@ class TransitionInvariant(SpecComponent):
         relation: Callable[[State, State], bool],
         name: str = "transition invariant",
         predicates: Optional[Sequence[Predicate]] = None,
-        stutter_true: bool = False,
     ):
         super().__init__(name)
         self.relation = relation
         self.predicates = None if predicates is None else tuple(predicates)
-        self.stutter_true = bool(stutter_true)
 
     def check(self, ts: TransitionSystem) -> CheckResult:
         for source, action_name, target in ts.all_edges(include_faults=True):
@@ -293,7 +281,6 @@ def closure_spec(predicate: Predicate) -> Spec:
                 lambda s, t, p=predicate: (not p(s)) or p(t),
                 name=f"cl({predicate.name})",
                 predicates=(predicate,),
-                stutter_true=True,  # p unchanged across a step => ¬p ∨ p
             )
         ],
         name=f"cl({predicate.name})",
@@ -309,9 +296,6 @@ def generalized_pair(source: Predicate, target: Predicate) -> Spec:
                 lambda s, t, a=source, b=target: (not a(s)) or b(t),
                 name=f"({{{source.name}}},{{{target.name}}})",
                 predicates=(source, target),
-                # a stutter at a state with S ∧ ¬R violates the pair, so
-                # frame-based verdict reuse must refuse this shape
-                stutter_true=False,
             )
         ],
         name=f"({{{source.name}}},{{{target.name}}})",

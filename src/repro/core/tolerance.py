@@ -136,43 +136,15 @@ def _cached_obligation(
     extra,
     compute,
 ) -> CheckResult:
-    """Route one obligation through the certificate store when possible:
-    exact-key replay, then frame-based reuse across a single-action edit,
-    then computing (and recording).  Symmetric checks always compute —
-    quotient verdicts are validated by their own parity suite and are
-    cheap relative to full graphs."""
+    """Replay one obligation from the certificate store when a store is
+    active, else compute it (and record it).  Symmetric checks always
+    compute — quotient verdicts are validated by their own parity suite
+    and are cheap relative to full graphs."""
     if certs is None or symmetric:
         return compute()
-    try:
-        family = certs.ObligationFamily(
-            tag, program, faults, predicates, spec=spec, extra=extra
-        )
-    except Exception:
-        return compute()
-    return certs.cached_obligation(family, compute)
-
-
-def _closure_obligation(
-    certs,
-    symmetric: bool,
-    program: Program,
-    actions,
-    predicate: Predicate,
-    what: str,
-    compute,
-) -> CheckResult:
-    """Serve a closure obligation from per-action row artifacts when the
-    store holds (or can certify) them; fall back to the graph check —
-    which reproduces the exact counterexample — otherwise.  A rows
-    artifact existing *is* the closure fact for its action: it is only
-    recorded when every successor stays inside the predicate's state
-    table, so an edited program re-certifies closure by re-sweeping the
-    one edited action."""
-    if certs is not None and not symmetric:
-        served = certs.closure_via_rows(program, actions, predicate, what)
-        if served is not None:
-            return served
-    return compute()
+    return certs.cached_obligation(
+        tag, program, faults, predicates, spec, extra, compute
+    )
 
 
 def _common_obligations(
@@ -182,7 +154,6 @@ def _common_obligations(
     invariant: Predicate,
     span: Predicate,
     symmetric: bool = False,
-    certs=None,
 ) -> Iterable[CheckResult]:
     """Obligations shared by all three tolerance classes: refinement in
     the absence of faults, ``S ⇒ T``, and ``T`` closed in ``p [] F``."""
@@ -191,12 +162,8 @@ def _common_obligations(
     # it runs identically in symmetric mode (and is too cheap to cache)
     yield check_implication(program, invariant, span)
     span_what = f"{span.name} closed in {program.name} [] {faults.name}"
-    yield _closure_obligation(
-        certs, symmetric, program,
-        tuple(program.actions) + tuple(faults.actions), span, span_what,
-        lambda: faults.system(program, span, symmetric=symmetric).is_closed(
-            span, include_faults=True, description=span_what
-        ),
+    yield faults.system(program, span, symmetric=symmetric).is_closed(
+        span, include_faults=True, description=span_what
     )
 
 
@@ -234,7 +201,6 @@ def is_failsafe_tolerant(
     with paused_gc():
         obligations = list(_common_obligations(
             program, faults, spec, invariant, span, symmetric=symmetric,
-            certs=certs,
         ))
         safety = spec.safety_part()
         safety_what = (
@@ -292,18 +258,11 @@ def is_nonmasking_tolerant(
     with paused_gc():
         obligations = list(_common_obligations(
             program, faults, spec, invariant, span, symmetric=symmetric,
-            certs=certs,
         ))
         inv_what = f"{invariant.name} closed in {program.name}"
-        obligations.append(_closure_obligation(
-            certs, symmetric, program, tuple(program.actions), invariant,
-            inv_what,
-            lambda: faults.system(
-                program, span, symmetric=symmetric
-            ).is_closed(
-                invariant, include_faults=False, description=inv_what
-            ),
-        ))
+        obligations.append(faults.system(
+            program, span, symmetric=symmetric
+        ).is_closed(invariant, include_faults=False, description=inv_what))
         converge_what = (
             f"every computation of {program.name} [] {faults.name} "
             f"from {span.name} converges to {invariant.name}"
@@ -365,7 +324,6 @@ def is_masking_tolerant(
     with paused_gc():
         obligations = list(_common_obligations(
             program, faults, spec, invariant, span, symmetric=symmetric,
-            certs=certs,
         ))
         safety = spec.safety_part()
         safety_what = (

@@ -1,13 +1,13 @@
 """Persistent content-addressed certificate store.
 
-Explored graphs, region fixpoints, tolerance verdicts and theorem
-witness certificates are cached across processes and machines, keyed by
-salted content fingerprints of the checked objects (:mod:`.keys`).
-Backends (:mod:`.backend`) range from a local sqlite file to a
-``repro serve`` HTTP front end (:mod:`.serve`); the exploration layer
-talks to :mod:`.artifacts`, the verification layer to
-:mod:`.certificates` — including frame-aware *incremental
-re-verification* when a single action of a certified program changes.
+Explored graphs and tolerance verdicts are cached across processes and
+machines, keyed by salted content fingerprints of the checked objects
+(:mod:`.keys`).  Backends (:mod:`.backend`) range from a local sqlite
+file to a ``repro serve`` HTTP front end (:mod:`.serve`); the
+exploration layer talks to :mod:`.artifacts`, the verification layer to
+:mod:`.certificates`.  The store only replays: an artifact answers
+exactly the exploration or check that wrote it, and anything else
+(an edited program included) is computed afresh.
 """
 
 from .backend import (
@@ -18,7 +18,6 @@ from .backend import (
     SQLiteStore,
     active_store,
     record_event,
-    register_reset_hook,
     reset_handles as reset_store_handles,
     reset_stats,
     set_active_store,
@@ -26,19 +25,11 @@ from .backend import (
     store_from_spec,
 )
 from .keys import STORE_SCHEMA_VERSION, digest, fingerprint
-from .artifacts import (
-    ROWS_STATE_LIMIT,
-    load_or_assemble_system,
-    save_system_artifacts,
-    system_key,
-)
+from .artifacts import load_system, save_system, system_key
 from .certificates import (
-    ObligationFamily,
     cached_obligation,
     certificate_key,
-    closure_via_rows,
     lookup_certificate,
-    predicate_reads,
     record_certificate,
 )
 
@@ -52,7 +43,6 @@ __all__ = [
     "active_store",
     "set_active_store",
     "reset_store_handles",
-    "register_reset_hook",
     "record_event",
     "stats",
     "reset_stats",
@@ -60,14 +50,10 @@ __all__ = [
     "digest",
     "fingerprint",
     "system_key",
-    "load_or_assemble_system",
-    "save_system_artifacts",
-    "ROWS_STATE_LIMIT",
+    "load_system",
+    "save_system",
     "certificate_key",
     "lookup_certificate",
     "record_certificate",
     "cached_obligation",
-    "ObligationFamily",
-    "closure_via_rows",
-    "predicate_reads",
 ]

@@ -19,10 +19,9 @@ any backend error degrades to computing from scratch, never to a wrong
 answer.
 
 Handles are *resettable*: :func:`reset_handles` closes open connections
-(and runs registered reset hooks) without deactivating the store, so
-``clear_all_caches()`` can return the process to a cache-cold state
-while warm persistent artifacts stay on disk — exactly what the
-``--warm`` benchmark mode measures.
+without deactivating the store, so ``clear_all_caches()`` can return the
+process to a cache-cold state while warm persistent artifacts stay on
+disk — exactly what the ``--warm`` benchmark mode measures.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 __all__ = [
     "BaseStore",
@@ -49,7 +48,6 @@ __all__ = [
     "active_store",
     "set_active_store",
     "reset_handles",
-    "register_reset_hook",
     "record_event",
     "stats",
     "reset_stats",
@@ -372,10 +370,9 @@ def store_from_spec(spec: Union[str, os.PathLike, BaseStore]) -> BaseStore:
 
 _ACTIVE: Optional[BaseStore] = None
 _ENV_RESOLVED = False
-_RESET_HOOKS: List[Callable[[], None]] = []
 
 #: high-level event counters maintained by the store consumers (graph
-#: loads, reassemblies, verdict replays, ...), merged into :func:`stats`
+#: loads, verdict replays, ...), merged into :func:`stats`
 EVENTS: Dict[str, int] = {}
 
 
@@ -428,21 +425,13 @@ def set_active_store(
     return _ACTIVE
 
 
-def register_reset_hook(hook: Callable[[], None]) -> None:
-    """Run ``hook`` whenever handles are reset (used by in-process memos
-    layered over the store, e.g. predicate read-frame caches)."""
-    _RESET_HOOKS.append(hook)
-
-
 def reset_handles() -> None:
-    """Close the active store's OS handles and drain in-process memos
-    layered on top of it.  The store stays active — persistent artifacts
-    survive, which is the whole point of ``--warm`` benchmarking."""
+    """Close the active store's OS handles.  The store stays active —
+    persistent artifacts survive, which is the whole point of ``--warm``
+    benchmarking."""
     store = _ACTIVE
     if store is not None:
         store.reset()
-    for hook in _RESET_HOOKS:
-        hook()
 
 
 def stats() -> Dict[str, int]:

@@ -210,8 +210,7 @@ def _component_material(component) -> Tuple:
                 callable_material(component.relation),
                 None if predicates is None else tuple(
                     predicate_material(p) for p in predicates
-                ),
-                bool(getattr(component, "stutter_true", False)))
+                ))
     return ("component", kind, component.name)
 
 

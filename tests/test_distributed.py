@@ -536,6 +536,84 @@ class TestDistributedCampaign:
         assert jsonl == jsonl0
         assert result.verdict == result0.verdict
 
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: b"not a batch",
+    ], ids=["truncated", "garbage"])
+    def test_undecodable_stored_batch_is_run_again(self, damage):
+        """With a job queue, a stored batch that does not decode is run
+        by the scheduler and put again: its job is done, and the board
+        never hands a done job to a worker again."""
+        _, jsonl0 = run_direct()
+        store = MemoryStore()
+        with ServerThread(store) as srv:
+            stop, threads = start_workers(srv.url, 1)
+            try:
+                campaign1, _, _ = run_distributed(srv.url, batch_size=2)
+                for key in list(store._data):
+                    store.put(key, damage(store.get(key)))
+                rejected = store_backend.stats().get(
+                    "campaign-batch-undecodable", 0)
+                campaign2, _, jsonl2 = run_distributed(srv.url, batch_size=2)
+                campaign3, _, jsonl3 = run_distributed(srv.url, batch_size=2)
+                queue = srv.server.board.status()[CAMPAIGN_QUEUE]
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(10)
+        assert campaign1.batches_total == 3
+        assert jsonl2 == jsonl3 == jsonl0
+        assert store_backend.stats()["campaign-batch-undecodable"] \
+            == rejected + 3
+        assert (queue["submitted"], queue["resubmitted"]) == (3, 0)
+        assert campaign2.batches_from_store == 0
+        assert campaign3.batches_from_store == 3
+
+    def test_undecodable_worker_batch_is_run_again(self, monkeypatch):
+        """A batch artifact a worker puts that does not decode is run
+        again by the scheduler when it polls it."""
+        _, jsonl0 = run_direct()
+
+        def damaging(payload, store):
+            store.put(payload["result_key"], b"not a batch")
+            return payload["result_key"]
+
+        monkeypatch.setitem(JOB_HANDLERS, "campaign_batch", damaging)
+        rejected = store_backend.stats().get("campaign-batch-undecodable", 0)
+        with ServerThread() as srv:
+            stop, threads = start_workers(srv.url, 1)
+            try:
+                campaign, _, jsonl = run_distributed(srv.url, batch_size=2)
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(10)
+        assert not campaign.degraded
+        assert jsonl == jsonl0
+        assert store_backend.stats()["campaign-batch-undecodable"] \
+            == rejected + 3
+
+    def test_worker_replay_check_reruns_an_undecodable_batch(self):
+        scheduler = DistributedCampaign(
+            SCENARIO, trials=TRIALS, seed=SEED, stream=None
+        )
+        key = scheduler._key(2, 4)
+        store = MemoryStore()
+        store.put(key, b"not a batch")
+        payload = scheduler._batch_payload(2, 4, key)
+        assert JOB_HANDLERS["campaign_batch"](payload, store) == key
+        campaign = Campaign(SCENARIO, trials=TRIALS, seed=SEED, stream=None)
+        expected = [campaign._buffered_trial(t) for t in (2, 3)]
+
+        def timeless(items):
+            return [
+                (record, [{k: v for k, v in event.items()
+                           if not k.startswith("wall")} for event in events])
+                for record, events in items
+            ]
+
+        assert timeless(decode_batch(store.get(key))) == timeless(expected)
+
 
 # -- distributed census --------------------------------------------------------
 
@@ -555,6 +633,34 @@ class TestDistributedCensus:
             )
             assert reach.states == full.states, f"shards={shards}"
             assert stats["degraded"] and stats["computed"] == shards
+
+    def test_a_census_with_no_store_encodes_no_shard(self, monkeypatch):
+        """With no queue, no ``store`` and no active store, the shards
+        are computed and merged and none is encoded; with a store, each
+        shard is encoded once.  The merged reach is the same."""
+        from repro.campaigns import distributed
+
+        encoded = []
+        encode = distributed.encode_shard_reach
+
+        def spying(reach):
+            encoded.append(reach)
+            return encode(reach)
+
+        monkeypatch.setattr(distributed, "encode_shard_reach", spying)
+        monkeypatch.setattr(store_backend, "active_store", lambda: None)
+        bare, stats = distributed_census("token_ring", {"size": 4}, shards=3)
+        assert encoded == []
+        assert (stats["computed"], stats["from_store"]) == (3, 0)
+        stored, stats = distributed_census(
+            "token_ring", {"size": 4}, shards=3, store=MemoryStore()
+        )
+        assert len(encoded) == 3
+        assert (stats["computed"], stats["from_store"]) == (3, 0)
+        assert (bare.states, bare.levels, bare.edges) \
+            == (stored.states, stored.levels, stored.edges)
+        assert bare.codes.tolist() == stored.codes.tolist()
+        assert bare.states == self.expected().states
 
     def test_distributed_parity_and_warm_rerun(self):
         full = self.expected()

@@ -8,8 +8,8 @@ contract: which engine ran must be unobservable from the finished
 that contract over the bundled program families (programs *and* their
 fault builders) and under symmetry quotients, by comparing full graph
 fingerprints (state order, edge tuples, deadlocks, edge arrays) against
-the interpreted reference; systems loaded or reassembled from the
-certificate store must match a fresh exploration the same way.
+the interpreted reference; systems loaded from the certificate store
+must match a fresh exploration the same way.
 
 :func:`~repro.core.kernels.explore_codes` has no interpreted twin (it
 exists for spaces where ``State`` objects are not an option), so it is
@@ -297,11 +297,10 @@ def test_graph_artifact_loads_the_explored_graph(name, memory_store):
     assert _graph(loaded) == fresh
 
 
-def test_one_action_edit_reassembles_the_explored_graph(memory_store):
-    """A closed system's per-action row artifacts reassemble the graph
-    of a one-action edit (the edited action's rows are the only ones
-    computed), with the fingerprint of a fresh exploration of the
-    edited program."""
+def test_one_action_edit_is_explored_afresh(memory_store):
+    """A one-action edit of a stored system is explored, not served:
+    the store holds no graph for it, and the explored graph has the
+    fingerprint of a fresh exploration of the edited program."""
     program, starts, faults, _ = SCENARIOS["token_ring"]
     actions = list(program.actions)
     actions[1] = actions[1].restrict(var_eq("x0", 0))
@@ -309,11 +308,9 @@ def test_one_action_edit_reassembles_the_explored_graph(memory_store):
     fresh = _graph(TransitionSystem(edited, starts, faults))
     explored_system(program, starts, faults)
     store_backend.reset_stats()
-    reassembled = explored_system(edited, starts, faults)
-    stats = store_backend.stats()
-    assert stats.get("graph_reassembled") == 1
-    assert stats.get("rows_computed") == 1
-    assert _graph(reassembled) == fresh
+    explored = explored_system(edited, starts, faults)
+    assert store_backend.stats().get("graph_hits", 0) == 0
+    assert _graph(explored) == fresh
 
 
 # ---------------------------------------------------------------------------

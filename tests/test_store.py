@@ -8,9 +8,10 @@ Covers the acceptance matrix of the store PR:
   verdict replays observed);
 - content keys are sensitive to every semantic ingredient (guards,
   effects, names, frames, domains, spec predicates, symmetry flag);
-- frame-aware incremental reuse: a frame-disjoint single-action edit
-  transfers the passing verdict without recomputing, an interfering
-  edit recomputes, and both agree with fresh store-less verdicts;
+- an edited program is checked afresh: interfering, failing and
+  wrongly framed edits all agree with fresh store-less verdicts;
+- a payload of any kind the verify path writes that does not decode is
+  a miss: the verdicts equal store-less ones and nothing raises;
 - ``clear_all_caches`` closes store handles but keeps the store active;
 - the exploration LRU keys on the resolved engine, so a columnar-built
   system is never served to the interpreted oracle;
@@ -163,19 +164,32 @@ class TestIncrementalReuse:
         exploration.clear_all_caches()
         return refines_spec(program, SPEC, FROM)
 
-    def test_frame_disjoint_edit_reuses_verdict(self, tmp_path):
+    def test_wrong_frame_edit_is_checked_afresh(self, tmp_path):
+        """An edit whose declared frame omits a variable it sets gets
+        the verdict of a store-less check, not the original's PASS: the
+        store replays only exact keys, so no frame is trusted."""
+        original = framed_program()
+        inc_b = Action(
+            "incB",
+            Predicate(lambda s: s["b"] < 2, "b<2"),
+            assign(b=lambda s: s["b"] + 1, a=3),
+            reads=["b"],
+            writes=["b"],  # omits "a", which the statement sets
+        )
+        edited = Program(
+            list(original.variables), [original.actions[0], inc_b],
+            name=original.name,
+        )
+        fresh = self._fresh_verdict(edited)
+        assert not fresh.ok
+
         backend.set_active_store(str(tmp_path / "inc.sqlite"))
-        original = refines_spec(framed_program(), SPEC, FROM)
-        assert original.ok
-
-        edited = framed_program(b_limit=1)  # edit touches only "b"
+        assert refines_spec(original, SPEC, FROM).ok
+        exploration.clear_all_caches()
         backend.reset_stats()
-        reused = refines_spec(edited, SPEC, FROM)
-        stats = backend.stats()
-        assert stats.get("obligations_reused", 0) >= 1
-        assert reused.ok
-
-        assert self._fresh_verdict(edited).ok == reused.ok
+        verdict = refines_spec(edited, SPEC, FROM)
+        assert backend.stats().get("obligation_hits", 0) == 0
+        assert str(verdict) == str(fresh)
 
     def test_interfering_edit_recomputes(self, tmp_path):
         backend.set_active_store(str(tmp_path / "inc.sqlite"))
@@ -213,6 +227,64 @@ class TestIncrementalReuse:
         assert stats.get("obligation_hits", 0) >= 1
         assert again.ok == first.ok
         assert str(again) == str(first)
+
+
+class KindedStore(MemoryStore):
+    """A memory store that remembers the kind of every put."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = {}
+
+    def _put(self, key, payload, kind):
+        super()._put(key, payload, kind)
+        self.kinds[key] = kind
+
+
+class TestUndecodablePayloads:
+    """A payload that does not decode is a miss, whatever its kind: the
+    check recomputes, puts it again, and its verdict text equals the
+    store-less one."""
+
+    #: consult every kind on its own: ``token_ring`` and
+    #: ``memory_access`` replay certificates, ``is_corrector`` and
+    #: ``is_detector`` obligations, and ``failure_detector``'s
+    #: completeness check a graph
+    ENTRIES = ("memory_access", "token_ring", "failure_detector")
+
+    def _texts(self):
+        from repro.cli import CATALOGUE
+
+        texts = []
+        for name in self.ENTRIES:
+            _, checks = CATALOGUE[name]()
+            texts.extend(str(check()) for check in checks)
+        return texts
+
+    def test_truncated_payloads_are_misses(self):
+        baseline = self._texts()
+        populated = KindedStore()
+        backend.set_active_store(populated)
+        exploration.clear_all_caches()
+        assert self._texts() == baseline
+        kinds = set(populated.kinds.values())
+        for damaged in [kinds] + [{kind} for kind in sorted(kinds)]:
+            store = MemoryStore()
+            truncated = {}
+            for key, payload in populated._data.items():
+                if populated.kinds[key] in damaged:
+                    payload = truncated[key] = payload[: len(payload) // 2]
+                store._data[key] = payload
+            backend.set_active_store(store)
+            exploration.clear_all_caches()
+            assert self._texts() == baseline, damaged
+            # each damaged kind was read, recomputed and put again
+            put_again = {
+                populated.kinds[key] for key, payload in truncated.items()
+                if store._data[key] != payload
+            }
+            assert put_again == damaged
+        assert kinds == {"cert", "obligation", "system"}
 
 
 class TestCacheReset:
